@@ -283,41 +283,6 @@ def abs_(a: Tensor) -> Tensor:
     return Tensor._from_op(out_val, (a,), rule)
 
 
-def exp(a: Tensor) -> Tensor:
-    out_val = np.exp(a.data)
-
-    def rule(g):
-        if a.requires_grad:
-            a._accumulate(g * out_val)
-
-    return Tensor._from_op(out_val, (a,), rule)
-
-
-def log(a: Tensor) -> Tensor:
-    out_val = np.log(a.data)
-
-    def rule(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return Tensor._from_op(out_val, (a,), rule)
-
-
-_ELEMENTWISE = {
-    "add": add, "mul": mul, "relu": relu, "tanh": tanh,
-    "abs": abs_, "exp": exp, "log": log, "neg": neg,
-}
-
-
-def elementwise(kind: str, *args: Tensor) -> Tensor:
-    """Dispatch by op-kind name; binary kinds take two args, unary one."""
-    try:
-        fn = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise kind {kind!r}") from None
-    return fn(*args)
-
-
 # ---------------------------------------------------------------------------
 # matmul / bmm
 # ---------------------------------------------------------------------------
@@ -415,17 +380,6 @@ def reduce_max(t: Tensor, axis=None) -> Tensor:
     return Tensor._from_op(out_val, (t,), rule)
 
 
-_REDUCE = {"sum": reduce_sum, "max": reduce_max, "mean": reduce_mean}
-
-
-def reduce(t: Tensor, kind: str, axis=None) -> Tensor:
-    try:
-        fn = _REDUCE[kind]
-    except KeyError:
-        raise ValueError(f"unknown reduce kind {kind!r}") from None
-    return fn(t, axis)
-
-
 def canonical_sum(t: Tensor, axis: int) -> Tensor:
     """Order-independent sum along ``axis``.
 
@@ -512,23 +466,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 t._accumulate(g[tuple(sl)])
 
     return Tensor._from_op(out_val, tuple(tensors), rule)
-
-
-def stack_rows(tensors) -> Tensor:
-    """Stack 1-d tensors of equal length into a matrix (one per row)."""
-    return concat([reshape(t, (1, t.size)) for t in tensors], axis=0)
-
-
-def slice_axis0(t: Tensor, start: int, stop: int) -> Tensor:
-    out_val = t.data[start:stop]
-
-    def rule(g):
-        if t.requires_grad:
-            full = np.zeros_like(t.data)
-            full[start:stop] = g
-            t._accumulate(full)
-
-    return Tensor._from_op(out_val, (t,), rule)
 
 
 def take_index(t: Tensor, indices: np.ndarray) -> Tensor:

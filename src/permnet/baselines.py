@@ -26,25 +26,11 @@ from .autodiff import (
     reshape,
 )
 from .env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES
-from .hpn import NEG_MASK, HpnAgentNet, HyperLayer, hpn_output_layer
-from .layers import Linear, Mlp, count_parameters
+from .hpn import HpnAgentNet, HyperLayer, hpn_output_layer
+from .layers import NEG_MASK, AgentNet, Linear, Mlp, count_parameters
 
 
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def _forward_single(net, obs) -> Tensor:
-    own = _as_tensor(obs.own)
-    allies = _as_tensor(obs.allies)
-    enemies = _as_tensor(obs.enemies)
-    q = net.forward_batch(reshape(own, (1, own.size)),
-                          reshape(allies, (1,) + allies.shape),
-                          reshape(enemies, (1,) + enemies.shape))
-    return reshape(q, (net.n_actions,))
-
-
-class ConcatAgentNet:
+class ConcatAgentNet(AgentNet):
     """Fixed-order concatenation MLP; permutation sensitive by design."""
 
     def __init__(self, rng: np.random.Generator, n_allies: int,
@@ -56,15 +42,9 @@ class ConcatAgentNet:
         self.net = Mlp(rng, [self.input_dim, *hidden,
                              N_MOVE_ACTIONS + n_enemies])
 
-    @property
-    def n_actions(self) -> int:
-        return N_MOVE_ACTIONS + self.n_enemies
-
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return self.net.named_parameters(prefix + "net.")
-
-    def forward_batch(self, own: Tensor, allies: Tensor,
-                      enemies: Tensor) -> Tensor:
+    def forward_batch(self, own: Tensor, allies: Tensor, enemies: Tensor, *,
+                      rng: np.random.Generator | None = None,
+                      deterministic: bool = True) -> Tensor:
         k = ENTITY_FEATURES
         if (allies.shape[1:] != (self.n_allies - 1, k)
                 or enemies.shape[1:] != (self.n_enemies, k)):
@@ -77,9 +57,6 @@ class ConcatAgentNet:
                     reshape(allies, (b, (self.n_allies - 1) * k)),
                     reshape(enemies, (b, self.n_enemies * k))], axis=1)
         return self.net(x)
-
-    def forward(self, obs) -> Tensor:
-        return _forward_single(self, obs)
 
 
 def big_concat_agent(rng: np.random.Generator, n_allies: int, n_enemies: int,
@@ -101,7 +78,7 @@ def big_concat_agent(rng: np.random.Generator, n_allies: int, n_enemies: int,
     return net
 
 
-class DeepSetAgentNet:
+class DeepSetAgentNet(AgentNet):
     """Shared embeddings + sum pooling; order-free but attack Q-values do
     not follow their enemies under reordering (one output per slot from the
     pooled vector)."""
@@ -117,32 +94,16 @@ class DeepSetAgentNet:
         self.move_head = Linear(rng, hidden, N_MOVE_ACTIONS)
         self.attack_head = Linear(rng, hidden, n_enemies)
 
-    @property
-    def n_actions(self) -> int:
-        return N_MOVE_ACTIONS + self.n_enemies
-
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        params = {}
-        params.update(self.phi_ally.named_parameters(prefix + "phi_ally."))
-        params.update(self.phi_enemy.named_parameters(prefix + "phi_enemy."))
-        params.update(self.body.named_parameters(prefix + "body."))
-        params.update(self.move_head.named_parameters(prefix + "move_head."))
-        params.update(
-            self.attack_head.named_parameters(prefix + "attack_head."))
-        return params
-
-    def forward_batch(self, own: Tensor, allies: Tensor,
-                      enemies: Tensor) -> Tensor:
+    def forward_batch(self, own: Tensor, allies: Tensor, enemies: Tensor, *,
+                      rng: np.random.Generator | None = None,
+                      deterministic: bool = True) -> Tensor:
         pooled_a = canonical_sum(self.phi_ally(allies), axis=-2)
         pooled_e = canonical_sum(self.phi_enemy(enemies), axis=-2)
         h = relu(self.body(concat([own, pooled_a, pooled_e], axis=1)))
         return concat([self.move_head(h), self.attack_head(h)], axis=1)
 
-    def forward(self, obs) -> Tensor:
-        return _forward_single(self, obs)
 
-
-class HpnSetAgentNet:
+class HpnSetAgentNet(AgentNet):
     """Pooled shared-embedding input path with the per-enemy generated
     attack head.  Differs from the full hypernetwork agent only in how the
     trunk hidden state is built; the output head is constructed the same
@@ -160,22 +121,9 @@ class HpnSetAgentNet:
         self.attack_head = HyperLayer(rng, k, hidden, 1, hyper_hidden,
                                       per_entity_bias=True)
 
-    @property
-    def n_actions(self) -> int:
-        return N_MOVE_ACTIONS + self.n_enemies
-
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        params = {}
-        params.update(self.own_dense.named_parameters(prefix + "own."))
-        params.update(self.phi_ally.named_parameters(prefix + "phi_ally."))
-        params.update(self.phi_enemy.named_parameters(prefix + "phi_enemy."))
-        params.update(self.move_head.named_parameters(prefix + "move_head."))
-        params.update(
-            self.attack_head.named_parameters(prefix + "attack_head."))
-        return params
-
-    def forward_batch(self, own: Tensor, allies: Tensor,
-                      enemies: Tensor) -> Tensor:
+    def forward_batch(self, own: Tensor, allies: Tensor, enemies: Tensor, *,
+                      rng: np.random.Generator | None = None,
+                      deterministic: bool = True) -> Tensor:
         pooled_a = canonical_sum(self.phi_ally(allies), axis=-2)
         pooled_e = canonical_sum(self.phi_enemy(enemies), axis=-2)
         h = relu(add(add(self.own_dense(own), pooled_a), pooled_e))
@@ -184,6 +132,3 @@ class HpnSetAgentNet:
         dead = NEG_MASK * (1.0 - enemies.data[..., 3])
         attack = add(attack, Tensor(dead))
         return concat([move, attack], axis=1)
-
-    def forward(self, obs) -> Tensor:
-        return _forward_single(self, obs)

@@ -23,20 +23,15 @@ from .autodiff import (
     add,
     bmm,
     concat,
-    matmul,
     one_hot,
     relu,
     reshape,
-    slice_axis0,
     straight_through,
     take_index,
-    transpose,
 )
 from .env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES
 from .gumbel import GumbelConfig, gumbel_softmax
-from .layers import Linear, Mlp
-
-NEG_MASK = -1e10
+from .layers import NEG_MASK, AgentNet, Linear, Mlp, Module
 
 
 def is_permutation_matrix(entries: np.ndarray) -> bool:
@@ -51,7 +46,7 @@ def is_permutation_matrix(entries: np.ndarray) -> bool:
     return bool(binary and rows and cols)
 
 
-class DpnNet:
+class DpnNet(Module):
     """Assignment-score network for one entity group of fixed size.
 
     ``assign_mlp`` maps each entity's features to one score per canonical
@@ -66,9 +61,6 @@ class DpnNet:
         self.assign_mlp = Mlp(rng, [feature_dim, hidden, group_size])
         self.gumbel = gumbel if gumbel is not None \
             else GumbelConfig(tau=0.5, hard=True)
-
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return self.assign_mlp.named_parameters(prefix + "assign.")
 
 
 def generate_permutation_matrix(net: DpnNet, X: Tensor,
@@ -111,83 +103,7 @@ def generate_permutation_matrix(net: DpnNet, X: Tensor,
     return concat(rows, axis=-2)
 
 
-def _apply(M: Tensor, X: Tensor) -> Tensor:
-    return matmul(M, X) if len(X.shape) == 2 else bmm(M, X)
-
-
-def _apply_inverse(M: Tensor, values: Tensor) -> Tensor:
-    """Mᵀ·v for a (possibly batched) square M and per-entity values v."""
-    if len(M.shape) == 2:
-        m = M.shape[0]
-        return reshape(matmul(transpose(M), reshape(values, (m, 1))), (m,))
-    lead, m = values.shape[:-1], values.shape[-1]
-    rows = reshape(values, lead + (1, m))
-    return reshape(bmm(rows, M), lead + (m,))   # (vᵀM)ᵀ = Mᵀv, rows kept flat
-
-
-def dpn_forward(net: DpnNet, X: Tensor, downstream,
-                equivariant_slice: slice | None = None,
-                rng: np.random.Generator | None = None,
-                deterministic: bool | None = None) -> Tensor:
-    """Canonicalize, run downstream, optionally restore input order.
-
-    ``downstream`` receives M·X.  When ``equivariant_slice`` names a
-    length-m axis-0 slice of the output, that slice is mapped through Mᵀ
-    back to the caller's entity order; everything outside the slice is
-    returned as-is (it is order-invariant already).
-    """
-    m = X.shape[-2]
-    M = generate_permutation_matrix(net, X, rng, deterministic)
-    y = downstream(_apply(M, X))
-    if equivariant_slice is None:
-        return y
-    start, stop, step = equivariant_slice.indices(y.shape[0])
-    if step != 1 or stop - start != m:
-        raise ShapeError(
-            f"equivariant slice covers {stop - start} rows, group has {m}")
-    part = slice_axis0(y, start, stop)
-    if len(part.shape) == 1:
-        part = reshape(matmul(transpose(M), reshape(part, (m, 1))), (m,))
-    else:
-        part = matmul(transpose(M), part)
-    pieces = []
-    if start > 0:
-        pieces.append(slice_axis0(y, 0, start))
-    pieces.append(part)
-    if stop < y.shape[0]:
-        pieces.append(slice_axis0(y, stop, y.shape[0]))
-    return pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
-
-
-def dual_group_dpn(ally_net: DpnNet, enemy_net: DpnNet, obs, downstream,
-                   rng: np.random.Generator | None = None,
-                   deterministic: bool | None = None) -> Tensor:
-    """Two-group canonicalization around one joint Q network.
-
-    The ally and enemy groups are canonicalized independently (M₁, M₂),
-    own-features plus both flattened canonical groups feed ``downstream``,
-    and the per-enemy attack slice of its output comes back through M₂ᵀ so
-    attack Q-values line up with the caller's enemy order.  Move Q-values
-    are order-invariant and pass through untouched.
-    """
-    own = obs.own if isinstance(obs.own, Tensor) else Tensor(obs.own)
-    allies = obs.allies if isinstance(obs.allies, Tensor) else Tensor(obs.allies)
-    enemies = obs.enemies if isinstance(obs.enemies, Tensor) else Tensor(obs.enemies)
-    m1 = generate_permutation_matrix(ally_net, allies, rng, deterministic)
-    m2 = generate_permutation_matrix(enemy_net, enemies, rng, deterministic)
-    n_enemies = enemies.shape[0]
-    x = concat([own,
-                reshape(_apply(m1, allies), (allies.size,)),
-                reshape(_apply(m2, enemies), (enemies.size,))], axis=0)
-    q = downstream(x)
-    move = slice_axis0(q, 0, N_MOVE_ACTIONS)
-    attack = slice_axis0(q, N_MOVE_ACTIONS, N_MOVE_ACTIONS + n_enemies)
-    attack = reshape(matmul(transpose(m2), reshape(attack, (n_enemies, 1))),
-                     (n_enemies,))
-    return concat([move, attack], axis=0)
-
-
-class DpnAgentNet:
+class DpnAgentNet(AgentNet):
     """Per-agent Q-network with DPN canonicalization on both entity groups.
 
     Own features and the two canonicalized, flattened groups feed a relu
@@ -210,22 +126,9 @@ class DpnAgentNet:
         self.move_head = Linear(rng, hidden, N_MOVE_ACTIONS)
         self.attack_head = Linear(rng, hidden, n_enemies)
 
-    @property
-    def n_actions(self) -> int:
-        return N_MOVE_ACTIONS + self.n_enemies
-
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        params = {}
-        params.update(self.ally_net.named_parameters(prefix + "ally_perm."))
-        params.update(self.enemy_net.named_parameters(prefix + "enemy_perm."))
-        params.update(self.body.named_parameters(prefix + "body."))
-        params.update(self.move_head.named_parameters(prefix + "move_head."))
-        params.update(self.attack_head.named_parameters(prefix + "attack_head."))
-        return params
-
-    def forward_batch(self, own: Tensor, allies: Tensor, enemies: Tensor,
+    def forward_batch(self, own: Tensor, allies: Tensor, enemies: Tensor, *,
                       rng: np.random.Generator | None = None,
-                      deterministic: bool = False) -> Tensor:
+                      deterministic: bool = True) -> Tensor:
         """(B, own) + (B, n-1, k) + (B, m, k) -> (B, n_move + m)."""
         b = own.shape[0]
         m1 = generate_permutation_matrix(self.ally_net, allies, rng,
@@ -233,25 +136,14 @@ class DpnAgentNet:
         m2 = generate_permutation_matrix(self.enemy_net, enemies, rng,
                                          deterministic)
         n_a = (self.n_allies - 1) * ENTITY_FEATURES
+        m = self.n_enemies
         x = concat([own,
-                    reshape(_apply(m1, allies), (b, n_a)),
-                    reshape(_apply(m2, enemies),
-                            (b, self.n_enemies * ENTITY_FEATURES))], axis=1)
+                    reshape(bmm(m1, allies), (b, n_a)),
+                    reshape(bmm(m2, enemies), (b, m * ENTITY_FEATURES))],
+                   axis=1)
         h = relu(self.body(x))
         move = self.move_head(h)
-        attack = _apply_inverse(m2, self.attack_head(h))
+        # M₂ᵀv as (vᵀM₂)ᵀ, rows kept flat
+        attack = reshape(bmm(reshape(self.attack_head(h), (b, 1, m)), m2),
+                         (b, m))
         return concat([move, attack], axis=1)
-
-    def forward(self, obs, rng: np.random.Generator | None = None,
-                deterministic: bool = False) -> Tensor:
-        own = obs.own if isinstance(obs.own, Tensor) else Tensor(obs.own)
-        allies = obs.allies if isinstance(obs.allies, Tensor) \
-            else Tensor(obs.allies)
-        enemies = obs.enemies if isinstance(obs.enemies, Tensor) \
-            else Tensor(obs.enemies)
-        q = self.forward_batch(
-            reshape(own, (1, own.size)),
-            reshape(allies, (1,) + allies.shape),
-            reshape(enemies, (1,) + enemies.shape),
-            rng, deterministic)
-        return reshape(q, (self.n_actions,))

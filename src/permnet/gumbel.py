@@ -1,7 +1,7 @@
-"""Gumbel-softmax sampling and the Sinkhorn doubly-stochastic operator.
+"""Gumbel-softmax sampling.
 
-Both are pure functions of their inputs plus an explicitly passed numpy
-Generator, so independent streams can run concurrently.
+A pure function of its inputs plus an explicitly passed numpy Generator,
+so independent streams can run concurrently.
 """
 
 from __future__ import annotations
@@ -10,10 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    ShapeError, Tensor, exp, log, mul, neg, one_hot, reduce_sum, reshape,
-    softmax, straight_through, transpose,
-)
+from .autodiff import Tensor, mul, one_hot, softmax, straight_through
 
 
 @dataclass
@@ -61,28 +58,3 @@ def gumbel_softmax(logits: Tensor, cfg: GumbelConfig,
         return soft
     hard = one_hot(np.argmax(soft.data, axis=-1), soft.shape[-1])
     return straight_through(soft, hard)
-
-
-def sinkhorn_normalize(logits: Tensor, iterations: int = 20,
-                       tau: float = 1.0) -> Tensor:
-    """Iteratively normalize exp(logits/tau) toward a doubly stochastic matrix.
-
-    Each iteration normalizes columns then rows, so after any full iteration
-    the row sums are 1 up to float rounding while column sums converge with
-    the iteration count.  Stays differentiable: division is composed from
-    the positive-entry identity a/s = a * exp(-log(s)).
-    """
-    if len(logits.shape) != 2 or logits.shape[0] != logits.shape[1]:
-        raise ShapeError(f"sinkhorn needs a square matrix, got {logits.shape}")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    m = logits.shape[0]
-    s = exp(mul(logits, Tensor(1.0 / tau)))
-    for _ in range(iterations):
-        col = reshape(reduce_sum(s, axis=0), (1, m))
-        s = mul(s, exp(neg(log(col))))
-        # row normalization via the transpose (broadcasting is leading-axis)
-        st = transpose(s)
-        row = reshape(reduce_sum(st, axis=0), (1, m))
-        s = transpose(mul(st, exp(neg(log(row)))))
-    return s

@@ -28,12 +28,10 @@ from .autodiff import (
     uniform_init,
 )
 from .env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES
-from .layers import Linear
-
-NEG_MASK = -1e10
+from .layers import NEG_MASK, AgentNet, Linear, Module
 
 
-class HyperLayer:
+class HyperLayer(Module):
     """Two-layer hypernetwork emitting one weight block per entity.
 
     ``generate(X)`` maps entity features (..., m, k) to weight blocks
@@ -71,16 +69,6 @@ class HyperLayer:
         wvec = reshape(self.b_head.weight, (self.b_head.in_dim,))
         bias = add(reduce_sum(mul(z, wvec), axis=-1), self.b_head.bias)
         return weights, bias
-
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        params = {}
-        params.update(self.body.named_parameters(prefix + "body."))
-        params.update(self.w_head.named_parameters(prefix + "w_head."))
-        if self.b_head is not None:
-            params.update(self.b_head.named_parameters(prefix + "b_head."))
-        if self.shared_bias is not None:
-            params[prefix + "shared_bias"] = self.shared_bias
-        return params
 
 
 def hpn_input_layer(layer: HyperLayer, X: Tensor) -> Tensor:
@@ -125,7 +113,7 @@ def hpn_output_layer(layer: HyperLayer, trunk_hidden: Tensor,
     return scores if bias is None else add(scores, bias)
 
 
-class HpnAgentNet:
+class HpnAgentNet(AgentNet):
     """Per-agent Q-network, order-free by construction.
 
     hidden = relu(own_dense(own) + set-embed(allies) + set-embed(enemies));
@@ -149,21 +137,9 @@ class HpnAgentNet:
         self.attack_head = HyperLayer(rng, k, hidden, 1, hyper_hidden,
                                       per_entity_bias=True)
 
-    @property
-    def n_actions(self) -> int:
-        return N_MOVE_ACTIONS + self.n_enemies
-
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        params = {}
-        params.update(self.own_dense.named_parameters(prefix + "own."))
-        params.update(self.ally_embed.named_parameters(prefix + "ally_embed."))
-        params.update(self.enemy_embed.named_parameters(prefix + "enemy_embed."))
-        params.update(self.move_head.named_parameters(prefix + "move_head."))
-        params.update(self.attack_head.named_parameters(prefix + "attack_head."))
-        return params
-
-    def forward_batch(self, own: Tensor, allies: Tensor,
-                      enemies: Tensor) -> Tensor:
+    def forward_batch(self, own: Tensor, allies: Tensor, enemies: Tensor, *,
+                      rng: np.random.Generator | None = None,
+                      deterministic: bool = True) -> Tensor:
         """(B, own) + (B, n-1, k) + (B, m, k) -> (B, n_move + m)."""
         h = relu(add(add(self.own_dense(own),
                          hpn_input_layer(self.ally_embed, allies)),
@@ -173,14 +149,3 @@ class HpnAgentNet:
         dead = NEG_MASK * (1.0 - enemies.data[..., 3])
         attack = add(attack, Tensor(dead))
         return concat([move, attack], axis=1)
-
-    def forward(self, obs) -> Tensor:
-        own = obs.own if isinstance(obs.own, Tensor) else Tensor(obs.own)
-        allies = obs.allies if isinstance(obs.allies, Tensor) \
-            else Tensor(obs.allies)
-        enemies = obs.enemies if isinstance(obs.enemies, Tensor) \
-            else Tensor(obs.enemies)
-        q = self.forward_batch(reshape(own, (1, own.size)),
-                               reshape(allies, (1,) + allies.shape),
-                               reshape(enemies, (1,) + enemies.shape))
-        return reshape(q, (self.n_actions,))

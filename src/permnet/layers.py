@@ -1,19 +1,74 @@
-"""Dense layers and MLPs on top of the autodiff engine.
+"""Parameter containers, dense layers and MLPs on top of the autodiff engine.
 
 Parameters are exposed through ``named_parameters()`` as a flat dict of
 dotted names to Tensors, which is the interface the optimizer and the
-checkpoint code consume.  Initialization is uniform(-1/sqrt(fan_in), ..)
-from an explicit numpy Generator so construction is reproducible.
+checkpoint code consume.  Names follow attribute paths (``body.weight``,
+``layers.0.bias``).  Initialization is uniform(-1/sqrt(fan_in), ..) from an
+explicit numpy Generator so construction is reproducible.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, relu, uniform_init
+from .autodiff import ShapeError, Tensor, relu, reshape, uniform_init
+from .env import N_MOVE_ACTIONS
+
+# additive penalty that keeps masked entries out of every argmax
+NEG_MASK = -1e10
 
 
-class Linear:
+class Module:
+    """Anything that owns parameters.
+
+    ``named_parameters()`` walks the instance attributes in definition
+    order: a Tensor attribute is a parameter named by its attribute, a
+    sub-module or a list of sub-modules contributes its own parameters
+    under ``attr.`` or ``attr.<index>.``.  Other attributes are skipped.
+    """
+
+    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
+        params: dict[str, Tensor] = {}
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                params[prefix + name] = value
+            elif isinstance(value, Module):
+                params.update(value.named_parameters(f"{prefix}{name}."))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        params.update(
+                            item.named_parameters(f"{prefix}{name}.{i}."))
+        return params
+
+
+class AgentNet(Module):
+    """Per-agent Q-network over one agent's own features and its two
+    entity groups.
+
+    Subclasses set ``n_enemies`` and define
+    ``forward_batch(own, allies, enemies, *, rng=None, deterministic=True)``
+    mapping (B, own) + (B, n-1, k) + (B, m, k) to (B, n_move + m) Q-values.
+    ``rng`` and ``deterministic`` only matter to nets with a stochastic
+    part (DPN's Gumbel selection); the others ignore them.
+    """
+
+    @property
+    def n_actions(self) -> int:
+        return N_MOVE_ACTIONS + self.n_enemies
+
+    def forward(self, obs, rng: np.random.Generator | None = None,
+                deterministic: bool = True) -> Tensor:
+        """Q-values (n_actions,) for one ObservationSet, run as a batch of
+        one; observation fields may be arrays or Tensors."""
+        fields = [x if isinstance(x, Tensor) else Tensor(x)
+                  for x in (obs.own, obs.allies, obs.enemies)]
+        q = self.forward_batch(*(reshape(x, (1,) + x.shape) for x in fields),
+                               rng=rng, deterministic=deterministic)
+        return reshape(q, (self.n_actions,))
+
+
+class Linear(Module):
     """Affine map x @ W + b with W of shape (in_dim, out_dim)."""
 
     def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int,
@@ -38,14 +93,8 @@ class Linear:
             out = out.reshape(*lead, self.out_dim)
         return out
 
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        params = {prefix + "weight": self.weight}
-        if self.bias is not None:
-            params[prefix + "bias"] = self.bias
-        return params
 
-
-class Mlp:
+class Mlp(Module):
     """Stack of Linear layers with relu between them (none after the last)."""
 
     def __init__(self, rng: np.random.Generator, dims: list[int]):
@@ -60,12 +109,6 @@ class Mlp:
             if i < len(self.layers) - 1:
                 x = relu(x)
         return x
-
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
-        for i, layer in enumerate(self.layers):
-            params.update(layer.named_parameters(f"{prefix}layer{i}."))
-        return params
 
 
 def count_parameters(params: dict[str, Tensor]) -> int:

@@ -40,11 +40,8 @@ from .autodiff import (
     reshape,
     take_index,
 )
-from .dpn import DpnAgentNet
 from .env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES, ObservationSet
-from .layers import Linear, Mlp
-
-NEG_MASK = -1e10
+from .layers import NEG_MASK, Linear, Mlp, Module
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +118,7 @@ def vdn_mix(per_agent_q):
     return total
 
 
-class QmixMixer:
+class QmixMixer(Module):
     """State-conditioned monotonic mixer.
 
     Q_tot = |w2(s)| . relu(|w1(s)| . q + b1(s)) + v(s).  The absolute value
@@ -138,14 +135,6 @@ class QmixMixer:
         self.hyper_w2 = Mlp(rng, [state_dim, hypernet_embed, embed])
         self.hyper_b1 = Linear(rng, state_dim, embed)
         self.value = Mlp(rng, [state_dim, embed, 1])
-
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        params = {}
-        params.update(self.hyper_w1.named_parameters(prefix + "w1."))
-        params.update(self.hyper_w2.named_parameters(prefix + "w2."))
-        params.update(self.hyper_b1.named_parameters(prefix + "b1."))
-        params.update(self.value.named_parameters(prefix + "v."))
-        return params
 
     def __call__(self, agent_qs: Tensor, state: Tensor) -> Tensor:
         """(B, n_agents) x (B, state_dim) -> (B,)."""
@@ -320,11 +309,9 @@ def copy_parameters(src: dict[str, Tensor], dst: dict[str, Tensor]):
 
 def _net_forward(net, own: Tensor, allies: Tensor, enemies: Tensor,
                  rng: np.random.Generator | None = None,
-                 deterministic: bool = False) -> Tensor:
-    if isinstance(net, DpnAgentNet):
-        return net.forward_batch(own, allies, enemies, rng=rng,
-                                 deterministic=deterministic)
-    return net.forward_batch(own, allies, enemies)
+                 deterministic: bool = True) -> Tensor:
+    return net.forward_batch(own, allies, enemies, rng=rng,
+                             deterministic=deterministic)
 
 
 def _stack_episodes(episodes: list) -> dict[str, np.ndarray]:
@@ -459,7 +446,7 @@ class Learner:
                                     self.cfg.gamma, self.cfg.td_lambda)
 
         q = _net_forward(self.net, own, allies, enemies,
-                         rng=self.forward_rng)
+                         rng=self.forward_rng, deterministic=False)
         chosen = reshape(take_index(q, data["actions"].reshape(rows)),
                          (batch, horizon, n))
         q_tot = self._mix(chosen, data["state"], self.mixer)
@@ -566,22 +553,6 @@ def evaluate(policy, env_factory, episodes: int = 32,
             won = info["win"]
         wins += int(won)
     return wins / episodes
-
-
-def greedy_net_policy(net):
-    """Adapt a Q-network to the (env, avail) -> actions policy interface."""
-    def policy(env, avail):
-        obs = env.observations()
-        actions = np.zeros(len(obs), dtype=np.int64)
-        for i, o in enumerate(obs):
-            with no_grad():
-                if isinstance(net, DpnAgentNet):
-                    q = net.forward(o, deterministic=True).data
-                else:
-                    q = net.forward(o).data
-            actions[i] = epsilon_greedy_select(q, avail[i], 0.0)
-        return actions
-    return policy
 
 
 def evaluate_net(net, env_factory, episodes: int = 32,

@@ -1,4 +1,5 @@
-"""Concatenation, Deep Set, and pooled-input/generated-head agents."""
+"""Concatenation, Deep Set, and pooled-input/generated-head agents, plus
+the forward interface every architecture shares."""
 
 import itertools
 
@@ -12,6 +13,7 @@ from permnet.baselines import (
     HpnSetAgentNet,
     big_concat_agent,
 )
+from permnet.cli import ARCHITECTURES, net_factory_for
 from permnet.env import (
     ENTITY_FEATURES,
     N_MOVE_ACTIONS,
@@ -180,32 +182,31 @@ def test_hpn_set_shares_output_head_but_not_input_path():
 # -- shared behaviour --------------------------------------------------
 
 
-@pytest.mark.parametrize("factory", [
-    lambda rng: ConcatAgentNet(rng, 3, 3),
-    lambda rng: DeepSetAgentNet(rng, 3, 3),
-    lambda rng: HpnSetAgentNet(rng, 3, 3),
-])
-def test_batch_forward_matches_single(factory):
-    net = factory(np.random.default_rng(21))
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_batch_forward_matches_single(arch):
+    cfg = PRESETS["5v6"]        # groups of unequal size
+    net = net_factory_for(arch, cfg)(np.random.default_rng(21))
     rng = np.random.default_rng(22)
-    observations = [live_obs(rng) for _ in range(4)]
-    batched = net.forward_batch(
-        Tensor(np.stack([o.own for o in observations])),
-        Tensor(np.stack([o.allies for o in observations])),
-        Tensor(np.stack([o.enemies for o in observations]))).data
+    observations = [live_obs(rng, cfg.n_allies, cfg.n_enemies)
+                    for _ in range(4)]
+    batch = [Tensor(np.stack([getattr(o, field) for o in observations]))
+             for field in ("own", "allies", "enemies")]
+    batched = net.forward_batch(*batch, rng=None, deterministic=True).data
     for i, obs in enumerate(observations):
         assert np.allclose(batched[i], net.forward(obs).data, atol=1e-12)
+    noisy = [net.forward_batch(*batch, rng=np.random.default_rng(23),
+                               deterministic=False).data for _ in range(2)]
+    assert np.array_equal(noisy[0], noisy[1])
+    # only DPN samples: its noisy Gumbel selection reorders some groups
+    assert np.array_equal(noisy[0], batched) == (arch != "dpn")
 
 
-@pytest.mark.parametrize("factory", [
-    lambda rng: ConcatAgentNet(rng, 3, 3),
-    lambda rng: DeepSetAgentNet(rng, 3, 3),
-    lambda rng: HpnSetAgentNet(rng, 3, 3),
-])
-def test_gradients_reach_every_parameter(factory):
-    net = factory(np.random.default_rng(23))
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_gradients_reach_every_parameter(arch):
+    net = net_factory_for(arch, PRESETS["3v3"])(np.random.default_rng(23))
     obs = live_obs(np.random.default_rng(24))
-    loss = reduce_sum(net.forward(obs))
+    loss = reduce_sum(net.forward(obs, rng=np.random.default_rng(25),
+                                  deterministic=False))
     loss.backward()
     for name, p in net.named_parameters().items():
         assert p.grad is not None, name

@@ -12,17 +12,13 @@ from permnet.autodiff import (
     ShapeError,
     Tensor,
     adam_step,
-    concat,
     grad_check,
     matmul,
     reduce_sum,
-    reshape,
 )
 from permnet.dpn import (
     DpnAgentNet,
     DpnNet,
-    dpn_forward,
-    dual_group_dpn,
     generate_permutation_matrix,
     is_permutation_matrix,
 )
@@ -159,43 +155,7 @@ def test_canonicalization_with_duplicate_entities():
     assert len(outputs) == 1
 
 
-# -- dpn_forward -------------------------------------------------------
-
-
-def test_identity_downstream_roundtrips_every_ordering():
-    net = det_net(13, k=4, m=3)
-    X = np.random.default_rng(6).normal(size=(3, 4))
-    for p in itertools.permutations(range(3)):
-        Xp = Tensor(X[list(p)])
-        out = dpn_forward(net, Xp, lambda z: z, equivariant_slice=slice(0, 3))
-        assert np.array_equal(out.data, Xp.data)
-
-
-def test_invariant_part_fixed_equivariant_part_permutes():
-    net = det_net(17, k=4, m=3)
-    w = Tensor(np.random.default_rng(8).normal(size=(4, 1)))
-
-    def down(z):
-        total = reshape(reduce_sum(z), (1,))
-        per_entity = reshape(matmul(z, w), (3,))
-        return concat([total, per_entity], axis=0)
-
-    X = np.random.default_rng(9).normal(size=(3, 4))
-    base = dpn_forward(net, Tensor(X), down, slice(1, 4)).data
-    for p in itertools.permutations(range(3)):
-        out = dpn_forward(net, Tensor(X[list(p)]), down, slice(1, 4)).data
-        assert out[0] == base[0]
-        assert np.array_equal(out[1:], base[1:][list(p)])
-
-
-def test_equivariant_slice_length_mismatch_raises():
-    net = det_net(19, k=4, m=3)
-    X = Tensor(np.random.default_rng(10).normal(size=(3, 4)))
-    with pytest.raises(ShapeError, match="equivariant slice"):
-        dpn_forward(net, X, lambda z: z, equivariant_slice=slice(0, 2))
-
-
-# -- dual-group agent path ---------------------------------------------
+# -- agent entity groups -----------------------------------------------
 
 
 def random_obs(rng, n_allies=3, n_enemies=3):
@@ -205,30 +165,14 @@ def random_obs(rng, n_allies=3, n_enemies=3):
         enemies=rng.normal(size=(n_enemies, ENTITY_FEATURES)))
 
 
-def test_dual_group_joint_orderings():
-    rng = np.random.default_rng(21)
-    ally_net = det_net(100, k=ENTITY_FEATURES, m=2)
-    enemy_net = det_net(101, k=ENTITY_FEATURES, m=3)
-    trunk = Mlp(np.random.default_rng(102),
-                [OWN_FEATURES + 5 * ENTITY_FEATURES, 16, N_MOVE_ACTIONS + 3])
-    obs = random_obs(rng)
-    base = dual_group_dpn(ally_net, enemy_net, obs, trunk).data
-    for pa in itertools.permutations(range(2)):
-        for pe in itertools.permutations(range(3)):
-            shuffled = ObservationSet(obs.own, obs.allies[list(pa)],
-                                      obs.enemies[list(pe)])
-            q = dual_group_dpn(ally_net, enemy_net, shuffled, trunk).data
-            assert np.array_equal(q[:N_MOVE_ACTIONS], base[:N_MOVE_ACTIONS])
-            assert np.array_equal(q[N_MOVE_ACTIONS:],
-                                  base[N_MOVE_ACTIONS:][list(pe)])
-
-
 def test_dual_group_size_mismatch_raises():
-    ally_net = det_net(1, k=ENTITY_FEATURES, m=2)
-    enemy_net = det_net(2, k=ENTITY_FEATURES, m=3)
-    obs = random_obs(np.random.default_rng(0), n_allies=4)  # 3 ally rows
-    with pytest.raises(ShapeError):
-        dual_group_dpn(ally_net, enemy_net, obs, lambda z: z)
+    agent = DpnAgentNet(np.random.default_rng(1), n_allies=3, n_enemies=3)
+    for n_allies, n_enemies in ((4, 3), (3, 2)):
+        obs = random_obs(np.random.default_rng(0), n_allies, n_enemies)
+        with pytest.raises(ShapeError, match="group size"):
+            agent.forward_batch(Tensor(obs.own[None]),
+                                Tensor(obs.allies[None]),
+                                Tensor(obs.enemies[None]))
 
 
 # -- gradients ---------------------------------------------------------
@@ -293,23 +237,9 @@ def test_agent_forward_shape_and_params():
     q = agent.forward(obs, deterministic=True)
     assert q.shape == (N_MOVE_ACTIONS + 4,)
     names = agent.named_parameters()
-    for prefix in ("ally_perm.", "enemy_perm.", "body.", "move_head.",
+    for prefix in ("ally_net.", "enemy_net.", "body.", "move_head.",
                    "attack_head."):
         assert any(n.startswith(prefix) for n in names)
-
-
-def test_agent_batch_matches_single():
-    agent = DpnAgentNet(np.random.default_rng(71), n_allies=3, n_enemies=3)
-    rng = np.random.default_rng(72)
-    batch = [random_obs(rng) for _ in range(5)]
-    own = Tensor(np.stack([o.own for o in batch]))
-    allies = Tensor(np.stack([o.allies for o in batch]))
-    enemies = Tensor(np.stack([o.enemies for o in batch]))
-    q_batch = agent.forward_batch(own, allies, enemies,
-                                  deterministic=True).data
-    for i, o in enumerate(batch):
-        q_one = agent.forward(o, deterministic=True).data
-        assert np.allclose(q_batch[i], q_one, rtol=0.0, atol=1e-12)
 
 
 def test_agent_shuffle_invariance():

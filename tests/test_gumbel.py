@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permnet.autodiff import ShapeError, Tensor
-from permnet.gumbel import (
-    GumbelConfig, gumbel_softmax, sample_gumbel, sinkhorn_normalize,
-)
+from permnet.autodiff import Tensor
+from permnet.gumbel import GumbelConfig, gumbel_softmax, sample_gumbel
 
 
 def test_config_rejects_nonpositive_tau():
@@ -104,60 +102,3 @@ def test_deterministic_hard_is_permutation_equivariant(seed):
     base = gumbel_softmax(Tensor(logits), cfg).data
     moved = gumbel_softmax(Tensor(logits[perm]), cfg).data
     assert np.array_equal(moved, base[perm])
-
-
-# ---------------------------------------------------------------------------
-# sinkhorn
-# ---------------------------------------------------------------------------
-
-def test_sinkhorn_rejects_nonsquare_and_bad_iterations():
-    with pytest.raises(ShapeError):
-        sinkhorn_normalize(Tensor(np.zeros((2, 3))))
-    with pytest.raises(ValueError):
-        sinkhorn_normalize(Tensor(np.zeros((2, 2))), iterations=0)
-
-
-def test_sinkhorn_uniform_fixed_point():
-    out = sinkhorn_normalize(Tensor(np.zeros((3, 3))), iterations=5).data
-    assert np.allclose(out, 1 / 3, atol=1e-12)
-
-
-def test_sinkhorn_identity_dominant():
-    logits = Tensor(np.where(np.eye(4) == 1, 10.0, 0.0))
-    out = sinkhorn_normalize(logits, iterations=20, tau=1.0).data
-    assert np.all(out.diagonal() > 0.99)
-
-
-def test_sinkhorn_row_sums_one_by_construction():
-    rng = np.random.default_rng(21)
-    out = sinkhorn_normalize(Tensor(rng.standard_normal((5, 5))), iterations=1).data
-    assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-3)
-
-
-def test_sinkhorn_doubly_stochastic_after_20_iters():
-    rng = np.random.default_rng(22)
-    out = sinkhorn_normalize(Tensor(rng.standard_normal((6, 6)) * 2), iterations=20).data
-    assert np.all(np.abs(out.sum(axis=0) - 1.0) < 1e-3)
-    assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-3)
-
-
-def test_sinkhorn_is_differentiable():
-    logits = Tensor(np.random.default_rng(23).standard_normal((3, 3)),
-                    requires_grad=True)
-    sinkhorn_normalize(logits, iterations=3).sum().backward()
-    assert logits.grad is not None and np.all(np.isfinite(logits.grad))
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_sinkhorn_convergence_is_monotone(seed):
-    rng = np.random.default_rng(seed)
-    logits = Tensor(rng.standard_normal((5, 5)) * 2)
-
-    def max_dev(s):
-        return max(np.abs(s.sum(0) - 1).max(), np.abs(s.sum(1) - 1).max())
-
-    devs = [max_dev(sinkhorn_normalize(logits, iterations=k).data)
-            for k in range(1, 13)]
-    for a, b in zip(devs, devs[1:]):
-        assert b <= a + 1e-15

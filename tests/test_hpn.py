@@ -192,24 +192,10 @@ def test_agent_all_dead_enemies_argmax_in_moves():
     assert (q[N_MOVE_ACTIONS:] <= -1e9).all()
 
 
-def test_agent_batch_matches_single():
-    agent = HpnAgentNet(np.random.default_rng(39), n_allies=3, n_enemies=4,
-                        hidden=16, hyper_hidden=16)
-    rng = np.random.default_rng(40)
-    batch = [live_obs(rng, n_enemies=4) for _ in range(6)]
-    q_batch = agent.forward_batch(
-        Tensor(np.stack([o.own for o in batch])),
-        Tensor(np.stack([o.allies for o in batch])),
-        Tensor(np.stack([o.enemies for o in batch]))).data
-    for i, o in enumerate(batch):
-        assert np.allclose(q_batch[i], agent.forward(o).data,
-                           rtol=0.0, atol=1e-12)
-
-
 def test_agent_parameter_names():
     agent = HpnAgentNet(np.random.default_rng(41), n_allies=3, n_enemies=3)
     names = agent.named_parameters()
-    for prefix in ("own.", "ally_embed.", "enemy_embed.", "move_head.",
+    for prefix in ("own_dense.", "ally_embed.", "enemy_embed.", "move_head.",
                    "attack_head."):
         assert any(n.startswith(prefix) for n in names)
     assert agent.n_actions == N_MOVE_ACTIONS + 3

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from permnet.autodiff import ShapeError, Tensor, grad_check, reduce_sum
+from permnet.autodiff import ShapeError, Tensor, grad_check, no_grad, reduce_sum
 from permnet.baselines import ConcatAgentNet
 from permnet.env import (
     ACTION_NOOP,
@@ -29,7 +29,6 @@ from permnet.learners import (
     epsilon_greedy_select,
     evaluate,
     evaluate_net,
-    greedy_net_policy,
     relabel_episode,
     td_lambda_targets,
     train_loop,
@@ -497,6 +496,16 @@ def test_runner_episodes_replayable():
 def test_evaluate_scripted_policies():
     assert evaluate(always_lose_policy, plain_env_factory, episodes=8) == 0.0
     assert evaluate(focus_fire_policy, plain_env_factory, episodes=32) == 1.0
+
+
+def greedy_net_policy(net):
+    """Reference policy: one single-observation forward per agent."""
+    def policy(env, avail):
+        with no_grad():
+            return np.array(
+                [epsilon_greedy_select(net.forward(o).data, avail[i], 0.0)
+                 for i, o in enumerate(env.observations())], dtype=np.int64)
+    return policy
 
 
 def test_evaluate_net_matches_per_env_policy():
