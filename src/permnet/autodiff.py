@@ -1,9 +1,11 @@
 """Minimal dense-tensor reverse-mode autodiff engine.
 
 Everything is float64. Tensors wrap a numpy array plus an optional gradient
-buffer; non-leaf tensors record their parents and a backward rule, and
+array; non-leaf tensors record their parents and a backward rule, and
 ``Tensor.backward`` replays the rules in reverse topological order, visiting
 each node exactly once and *accumulating* (never overwriting) gradients.
+Gradient arrays may be shared between tensors and are never written in
+place.
 
 Elementwise ops support leading-axis broadcasting only: after left-padding
 the shorter shape with 1s, an operand may be expanded along a contiguous
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,9 +86,11 @@ class Tensor:
         return out
 
     def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # the first gradient is stored as handed in, and later ones make a
+        # new sum: rules hand one array to several parents (``add``) or
+        # pass views (``reshape``), so writing into it in place would
+        # change a sibling's gradient
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self):
         self.grad = None
@@ -287,20 +292,37 @@ def abs_(a: Tensor) -> Tensor:
 # matmul / bmm
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out_val = a.data @ b.data
+def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Dense layer x @ w + b as one node: (n, k) @ (k, p) + (p,) -> (n, p).
+
+    The same values as the product followed by ``add``: the bias is added
+    in place into the fresh product, so a layer makes one output array and
+    one node.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"affine needs 2-d operands, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine inner dimensions differ: {x.shape} x {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise ShapeError(f"bias shape {b.shape} does not match {w.shape}")
+    out_val = x.data @ w.data
+    if b is not None:
+        out_val += b.data
 
     def rule(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+        if b is not None and b.requires_grad:
+            b._accumulate(g.sum(axis=0))
 
-    return Tensor._from_op(out_val, (a, b), rule)
+    return Tensor._from_op(out_val, (x, w) if b is None else (x, w, b), rule)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2-d matrix product: (n, k) @ (k, p) -> (n, p), an unbiased affine."""
+    return affine(a, b)
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -380,6 +402,25 @@ def reduce_max(t: Tensor, axis=None) -> Tensor:
     return Tensor._from_op(out_val, (t,), rule)
 
 
+@lru_cache(maxsize=None)
+def sorting_network(m: int) -> tuple[tuple[int, int], ...]:
+    """Compare-exchange pairs (i, j), i < j, of Batcher's odd-even merge
+    sort for ``m`` inputs (Batcher 1968): putting min at i and max at j
+    for each pair in turn sorts any input ascending."""
+    pairs = []
+    p = 1
+    while p < m:
+        k = p
+        while k >= 1:
+            for j in range(k % p, m - k, 2 * k):
+                for i in range(min(k, m - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
 def canonical_sum(t: Tensor, axis: int) -> Tensor:
     """Order-independent sum along ``axis``.
 
@@ -388,9 +429,27 @@ def canonical_sum(t: Tensor, axis: int) -> Tensor:
     is what makes set pooling exactly permutation invariant rather than
     merely invariant up to float reassociation.  The gradient is the plain
     sum gradient (ones), so backward is unaffected by the sorting.
+
+    The slices are sorted elementwise by a min/max sorting network and
+    summed in ascending order from +0.0, which is bitwise
+    ``np.sort(x, axis).sum(axis)`` wherever numpy sums the axis in order:
+    always for m < 8, and for an axis followed by a non-unit axis (the
+    (..., m, h) pooling layout).  Two addends need no sort, since IEEE
+    addition is commutative.
     """
     _check_axis(t, axis)
-    out_val = np.sort(t.data, axis=axis).sum(axis=axis)
+    m = t.shape[axis]
+    if m <= 2:
+        out_val = t.data.sum(axis=axis)
+    else:
+        slices = list(np.moveaxis(t.data, axis, 0))
+        for i, j in sorting_network(m):
+            slices[i], slices[j] = (np.minimum(slices[i], slices[j]),
+                                    np.maximum(slices[i], slices[j]))
+        # numpy's sum starts from +0.0 too, turning all -0.0 into +0.0
+        out_val = slices[0] + 0.0
+        for s in slices[1:]:
+            out_val += s
 
     def rule(g):
         if t.requires_grad:

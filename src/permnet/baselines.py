@@ -26,8 +26,8 @@ from .autodiff import (
     reshape,
 )
 from .env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES
-from .hpn import HpnAgentNet, HyperLayer, hpn_output_layer
-from .layers import NEG_MASK, AgentNet, Linear, Mlp, count_parameters
+from .hpn import HpnAgentNet, HyperLayer, hpn_attack_head
+from .layers import AgentNet, Linear, Mlp, count_parameters
 
 
 class ConcatAgentNet(AgentNet):
@@ -127,8 +127,5 @@ class HpnSetAgentNet(AgentNet):
         pooled_a = canonical_sum(self.phi_ally(allies), axis=-2)
         pooled_e = canonical_sum(self.phi_enemy(enemies), axis=-2)
         h = relu(add(add(self.own_dense(own), pooled_a), pooled_e))
-        move = self.move_head(h)
-        attack = hpn_output_layer(self.attack_head, h, enemies)
-        dead = NEG_MASK * (1.0 - enemies.data[..., 3])
-        attack = add(attack, Tensor(dead))
-        return concat([move, attack], axis=1)
+        return concat([self.move_head(h),
+                       hpn_attack_head(self.attack_head, h, enemies)], axis=1)

@@ -112,6 +112,8 @@ class DpnAgentNet(AgentNet):
     order-sensitive MLP: all invariance comes from the canonicalization.
     """
 
+    noisy_grad_forward = True
+
     def __init__(self, rng: np.random.Generator, n_allies: int,
                  n_enemies: int, hidden: int = 64, perm_hidden: int = 8,
                  tau: float = 0.5):

@@ -104,13 +104,19 @@ def hpn_output_layer(layer: HyperLayer, trunk_hidden: Tensor,
     w = reshape(weights, lead + (m, layer.rows))
     # score each row with an elementwise product and a per-row sum rather
     # than a width-1 matmul: BLAS matvec kernels are not bitwise row-stable
-    if len(w.shape) == 2:
-        h = trunk_hidden
-    else:
-        hr = reshape(trunk_hidden, lead + (1, layer.rows))
-        h = concat([hr] * m, axis=-2)
+    hr = reshape(trunk_hidden, lead + (1, layer.rows))
+    h = concat([hr] * m, axis=-2)
     scores = reduce_sum(mul(w, h), axis=-1)
     return scores if bias is None else add(scores, bias)
+
+
+def hpn_attack_head(layer: HyperLayer, trunk_hidden: Tensor,
+                    enemies: Tensor) -> Tensor:
+    """Attack Q-values (B, m) from the generated output layer, with the
+    entries of dead enemies (alive flag 0) pushed to NEG_MASK so selection
+    never picks them."""
+    attack = hpn_output_layer(layer, trunk_hidden, enemies)
+    return add(attack, Tensor(NEG_MASK * (1.0 - enemies.data[..., 3])))
 
 
 class HpnAgentNet(AgentNet):
@@ -118,8 +124,7 @@ class HpnAgentNet(AgentNet):
 
     hidden = relu(own_dense(own) + set-embed(allies) + set-embed(enemies));
     move Q-values come from a plain head on hidden, attack Q-values from
-    per-enemy generated output weights.  Attack entries for dead enemies
-    (alive flag 0) are pushed to -1e10 so selection never picks them.
+    per-enemy generated output weights (``hpn_attack_head``).
     """
 
     def __init__(self, rng: np.random.Generator, n_allies: int,
@@ -144,8 +149,5 @@ class HpnAgentNet(AgentNet):
         h = relu(add(add(self.own_dense(own),
                          hpn_input_layer(self.ally_embed, allies)),
                      hpn_input_layer(self.enemy_embed, enemies)))
-        move = self.move_head(h)
-        attack = hpn_output_layer(self.attack_head, h, enemies)
-        dead = NEG_MASK * (1.0 - enemies.data[..., 3])
-        attack = add(attack, Tensor(dead))
-        return concat([move, attack], axis=1)
+        return concat([self.move_head(h),
+                       hpn_attack_head(self.attack_head, h, enemies)], axis=1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, relu, reshape, uniform_init
+from .autodiff import ShapeError, Tensor, affine, relu, reshape, uniform_init
 from .env import N_MOVE_ACTIONS
 
 # additive penalty that keeps masked entries out of every argmax
@@ -51,7 +51,13 @@ class AgentNet(Module):
     mapping (B, own) + (B, n-1, k) + (B, m, k) to (B, n_move + m) Q-values.
     ``rng`` and ``deterministic`` only matter to nets with a stochastic
     part (DPN's Gumbel selection); the others ignore them.
+
+    ``noisy_grad_forward`` is True for a net whose training forward
+    (``deterministic=False``) can differ from its greedy forward, so the
+    learner cannot take double-Q actions from it.
     """
+
+    noisy_grad_forward = False
 
     @property
     def n_actions(self) -> int:
@@ -86,9 +92,7 @@ class Linear(Module):
         lead = x.shape[:-1]
         if len(lead) != 1:  # flatten leading axes so matmul stays 2-d
             x = x.reshape(int(np.prod(lead)) if lead else 1, self.in_dim)
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
+        out = affine(x, self.weight, self.bias)
         if len(lead) != 1:
             out = out.reshape(*lead, self.out_dim)
         return out

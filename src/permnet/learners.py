@@ -422,10 +422,17 @@ class Learner:
             rows, data["enemies"].shape[-2], ENTITY_FEATURES))
 
         with no_grad():
-            q_online = _net_forward(self.net, own, allies, enemies,
-                                    deterministic=True).data
             q_target = _net_forward(self.target_net, own, allies, enemies,
                                     deterministic=True).data
+        q = _net_forward(self.net, own, allies, enemies,
+                         rng=self.forward_rng, deterministic=False)
+        if self.net.noisy_grad_forward:
+            with no_grad():
+                q_online = _net_forward(self.net, own, allies, enemies,
+                                        deterministic=True).data
+        else:
+            # same ops and values as a greedy forward: reuse them
+            q_online = q.data
         q_online = q_online.reshape(batch, horizon, n, n_actions)
         q_target = q_target.reshape(batch, horizon, n, n_actions)
         best = np.where(data["avail"], q_online, NEG_MASK).argmax(axis=-1)
@@ -445,8 +452,6 @@ class Learner:
         targets = td_lambda_targets(data["rewards"], next_values,
                                     self.cfg.gamma, self.cfg.td_lambda)
 
-        q = _net_forward(self.net, own, allies, enemies,
-                         rng=self.forward_rng, deterministic=False)
         chosen = reshape(take_index(q, data["actions"].reshape(rows)),
                          (batch, horizon, n))
         q_tot = self._mix(chosen, data["state"], self.mixer)

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from permnet import autodiff as ad
 from permnet.autodiff import (
-    AdamState, ShapeError, Tensor, adam_step, bmm, canonical_sum, concat,
-    grad_check, no_grad, one_hot, reduce_max, softmax, straight_through,
-    take_index, transpose, uniform_init,
+    AdamState, ShapeError, Tensor, adam_step, add, affine, bmm,
+    canonical_sum, concat, grad_check, no_grad, one_hot, reduce_max, softmax,
+    straight_through, take_index, transpose, uniform_init,
 )
 
 
@@ -63,6 +63,26 @@ def test_detach_cuts_graph():
     z = d * x
     z.backward()
     assert x.grad == 16.0  # only the direct factor, not through d
+
+
+def test_shared_gradient_array_is_not_written_in_place():
+    # add hands its one gradient array to both leaves; a later gradient for
+    # a must make a new sum, or b's gradient would change with it
+    rng = np.random.default_rng(20)
+    av, bv, g0, g1 = rng.standard_normal((4, 3, 5))
+    a, b = t(av), t(bv)
+    add(a, b).backward(g0)
+    (a * 3.0).backward(g1)
+    assert b.grad.tobytes() == (np.zeros((3, 5)) + g0).tobytes()
+    ref_a = np.zeros((3, 5)) + g0
+    ref_a += g1 * 3.0
+    assert a.grad.tobytes() == ref_a.tobytes()
+    # one graph: reshape passes a view of its gradient down
+    c, d = t(av), t(bv)
+    s = add(c, d)
+    (s.reshape(15).sum() + (c * 2.0).sum()).backward()
+    assert np.array_equal(d.grad, np.ones((3, 5)))
+    assert np.array_equal(c.grad, np.full((3, 5), 3.0))
 
 
 def test_deep_chain_no_recursion_error():
@@ -216,6 +236,32 @@ def test_canonical_sum_is_order_independent_bitwise():
         assert np.array_equal(base, other)
 
 
+@pytest.mark.parametrize("m", range(1, 11))
+def test_sorting_network_sorts_every_binary_input(m):
+    # the 0-1 principle: a compare-exchange network that sorts every 0/1
+    # sequence sorts every sequence
+    for code in range(2 ** m):
+        v = [(code >> i) & 1 for i in range(m)]
+        expected = sorted(v)
+        for i, j in ad.sorting_network(m):
+            v[i], v[j] = min(v[i], v[j]), max(v[i], v[j])
+        assert v == expected
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_canonical_sum_is_sort_then_sum_bitwise(m):
+    rng = np.random.default_rng(40 + m)
+    x = rng.standard_normal((5, m, 4)) * 10.0 ** rng.integers(
+        -12, 13, size=(5, m, 4))                    # mixed magnitudes
+    x[1] = rng.choice([-1.5, 0.25, 2.0], size=(m, 4))       # ties
+    x[2] = rng.choice([-0.0, 0.0, 1e-300, -3.0], size=(m, 4))
+    x[3] = -0.0                                     # all -0.0 groups
+    x[4, ::2] = x[4, 0]                             # repeated rows
+    for arr, axis in ((x, -2), (np.moveaxis(x, 1, 0).copy(), 0)):
+        out = canonical_sum(t(arr, rg=False), axis=axis).data
+        assert out.tobytes() == np.sort(arr, axis=axis).sum(axis=axis).tobytes()
+
+
 def test_naive_sum_is_not_always_order_independent():
     # the motivating counterexample: reassociation changes the rounding
     assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
@@ -224,6 +270,35 @@ def test_naive_sum_is_not_always_order_independent():
 def test_canonical_sum_grad_is_plain_sum_grad():
     x = np.random.default_rng(13).standard_normal((4, 3))
     assert grad_check(lambda a: canonical_sum(a, axis=0).sum(), [x]) < 1e-6
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_affine_is_matmul_then_add_bitwise(bias):
+    # reference: the numpy arithmetic of a product node followed by a
+    # leading-broadcast add node, forward and backward
+    rng = np.random.default_rng(30)
+    xv, wv, bv = (rng.standard_normal((6, 4)), rng.standard_normal((4, 3)),
+                  rng.standard_normal(3))
+    seed = rng.standard_normal((6, 3))
+    x, w = t(xv), t(wv)
+    b = t(bv) if bias else None
+    out = affine(x, w, b)
+    ref = xv @ wv + bv if bias else xv @ wv
+    assert out.data.tobytes() == ref.tobytes()
+    out.backward(seed)
+    assert x.grad.tobytes() == (seed @ wv.T).tobytes()
+    assert w.grad.tobytes() == (xv.T @ seed).tobytes()
+    if bias:
+        assert b.grad.tobytes() == seed.sum(axis=(0,)).tobytes()
+    inputs = [xv, wv] + ([bv] if bias else [])
+    assert grad_check(lambda *ts: ad.tanh(affine(*ts)).sum(), inputs) < 1e-6
+
+
+def test_affine_shape_errors():
+    with pytest.raises(ShapeError):
+        affine(t(np.ones((2, 3))), t(np.ones((4, 2))))
+    with pytest.raises(ShapeError):
+        affine(t(np.ones((2, 3))), t(np.ones((3, 2))), t(np.ones(3)))
 
 
 # ---------------------------------------------------------------------------

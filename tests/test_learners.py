@@ -3,20 +3,31 @@
 import numpy as np
 import pytest
 
-from permnet.autodiff import ShapeError, Tensor, grad_check, no_grad, reduce_sum
+from permnet import learners
+from permnet.autodiff import (
+    ShapeError,
+    Tensor,
+    adam_step,
+    grad_check,
+    mul,
+    no_grad,
+    reduce_sum,
+    reshape,
+    take_index,
+)
 from permnet.baselines import ConcatAgentNet
+from permnet.cli import net_factory_for
 from permnet.env import (
-    ACTION_NOOP,
     ACTION_STOP,
     ENTITY_FEATURES,
     N_MOVE_ACTIONS,
     PRESETS,
     MicroBattleEnv,
-    ObservationSet,
     always_lose_policy,
     focus_fire_policy,
 )
 from permnet.hpn import HpnAgentNet
+from permnet.layers import NEG_MASK
 from permnet.learners import (
     Learner,
     ParallelRunner,
@@ -462,6 +473,73 @@ def test_qmix_learner_updates_mixer_parameters():
     moved = any(not np.array_equal(learner.params[k].data, v)
                 for k, v in before.items())
     assert moved
+
+
+def three_forward_train_step(learner, episodes):
+    """Reference VDN update with its own greedy online forward: online,
+    target and grad forwards, in that order, for any agent net."""
+    cfg = learner.cfg
+    data = learners._stack_episodes(episodes)
+    batch, horizon, n = data["actions"].shape
+    rows = batch * horizon * n
+    own = Tensor(data["own"].reshape(rows, -1))
+    allies = Tensor(data["allies"].reshape(rows, n - 1, K))
+    enemies = Tensor(data["enemies"].reshape(rows, -1, K))
+    with no_grad():
+        q_online, q_target = [
+            net.forward_batch(own, allies, enemies).data.reshape(
+                batch, horizon, n, -1)
+            for net in (learner.net, learner.target_net)]
+    best = np.where(data["avail"], q_online, NEG_MASK).argmax(axis=-1)
+    values = np.take_along_axis(q_target, best[..., None], axis=-1)[..., 0]
+    values = values.sum(axis=-1) * data["mask"]
+    next_values = np.zeros_like(values)
+    next_values[:, :-1] = values[:, 1:]
+    targets = td_lambda_targets(data["rewards"], next_values, cfg.gamma,
+                                cfg.td_lambda)
+    q = learner.net.forward_batch(own, allies, enemies,
+                                  rng=learner.forward_rng,
+                                  deterministic=False)
+    chosen = reshape(take_index(q, data["actions"].reshape(rows)),
+                     (batch, horizon, n))
+    diff = vdn_mix(chosen) - Tensor(targets)
+    loss = mul(reduce_sum(mul(mul(diff, diff), Tensor(data["mask"]))),
+               Tensor(1.0 / float(data["mask"].sum())))
+    for p in learner.params.values():
+        p.zero_grad()
+    loss.backward()
+    adam_step(learner.params, learner.opt)
+    learner.train_steps += 1
+    if learner.train_steps % cfg.target_update_interval == 0:
+        learner._sync_target()
+    return float(loss.data)
+
+
+@pytest.mark.parametrize("arch, forwards", [
+    ("hpn", 2), ("hpn_set", 2), ("deepset", 2), ("concat", 2), ("dpn", 3)])
+def test_train_step_reuses_grad_forward_bitwise(arch, forwards, monkeypatch):
+    # only DPN's noisy grad forward needs a separate greedy online forward;
+    # reusing the grad forward elsewhere must not move a single bit
+    episodes = [rollout_episode(1000 + i) for i in range(2)]
+    factory = net_factory_for(arch, PRESETS["3v3"])
+    learner = Learner(small_cfg(), factory, PRESETS["3v3"])
+    reference = Learner(small_cfg(), factory, PRESETS["3v3"])
+    cls = type(learner.net)
+    original = cls.forward_batch
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "forward_batch", counted)
+    for _ in range(6):  # crosses the target sync at step 5
+        calls.clear()
+        loss = learner.train_step(episodes)
+        assert len(calls) == forwards
+        assert loss == three_forward_train_step(reference, episodes)
+    for name, p in learner.params.items():
+        assert p.data.tobytes() == reference.params[name].data.tobytes(), name
 
 
 # -- rollouts and evaluation -------------------------------------------
