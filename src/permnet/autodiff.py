@@ -141,9 +141,6 @@ class Tensor:
     def sum(self, axis=None):
         return reduce_sum(self, axis)
 
-    def mean(self, axis=None):
-        return reduce_mean(self, axis)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -362,42 +359,6 @@ def reduce_sum(t: Tensor, axis=None) -> Tensor:
             t._accumulate(np.broadcast_to(g, t.shape).copy())
         else:
             t._accumulate(np.broadcast_to(np.expand_dims(g, axis), t.shape).copy())
-
-    return Tensor._from_op(out_val, (t,), rule)
-
-
-def reduce_mean(t: Tensor, axis=None) -> Tensor:
-    _check_axis(t, axis)
-    n = t.data.size if axis is None else t.shape[axis]
-    out_val = t.data.mean(axis=axis)
-
-    def rule(g):
-        if not t.requires_grad:
-            return
-        if axis is None:
-            t._accumulate(np.broadcast_to(g / n, t.shape).copy())
-        else:
-            t._accumulate(np.broadcast_to(np.expand_dims(g / n, axis), t.shape).copy())
-
-    return Tensor._from_op(out_val, (t,), rule)
-
-
-def reduce_max(t: Tensor, axis=None) -> Tensor:
-    """Max reduction; the gradient is routed to the first maximal index."""
-    _check_axis(t, axis)
-    out_val = t.data.max(axis=axis)
-
-    def rule(g):
-        if not t.requires_grad:
-            return
-        mask = np.zeros_like(t.data)
-        if axis is None:
-            mask.flat[int(t.data.argmax())] = 1.0
-            t._accumulate(mask * g)
-        else:
-            idx = np.expand_dims(t.data.argmax(axis=axis), axis)
-            np.put_along_axis(mask, idx, 1.0, axis=axis)
-            t._accumulate(mask * np.expand_dims(g, axis))
 
     return Tensor._from_op(out_val, (t,), rule)
 

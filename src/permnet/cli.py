@@ -87,10 +87,16 @@ class ExperimentConfig:
             self.tag = "_".join(parts)
 
 
+def _parse_seeds(text: str) -> tuple:
+    """Seeds separated by commas and/or whitespace; ValueError if one is
+    not an integer."""
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
 def _parse_value(key: str, value: str, kind: type):
     if key == "seeds":
         try:
-            return tuple(int(tok) for tok in value.replace(",", " ").split())
+            return _parse_seeds(value)
         except ValueError:
             raise ConfigError(f"bad seed list {value!r}", token=value)
     if kind is bool:
@@ -203,11 +209,6 @@ def run_seed(exp: ExperimentConfig, seed: int, out_dir: str,
     return path
 
 
-def _seed_worker(exp: ExperimentConfig, seed: int, out_dir: str,
-                 overwrite: bool) -> str:
-    return run_seed(exp, seed, out_dir, overwrite)
-
-
 def cmd_run(args) -> int:
     try:
         exp = load_config(args.config)
@@ -218,22 +219,16 @@ def cmd_run(args) -> int:
         print(f"cannot read config: {err}", file=sys.stderr)
         return EXIT_BAD_NAME
 
-    if args.seeds:
+    source, raw = "--seeds", args.seeds
+    if not raw:
+        source, raw = "PERMNET_SEED", os.environ.get("PERMNET_SEED", "")
+    seeds = exp.seeds
+    if raw:
         try:
-            seeds = tuple(int(tok) for tok in
-                          args.seeds.replace(",", " ").split())
+            seeds = _parse_seeds(raw)
         except ValueError:
-            print(f"bad --seeds list: {args.seeds!r}", file=sys.stderr)
+            print(f"bad {source} list: {raw!r}", file=sys.stderr)
             return EXIT_BAD_NAME
-    elif os.environ.get("PERMNET_SEED"):
-        raw = os.environ["PERMNET_SEED"]
-        try:
-            seeds = tuple(int(tok) for tok in raw.replace(",", " ").split())
-        except ValueError:
-            print(f"bad PERMNET_SEED list: {raw!r}", file=sys.stderr)
-            return EXIT_BAD_NAME
-    else:
-        seeds = exp.seeds
 
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -245,7 +240,7 @@ def cmd_run(args) -> int:
         if args.jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=args.jobs) as pool:
-                futures = [pool.submit(_seed_worker, exp, seed, args.out,
+                futures = [pool.submit(run_seed, exp, seed, args.out,
                                        args.overwrite) for seed in seeds]
                 for future in futures:
                     future.result()

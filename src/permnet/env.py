@@ -89,6 +89,13 @@ class ObservationSet:
     enemies: np.ndarray   # (n_enemies, ENTITY_FEATURES)
 
 
+def other_ally_index(n: int) -> np.ndarray:
+    """(n, n - 1) ally indices: row p lists every ally but p in index
+    order, which is the row order of ally p's ally group."""
+    j = np.arange(n - 1)
+    return j[None, :] + (j[None, :] >= np.arange(n)[:, None])
+
+
 def chebyshev(x0: int, y0: int, x1: int, y1: int) -> int:
     return max(abs(x0 - x1), abs(y0 - y1))
 
@@ -109,6 +116,7 @@ class MicroBattleEnv:
         self._last_avail: np.ndarray | None = None
         self._done = True
         self._norm = float(g - 1)
+        self._others = other_ally_index(n)
 
     # -- lifecycle -----------------------------------------------------
     def reset(self, seed: int):
@@ -167,38 +175,33 @@ class MicroBattleEnv:
             rows.append(block)
         return np.concatenate(rows).reshape(-1)
 
-    def _entity_rows(self, ox: int, oy: int, xs, ys, hps, skip: int = -1):
-        rows = []
-        for j in range(len(hps)):
-            if j == skip:
-                continue
-            if hps[j] > 0:
-                rows.append([(xs[j] - ox) / self._norm, (ys[j] - oy) / self._norm,
-                             hps[j] / self.cfg.max_health, 1.0])
-            else:
-                rows.append([0.0, 0.0, 0.0, 0.0])
-        return np.array(rows) if rows else np.zeros((0, ENTITY_FEATURES))
-
     def observations(self) -> list[ObservationSet]:
+        """Per-agent views into (n, ...) arrays built for all allies at once."""
         cfg = self.cfg
-        out = []
-        for i in range(cfg.n_allies):
-            if self.ally_hp[i] <= 0:
-                out.append(ObservationSet(
-                    np.zeros(OWN_FEATURES),
-                    np.zeros((cfg.n_allies - 1, ENTITY_FEATURES)),
-                    np.zeros((cfg.n_enemies, ENTITY_FEATURES))))
-                continue
-            ox, oy = int(self.ally_x[i]), int(self.ally_y[i])
-            own = np.array([ox / self._norm, oy / self._norm,
-                            self.ally_hp[i] / cfg.max_health])
-            out.append(ObservationSet(
-                own,
-                self._entity_rows(ox, oy, self.ally_x, self.ally_y,
-                                  self.ally_hp, skip=i),
-                self._entity_rows(ox, oy, self.enemy_x, self.enemy_y,
-                                  self.enemy_hp)))
-        return out
+        live = self.ally_hp > 0
+        own = np.zeros((cfg.n_allies, OWN_FEATURES))
+        own[live, 0] = self.ally_x[live] / self._norm
+        own[live, 1] = self.ally_y[live] / self._norm
+        own[live, 2] = self.ally_hp[live] / cfg.max_health
+        every_ally = self._relative_rows(live, self.ally_x, self.ally_y,
+                                         self.ally_hp)
+        allies = every_ally[np.arange(cfg.n_allies)[:, None], self._others]
+        enemies = self._relative_rows(live, self.enemy_x, self.enemy_y,
+                                      self.enemy_hp)
+        return [ObservationSet(own[i], allies[i], enemies[i])
+                for i in range(cfg.n_allies)]
+
+    def _relative_rows(self, observer_live, xs, ys, hps) -> np.ndarray:
+        """(n_allies, len(hps), ENTITY_FEATURES) rows of every entity as
+        seen by every ally; all-zero for a dead entity or observer."""
+        seen = observer_live[:, None] & (hps > 0)[None, :]
+        rows = np.zeros(seen.shape + (ENTITY_FEATURES,))
+        rows[..., 0] = (xs[None, :] - self.ally_x[:, None]) / self._norm
+        rows[..., 1] = (ys[None, :] - self.ally_y[:, None]) / self._norm
+        rows[..., 2] = hps / self.cfg.max_health
+        rows[..., 3] = 1.0
+        rows[~seen] = 0.0
+        return rows
 
     def available_actions(self) -> np.ndarray:
         """(n_allies, n_actions) boolean mask.  Dead agents may only noop;
@@ -519,19 +522,3 @@ class ShuffleWrapper:
             self.enemy_perm[actions[attack] - N_MOVE_ACTIONS]
         obs, state, reward, terminated, info = self.env.step(actions)
         return [self._wrap_obs(o) for o in obs], state, reward, terminated, info
-
-
-TRAJECTORY_HEADER = "# step\tagent_id\taction\treward\tterminal"
-
-
-def dump_trajectory(path, records):
-    """Write a recorded episode as tab-separated text, one line per agent
-    per step: step, agent_id, action, reward, terminal.  ``records`` is a
-    sequence of (step, actions, reward, terminal) tuples."""
-    lines = [TRAJECTORY_HEADER]
-    for step, actions, reward, terminal in records:
-        for agent_id, action in enumerate(actions):
-            lines.append(f"{step}\t{agent_id}\t{int(action)}\t{reward:.6f}"
-                         f"\t{int(terminal)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

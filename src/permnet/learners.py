@@ -5,13 +5,14 @@ values are mixed into a team value either by plain summation (VDN) or by a
 state-conditioned monotonic mixing network (QMIX).  Targets are TD(lambda)
 returns computed backward over whole episodes with double-Q bootstrapping:
 the online network picks the argmax action, the hard-updated target copy
-evaluates it.  Replay stores whole episodes and samples them uniformly.
+evaluates it.  Replay stores whole episodes, each one ``Episode`` of
+time-major arrays, and samples them uniformly.
 
 ``augment_experience`` is a pure data transform: it relabels stored
 episodes under random ally/enemy permutations (observation rows, the state
 entity blocks, availability masks, and attack-action indices all move
-together) so a transition keeps describing the same event under a
-different entity naming.
+together) so a step keeps describing the same event under a different
+entity naming.
 
 Rollouts run as lockstep batched environments: every runner steps once per
 tick, network forwards are batched across runners, and completed episodes
@@ -40,7 +41,8 @@ from .autodiff import (
     reshape,
     take_index,
 )
-from .env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES, ObservationSet
+from .env import (ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES,
+                  other_ally_index)
 from .layers import NEG_MASK, Linear, Mlp, Module
 
 
@@ -49,27 +51,24 @@ from .layers import NEG_MASK, Linear, Mlp, Module
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Transition:
-    """One team step: per-agent observations and actions, shared reward."""
+class Episode:
+    """One finished episode as time-major arrays; step T - 1 is terminal.
 
-    obs: list
-    state: np.ndarray
-    actions: np.ndarray
-    reward: float
-    avail: np.ndarray
-    terminal: bool
+    Step t holds what the team saw (observations of every ally, global
+    state, availability masks) and did (actions) at t, and the shared
+    reward that followed.
+    """
 
-    def __post_init__(self):
-        self.actions = np.asarray(self.actions, dtype=np.int64)
-        for i, a in enumerate(self.actions):
-            if not self.avail[i, a]:
-                raise ValueError(
-                    f"recorded action {int(a)} unavailable for agent {i}")
+    own: np.ndarray       # (T, n, OWN_FEATURES)
+    allies: np.ndarray    # (T, n, n - 1, ENTITY_FEATURES)
+    enemies: np.ndarray   # (T, n, m, ENTITY_FEATURES)
+    state: np.ndarray     # (T, state_dim)
+    actions: np.ndarray   # (T, n) int64
+    avail: np.ndarray     # (T, n, n_actions) bool
+    rewards: np.ndarray   # (T,)
 
-
-# an episode is a time-ordered list of Transitions ending on a terminal
-# step; an EpisodeBatch is a list of episodes
-EpisodeBatch = list
+    def __len__(self) -> int:
+        return len(self.rewards)
 
 
 @dataclass
@@ -220,7 +219,7 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._episodes)
 
-    def add(self, episode: list):
+    def add(self, episode: Episode):
         if not episode:
             raise ValueError("refusing to store an empty episode")
         self._episodes.append(episode)
@@ -233,50 +232,37 @@ class ReplayBuffer:
         return [self._episodes[i] for i in idx]
 
 
-def relabel_episode(episode: list, ally_perm: np.ndarray,
-                    enemy_perm: np.ndarray) -> list:
-    """Rename the team and enemy indices of every transition in an episode.
+def relabel_episode(episode: Episode, ally_perm: np.ndarray,
+                    enemy_perm: np.ndarray) -> Episode:
+    """Rename the team and enemy indices of every step of an episode.
 
     New agent p is old agent ally_perm[p]; new enemy row j is old enemy
     enemy_perm[j].  Observation rows, state entity blocks, availability
-    masks, and attack-action indices all move together, so each transition
+    masks, and attack-action indices all move together, so each step
     still records the same event.
     """
     ally_perm = np.asarray(ally_perm, dtype=np.int64)
     enemy_perm = np.asarray(enemy_perm, dtype=np.int64)
-    n = len(episode[0].obs)
-    m = episode[0].obs[0].enemies.shape[0]
-    inv_enemy = np.argsort(enemy_perm)
-    out = []
-    for tr in episode:
-        if len(tr.obs) != n or any(o.enemies.shape[0] != m for o in tr.obs):
-            raise ValueError("inconsistent group sizes within the episode")
-        obs = []
-        for p in range(n):
-            src = tr.obs[ally_perm[p]]
-            # ally rows list the *other* allies in index order; renaming the
-            # team changes both which rows appear and how they sort
-            rows = [int(ally_perm[q]) - int(ally_perm[q] > ally_perm[p])
-                    for q in range(n) if q != p]
-            obs.append(ObservationSet(src.own, src.allies[rows],
-                                      src.enemies[enemy_perm]))
-        actions = np.empty(n, dtype=np.int64)
-        avail = np.empty_like(tr.avail)
-        for p in range(n):
-            a = int(tr.actions[ally_perm[p]])
-            if a >= N_MOVE_ACTIONS:
-                a = N_MOVE_ACTIONS + int(inv_enemy[a - N_MOVE_ACTIONS])
-            actions[p] = a
-            row = tr.avail[ally_perm[p]].copy()
-            row[N_MOVE_ACTIONS:] = tr.avail[ally_perm[p],
-                                            N_MOVE_ACTIONS + enemy_perm]
-            avail[p] = row
-        entity = tr.state.reshape(n + m, ENTITY_FEATURES)
-        state = np.concatenate([entity[:n][ally_perm],
-                                entity[n:][enemy_perm]]).reshape(-1)
-        out.append(Transition(obs, state, actions, tr.reward, avail,
-                              tr.terminal))
-    return out
+    n = len(ally_perm)
+    moves = np.arange(N_MOVE_ACTIONS)
+    # ally rows list the *other* allies in index order; renaming the team
+    # changes both which rows appear and how they sort
+    others = ally_perm[other_ally_index(n)]
+    ally_rows = others - (others > ally_perm[:, None])
+    columns = np.concatenate([moves, N_MOVE_ACTIONS + enemy_perm])
+    action_map = np.concatenate(
+        [moves, N_MOVE_ACTIONS + np.argsort(enemy_perm)])
+    entities = np.concatenate([ally_perm, n + enemy_perm])
+    steps = len(episode)
+    return Episode(
+        own=episode.own[:, ally_perm],
+        allies=episode.allies[:, ally_perm[:, None], ally_rows],
+        enemies=episode.enemies[:, ally_perm[:, None], enemy_perm],
+        state=episode.state.reshape(steps, len(entities), ENTITY_FEATURES)[
+            :, entities].reshape(steps, -1),
+        actions=action_map[episode.actions[:, ally_perm]],
+        avail=episode.avail[:, ally_perm[:, None], columns],
+        rewards=episode.rewards)
 
 
 def augment_experience(episodes: list, num_permutations: int,
@@ -284,14 +270,13 @@ def augment_experience(episodes: list, num_permutations: int,
     """Originals plus num_permutations random relabelings of each episode.
 
     One ally permutation and one enemy permutation are drawn per copy and
-    applied to every transition of that episode.
+    applied to every step of that episode.
     """
     out = list(episodes)
     for episode in episodes:
         if not episode:
             raise ValueError("cannot augment an empty episode")
-        n = len(episode[0].obs)
-        m = episode[0].obs[0].enemies.shape[0]
+        _, n, m, _ = episode.enemies.shape
         for _ in range(num_permutations):
             out.append(relabel_episode(episode, rng.permutation(n),
                                        rng.permutation(m)))
@@ -315,7 +300,7 @@ def _net_forward(net, own: Tensor, allies: Tensor, enemies: Tensor,
 
 
 def _stack_episodes(episodes: list) -> dict[str, np.ndarray]:
-    """Zero-pad episodes to a common horizon and stack into flat arrays.
+    """Zero-pad episodes to a common horizon and stack them field by field.
 
     Padded steps carry all-zero observations, reward 0, and a noop-only
     availability row so downstream argmaxes stay well defined; the returned
@@ -323,34 +308,16 @@ def _stack_episodes(episodes: list) -> dict[str, np.ndarray]:
     """
     batch = len(episodes)
     horizon = max(len(e) for e in episodes)
-    first = episodes[0][0]
-    n = len(first.obs)
-    m = first.obs[0].enemies.shape[0]
-    n_actions = first.avail.shape[1]
-    k = ENTITY_FEATURES
-    own = np.zeros((batch, horizon, n, OWN_FEATURES))
-    allies = np.zeros((batch, horizon, n, n - 1, k))
-    enemies = np.zeros((batch, horizon, n, m, k))
-    state = np.zeros((batch, horizon, first.state.shape[0]))
-    actions = np.zeros((batch, horizon, n), dtype=np.int64)
-    avail = np.zeros((batch, horizon, n, n_actions), dtype=bool)
-    avail[..., 0] = True
-    rewards = np.zeros((batch, horizon))
-    mask = np.zeros((batch, horizon))
+    data = {name: np.zeros((batch, horizon) + column.shape[1:],
+                           dtype=column.dtype)
+            for name, column in vars(episodes[0]).items()}
+    data["avail"][..., 0] = True
+    data["mask"] = np.zeros((batch, horizon))
     for b, episode in enumerate(episodes):
-        for t, tr in enumerate(episode):
-            for i, o in enumerate(tr.obs):
-                own[b, t, i] = o.own
-                allies[b, t, i] = o.allies
-                enemies[b, t, i] = o.enemies
-            state[b, t] = tr.state
-            actions[b, t] = tr.actions
-            avail[b, t] = tr.avail
-            rewards[b, t] = tr.reward
-            mask[b, t] = 1.0
-    return {"own": own, "allies": allies, "enemies": enemies,
-            "state": state, "actions": actions, "avail": avail,
-            "rewards": rewards, "mask": mask}
+        for name, column in vars(episode).items():
+            data[name][b, :len(episode)] = column
+        data["mask"][b, :len(episode)] = 1.0
+    return data
 
 
 class Learner:
@@ -517,17 +484,20 @@ class ParallelRunner:
                              self.cfg.epsilon_anneal_steps)
         completed = []
         for i, env in enumerate(self.envs):
+            # one select_rng draw sequence per agent, in agent order
             actions = np.array(
                 [epsilon_greedy_select(q[i * n + j], avail[i][j], eps,
                                        self.select_rng)
                  for j in range(n)], dtype=np.int64)
             obs, state, reward, terminated, info = env.step(actions)
-            self._partial[i].append(Transition(
-                self._obs[i], self._state[i], actions, reward,
-                avail[i], terminated))
+            rows = slice(i * n, (i + 1) * n)
+            self._partial[i].append((own[rows], allies[rows], enemies[rows],
+                                     self._state[i], actions, avail[i],
+                                     reward))
             self.env_steps += 1
             if terminated:
-                completed.append(self._partial[i])
+                completed.append(Episode(*map(np.stack,
+                                              zip(*self._partial[i]))))
                 self._partial[i] = []
                 obs, state = env.reset(
                     int(self.streams[i].integers(2 ** 31)))

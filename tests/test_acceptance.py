@@ -39,9 +39,9 @@ from permnet.gumbel import GumbelConfig, gumbel_softmax
 from permnet.hpn import HpnAgentNet
 from permnet.layers import count_parameters
 from permnet.learners import (
+    Episode,
     QmixMixer,
     TrainConfig,
-    Transition,
     relabel_episode,
     td_lambda_targets,
 )
@@ -65,16 +65,23 @@ def rollout_episode(seed, cfg=PRESETS["3v3"]):
     env = MicroBattleEnv(cfg)
     obs, state = env.reset(seed)
     rng = np.random.default_rng(seed + 1)
-    episode, terminated = [], False
+    steps, terminated = [], False
     while not terminated:
         avail = env.available_actions()
         actions = np.array([rng.choice(np.flatnonzero(avail[i]))
                             for i in range(cfg.n_allies)])
         next_obs, next_state, reward, terminated, _ = env.step(actions)
-        episode.append(Transition(obs, state, actions, reward, avail,
-                                  terminated))
+        steps.append((np.stack([o.own for o in obs]),
+                      np.stack([o.allies for o in obs]),
+                      np.stack([o.enemies for o in obs]),
+                      state, actions, avail, reward))
         obs, state = next_obs, next_state
-    return episode
+    return Episode(*map(np.stack, zip(*steps)))
+
+
+def step_obs(episode, t, i):
+    return ObservationSet(episode.own[t, i], episode.allies[t, i],
+                          episode.enemies[t, i])
 
 
 def test_c01_hpn_move_invariance_and_attack_equivariance():
@@ -314,14 +321,14 @@ def test_c07_augmented_transitions_match_permuted_q_values():
         ally_perm = rng.permutation(3)
         enemy_perm = rng.permutation(3)
         relabeled = relabel_episode(episode, ally_perm, enemy_perm)
-        for tr, new in zip(episode, relabeled):
+        for t in range(len(episode)):
             for p in range(3):
-                q_src = net.forward(tr.obs[ally_perm[p]]).data
-                q_aug = net.forward(new.obs[p]).data
+                q_src = net.forward(step_obs(episode, t, ally_perm[p])).data
+                q_aug = net.forward(step_obs(relabeled, t, p)).data
                 assert np.array_equal(q_aug[N_MOVE_ACTIONS:],
                                       q_src[N_MOVE_ACTIONS:][enemy_perm])
-                assert q_aug[new.actions[p]] \
-                    == q_src[tr.actions[ally_perm[p]]]
+                assert q_aug[relabeled.actions[t, p]] \
+                    == q_src[episode.actions[t, ally_perm[p]]]
             checked += 1
             if checked >= 100:
                 break

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from permnet import autodiff as ad
 from permnet.autodiff import (
     AdamState, ShapeError, Tensor, adam_step, add, affine, bmm,
-    canonical_sum, concat, grad_check, no_grad, one_hot, reduce_max, softmax,
+    canonical_sum, concat, grad_check, no_grad, one_hot, softmax,
     straight_through, take_index, transpose, uniform_init,
 )
 
@@ -201,24 +201,6 @@ def test_sum_axis_and_none():
     assert grad_check(lambda a: a.sum(), [x]) < 1e-6
     assert grad_check(lambda a: a.sum(axis=0).sum(), [x]) < 1e-6
     assert grad_check(lambda a: a.sum(axis=1).sum(), [x]) < 1e-6
-
-
-def test_mean_grad():
-    x = np.arange(6.0).reshape(2, 3)
-    assert grad_check(lambda a: a.mean(), [x]) < 1e-6
-    assert grad_check(lambda a: a.mean(axis=1).sum(), [x]) < 1e-6
-
-
-def test_max_routes_to_first_maximal_index():
-    x = t(np.array([1.0, 3.0, 3.0, 2.0]))
-    reduce_max(x).backward()
-    assert np.array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
-
-
-def test_max_axis_first_tie():
-    x = t(np.array([[2.0, 2.0], [0.0, 5.0]]))
-    reduce_max(x, axis=1).sum().backward()
-    assert np.array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_reduce_sum_axis_error():

@@ -165,6 +165,21 @@ def test_seed_overrides(tmp_path, monkeypatch):
     assert (out2 / "concat_vdn_3v3_seed5.csv").exists()
 
 
+def test_bad_seed_lists_exit_2_naming_their_source(tmp_path, monkeypatch,
+                                                   capsys):
+    out = str(tmp_path / "out")
+    bad_cfg = write_config(tmp_path, TINY.replace("seeds = 0", "seeds = 1 x"),
+                           name="bad.cfg")
+    assert main(["--config", bad_cfg, "--out", out]) == 2
+    assert "config error: bad seed list '1 x'" in capsys.readouterr().err
+    cfg = write_config(tmp_path)
+    monkeypatch.setenv("PERMNET_SEED", "y")
+    assert main(["--config", cfg, "--out", out, "--seeds", "1,x"]) == 2
+    assert "bad --seeds list: '1,x'" in capsys.readouterr().err
+    assert main(["--config", cfg, "--out", out]) == 2
+    assert "bad PERMNET_SEED list: 'y'" in capsys.readouterr().err
+
+
 def test_parallel_jobs(tmp_path):
     cfg = write_config(tmp_path, TINY.replace("seeds = 0", "seeds = 0 1"))
     out = tmp_path / "out"

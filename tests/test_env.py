@@ -16,13 +16,11 @@ from permnet.env import (
     N_MOVE_ACTIONS,
     OWN_FEATURES,
     PRESETS,
-    TRAJECTORY_HEADER,
     BattleConfig,
     MicroBattleEnv,
     ShuffleWrapper,
     always_lose_policy,
     chebyshev,
-    dump_trajectory,
     focus_fire_policy,
     scripted_enemy_policy,
 )
@@ -172,6 +170,60 @@ def test_dead_observer_sees_zeros():
           ally_hp=[0, 6, 6])
     o = env.observations()[0]
     assert not o.own.any() and not o.allies.any() and not o.enemies.any()
+
+
+def reference_observations(env):
+    """Observations built row by row, one entity at a time."""
+    cfg, norm = env.cfg, env.cfg.grid_size - 1
+
+    def entity_rows(ox, oy, xs, ys, hps, skip=-1):
+        rows = []
+        for j in range(len(hps)):
+            if j == skip:
+                continue
+            if hps[j] > 0:
+                rows.append([(xs[j] - ox) / norm, (ys[j] - oy) / norm,
+                             hps[j] / cfg.max_health, 1.0])
+            else:
+                rows.append([0.0, 0.0, 0.0, 0.0])
+        return np.array(rows) if rows else np.zeros((0, ENTITY_FEATURES))
+
+    out = []
+    for i in range(cfg.n_allies):
+        if env.ally_hp[i] <= 0:
+            out.append((np.zeros(OWN_FEATURES),
+                        np.zeros((cfg.n_allies - 1, ENTITY_FEATURES)),
+                        np.zeros((cfg.n_enemies, ENTITY_FEATURES))))
+            continue
+        ox, oy = int(env.ally_x[i]), int(env.ally_y[i])
+        out.append((
+            np.array([ox / norm, oy / norm, env.ally_hp[i] / cfg.max_health]),
+            entity_rows(ox, oy, env.ally_x, env.ally_y, env.ally_hp, skip=i),
+            entity_rows(ox, oy, env.enemy_x, env.enemy_y, env.enemy_hp)))
+    return out
+
+
+@pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
+def test_observations_match_per_entity_reference_bitwise(preset):
+    env = MicroBattleEnv(PRESETS[preset])
+    rng = np.random.default_rng(31)
+    for seed in range(20):
+        obs, _ = env.reset(seed)
+        done = False
+        while True:
+            expected = reference_observations(env)
+            assert len(obs) == len(expected)
+            for o, (own, allies, enemies) in zip(obs, expected):
+                for got, want in ((o.own, own), (o.allies, allies),
+                                  (o.enemies, enemies)):
+                    assert got.shape == want.shape
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+            if done:
+                break
+            mask = env.available_actions()
+            acts = [int(rng.choice(np.flatnonzero(row))) for row in mask]
+            obs, _, _, done, _ = env.step(acts)
 
 
 def test_state_layout_allies_then_enemies():
@@ -626,18 +678,3 @@ def test_shuffle_wrapper_draws_fresh_permutations():
         wrapped.reset(k)
         seen.add(tuple(wrapped.enemy_perm.tolist()))
     assert len(seen) > 1
-
-
-# -- trajectory dump ---------------------------------------------------
-
-
-def test_dump_trajectory_format(tmp_path):
-    path = tmp_path / "episode.tsv"
-    records = [(0, [1, 1, 6], 0.2, False), (1, [6, 6, 6], 11.2, True)]
-    dump_trajectory(path, records)
-    text = path.read_text()
-    lines = text.split("\n")
-    assert lines[0] == TRAJECTORY_HEADER
-    assert lines[1] == "0\t0\t1\t0.200000\t0"
-    assert lines[4] == "1\t0\t6\t11.200000\t1"
-    assert text.endswith("\n") and "\r" not in text

@@ -16,25 +16,26 @@ from permnet.autodiff import (
     take_index,
 )
 from permnet.baselines import ConcatAgentNet
-from permnet.cli import net_factory_for
+from permnet.cli import env_factory_for, net_factory_for
 from permnet.env import (
     ACTION_STOP,
     ENTITY_FEATURES,
     N_MOVE_ACTIONS,
     PRESETS,
     MicroBattleEnv,
+    ObservationSet,
     always_lose_policy,
     focus_fire_policy,
 )
 from permnet.hpn import HpnAgentNet
 from permnet.layers import NEG_MASK
 from permnet.learners import (
+    Episode,
     Learner,
     ParallelRunner,
     QmixMixer,
     ReplayBuffer,
     TrainConfig,
-    Transition,
     anneal_epsilon,
     augment_experience,
     epsilon_greedy_select,
@@ -49,12 +50,37 @@ from permnet.learners import (
 K = ENTITY_FEATURES
 
 
+def step_columns(obs, state, actions, avail, reward):
+    """One step as the per-field values an Episode stacks over time."""
+    return (np.stack([o.own for o in obs]), np.stack([o.allies for o in obs]),
+            np.stack([o.enemies for o in obs]), state,
+            np.asarray(actions, dtype=np.int64), avail, reward)
+
+
+def episode_of(steps):
+    return Episode(*map(np.stack, zip(*steps)))
+
+
+def step_obs(episode, t, i):
+    """Agent i's observation at step t of an episode."""
+    return ObservationSet(episode.own[t, i], episode.allies[t, i],
+                          episode.enemies[t, i])
+
+
+def assert_same_arrays(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].shape == want[name].shape, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
 def rollout_episode(seed, policy=None, cfg=PRESETS["3v3"]):
-    """Collect one full episode of Transitions from the battle env."""
+    """Collect one full episode from the battle env."""
     env = MicroBattleEnv(cfg)
     obs, state = env.reset(seed)
     rng = np.random.default_rng(seed + 1)
-    episode = []
+    steps = []
     terminated = False
     while not terminated:
         avail = env.available_actions()
@@ -64,22 +90,12 @@ def rollout_episode(seed, policy=None, cfg=PRESETS["3v3"]):
         else:
             actions = policy(env, avail)
         next_obs, next_state, reward, terminated, _ = env.step(actions)
-        episode.append(Transition(obs, state, actions, reward, avail,
-                                  terminated))
+        steps.append(step_columns(obs, state, actions, avail, reward))
         obs, state = next_obs, next_state
-    return episode
+    return episode_of(steps)
 
 
 # -- containers --------------------------------------------------------
-
-
-def test_transition_rejects_unavailable_action():
-    env = MicroBattleEnv(PRESETS["3v3"])
-    obs, state = env.reset(0)
-    avail = env.available_actions()
-    bad = np.array([np.flatnonzero(~avail[0])[0], ACTION_STOP, ACTION_STOP])
-    with pytest.raises(ValueError, match="unavailable"):
-        Transition(obs, state, bad, 0.0, avail, False)
 
 
 def test_train_config_validation():
@@ -305,15 +321,7 @@ def test_replay_buffer_eviction_and_sampling():
 def test_relabel_identity_is_noop():
     episode = rollout_episode(100)
     same = relabel_episode(episode, np.arange(3), np.arange(3))
-    for a, b in zip(episode, same):
-        assert np.array_equal(a.actions, b.actions)
-        assert np.array_equal(a.avail, b.avail)
-        assert np.array_equal(a.state, b.state)
-        assert a.reward == b.reward and a.terminal == b.terminal
-        for oa, ob in zip(a.obs, b.obs):
-            assert np.array_equal(oa.own, ob.own)
-            assert np.array_equal(oa.allies, ob.allies)
-            assert np.array_equal(oa.enemies, ob.enemies)
+    assert_same_arrays(vars(same), vars(episode))
 
 
 def test_relabel_translates_attack_actions():
@@ -323,14 +331,64 @@ def test_relabel_translates_attack_actions():
     avail = avail.copy()
     avail[:, N_MOVE_ACTIONS:] = True     # open all attacks for the check
     actions = np.array([N_MOVE_ACTIONS + 0, ACTION_STOP, ACTION_STOP])
-    tr = Transition(obs, state, actions, 0.0, avail, False)
-    out = relabel_episode([tr], np.arange(3), np.array([1, 0, 2]))[0]
-    assert out.actions[0] == N_MOVE_ACTIONS + 1
-    assert out.actions[1] == ACTION_STOP
+    episode = episode_of([step_columns(obs, state, actions, avail, 0.0)])
+    out = relabel_episode(episode, np.arange(3), np.array([1, 0, 2]))
+    assert out.actions[0, 0] == N_MOVE_ACTIONS + 1
+    assert out.actions[0, 1] == ACTION_STOP
+
+
+def reference_relabel(episode, ally_perm, enemy_perm):
+    """The per-step, per-agent relabeling loop that relabel_episode's
+    fancy indexing replaces."""
+    n, m = len(ally_perm), len(enemy_perm)
+    inv_enemy = np.argsort(enemy_perm)
+    steps = []
+    for t in range(len(episode)):
+        obs = []
+        for p in range(n):
+            src = step_obs(episode, t, ally_perm[p])
+            rows = [int(ally_perm[q]) - int(ally_perm[q] > ally_perm[p])
+                    for q in range(n) if q != p]
+            obs.append(ObservationSet(src.own, src.allies[rows],
+                                      src.enemies[enemy_perm]))
+        actions = np.empty(n, dtype=np.int64)
+        avail = np.empty_like(episode.avail[t])
+        for p in range(n):
+            a = int(episode.actions[t, ally_perm[p]])
+            if a >= N_MOVE_ACTIONS:
+                a = N_MOVE_ACTIONS + int(inv_enemy[a - N_MOVE_ACTIONS])
+            actions[p] = a
+            row = episode.avail[t, ally_perm[p]].copy()
+            row[N_MOVE_ACTIONS:] = episode.avail[t, ally_perm[p],
+                                                 N_MOVE_ACTIONS + enemy_perm]
+            avail[p] = row
+        entity = episode.state[t].reshape(n + m, K)
+        state = np.concatenate([entity[:n][ally_perm],
+                                entity[n:][enemy_perm]]).reshape(-1)
+        steps.append(step_columns(obs, state, actions, avail,
+                                  episode.rewards[t]))
+    return episode_of(steps)
+
+
+@pytest.mark.parametrize("preset", ["3v3", "5v6"])
+def test_relabel_matches_per_step_reference_bitwise(preset):
+    cfg = PRESETS[preset]
+    rng = np.random.default_rng(19)
+    for seed in range(150, 160):
+        episode = rollout_episode(seed, cfg=cfg)
+        ally_perm = rng.permutation(cfg.n_allies)
+        enemy_perm = rng.permutation(cfg.n_enemies)
+        relabeled = relabel_episode(episode, ally_perm, enemy_perm)
+        assert_same_arrays(vars(relabeled),
+                           vars(reference_relabel(episode, ally_perm,
+                                                  enemy_perm)))
+        restored = relabel_episode(relabeled, np.argsort(ally_perm),
+                                   np.argsort(enemy_perm))
+        assert_same_arrays(vars(restored), vars(episode))
 
 
 def test_relabel_matches_equivariant_network_exactly():
-    """A relabeled transition must look to an order-free network like the
+    """A relabeled step must look to an order-free network like the
     original with rows renamed: move Q rows permuted by the ally renaming,
     attack Q entries additionally permuted by the enemy renaming, and the
     chosen-action scalar unchanged."""
@@ -344,9 +402,11 @@ def test_relabel_matches_equivariant_network_exactly():
         ally_perm = rng.permutation(3)
         enemy_perm = rng.permutation(3)
         relabeled = relabel_episode(episode, ally_perm, enemy_perm)
-        for tr, new in zip(episode, relabeled):
-            q_old = [net.forward(o).data for o in tr.obs]
-            q_new = [net.forward(o).data for o in new.obs]
+        for t in range(len(episode)):
+            q_old = [net.forward(step_obs(episode, t, i)).data
+                     for i in range(3)]
+            q_new = [net.forward(step_obs(relabeled, t, i)).data
+                     for i in range(3)]
             for p in range(3):
                 src = q_old[ally_perm[p]]
                 assert np.array_equal(q_new[p][:N_MOVE_ACTIONS],
@@ -354,8 +414,8 @@ def test_relabel_matches_equivariant_network_exactly():
                 assert np.array_equal(
                     q_new[p][N_MOVE_ACTIONS:],
                     src[N_MOVE_ACTIONS:][enemy_perm])
-                assert (q_new[p][new.actions[p]]
-                        == src[tr.actions[ally_perm[p]]])
+                assert (q_new[p][relabeled.actions[t, p]]
+                        == src[episode.actions[t, ally_perm[p]]])
             checked += 1
             if checked >= 100:
                 break
@@ -369,13 +429,6 @@ def test_augment_grows_batch_and_validates():
     assert grown[0] is episodes[0] and grown[1] is episodes[1]
     with pytest.raises(ValueError, match="empty"):
         augment_experience([[]], 1, rng)
-
-
-def test_relabel_rejects_inconsistent_groups():
-    episode = rollout_episode(302)
-    other = rollout_episode(303, cfg=PRESETS["5v6"])
-    with pytest.raises(ValueError, match="inconsistent"):
-        relabel_episode([episode[0], other[0]], np.arange(3), np.arange(3))
 
 
 # -- learner -----------------------------------------------------------
@@ -403,7 +456,7 @@ def test_learner_overfits_single_transition():
     avail = env.available_actions()
     actions = focus_fire_policy(env, avail)
     _, _, reward, _, _ = env.step(actions)
-    episode = [Transition(obs, state, actions, reward, avail, True)]
+    episode = episode_of([step_columns(obs, state, actions, avail, reward)])
     learner = Learner(small_cfg(target_update_interval=10**9),
                       concat_factory, env.cfg, mixer="vdn")
     loss = np.inf
@@ -473,6 +526,58 @@ def test_qmix_learner_updates_mixer_parameters():
     moved = any(not np.array_equal(learner.params[k].data, v)
                 for k, v in before.items())
     assert moved
+
+
+def reference_stack(episodes):
+    """The batch x step x agent loop that _stack_episodes' one copy per
+    field per episode replaces."""
+    batch = len(episodes)
+    horizon = max(len(e) for e in episodes)
+    _, n, m, _ = episodes[0].enemies.shape
+    n_actions = episodes[0].avail.shape[-1]
+    own = np.zeros((batch, horizon, n, episodes[0].own.shape[-1]))
+    allies = np.zeros((batch, horizon, n, n - 1, K))
+    enemies = np.zeros((batch, horizon, n, m, K))
+    state = np.zeros((batch, horizon, episodes[0].state.shape[-1]))
+    actions = np.zeros((batch, horizon, n), dtype=np.int64)
+    avail = np.zeros((batch, horizon, n, n_actions), dtype=bool)
+    avail[..., 0] = True
+    rewards = np.zeros((batch, horizon))
+    mask = np.zeros((batch, horizon))
+    for b, episode in enumerate(episodes):
+        for t in range(len(episode)):
+            for i in range(n):
+                o = step_obs(episode, t, i)
+                own[b, t, i] = o.own
+                allies[b, t, i] = o.allies
+                enemies[b, t, i] = o.enemies
+            state[b, t] = episode.state[t]
+            actions[b, t] = episode.actions[t]
+            avail[b, t] = episode.avail[t]
+            rewards[b, t] = episode.rewards[t]
+            mask[b, t] = 1.0
+    return {"own": own, "allies": allies, "enemies": enemies,
+            "state": state, "actions": actions, "avail": avail,
+            "rewards": rewards, "mask": mask}
+
+
+def collect_episodes(preset, shuffle, count, seed=21):
+    cfg = PRESETS[preset]
+    net = net_factory_for("concat", cfg)(np.random.default_rng(seed))
+    runner = ParallelRunner(small_cfg(parallel_runners=3, seed=seed),
+                            env_factory_for(preset, shuffle, seed), net)
+    episodes = []
+    while len(episodes) < count:
+        episodes.extend(runner.tick())
+    return episodes
+
+
+@pytest.mark.parametrize("preset, shuffle", [("3v3", True), ("5v6", False)])
+def test_stack_episodes_matches_per_step_reference_bitwise(preset, shuffle):
+    episodes = collect_episodes(preset, shuffle, 6)
+    assert len({len(e) for e in episodes}) > 1    # padding is exercised
+    assert_same_arrays(learners._stack_episodes(episodes),
+                       reference_stack(episodes))
 
 
 def three_forward_train_step(learner, episodes):
@@ -554,21 +659,61 @@ def test_runner_counts_env_steps_and_is_deterministic():
         for _ in range(40):
             episodes.extend(runner.tick())
         assert runner.env_steps == 40 * 2
-        outs.append([(len(ep), [tuple(tr.actions) for tr in ep],
-                      sum(tr.reward for tr in ep)) for ep in episodes])
+        outs.append([(len(ep), ep.actions.tolist(), ep.rewards.tolist())
+                     for ep in episodes])
     assert outs[0] == outs[1]
     assert len(outs[0]) > 0
 
 
+class SeedLoggingEnv(MicroBattleEnv):
+    """Remembers every reset seed, so a test can replay its episodes."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.seeds = []
+
+    def reset(self, seed):
+        self.seeds.append(seed)
+        return super().reset(seed)
+
+
+def assert_replays(cfg, seed, episode):
+    """Stepping a fresh env with the recorded actions reproduces every
+    recorded field bitwise and ends exactly at the last recorded step."""
+    env = MicroBattleEnv(cfg)
+    obs, state = env.reset(seed)
+    for t in range(len(episode)):
+        recorded = {name: column[t] for name, column in vars(episode).items()
+                    if name not in ("actions", "rewards")}
+        assert_same_arrays(recorded, {
+            "own": np.stack([o.own for o in obs]),
+            "allies": np.stack([o.allies for o in obs]),
+            "enemies": np.stack([o.enemies for o in obs]),
+            "state": state, "avail": env.available_actions()})
+        obs, state, reward, terminated, _ = env.step(episode.actions[t])
+        assert reward == episode.rewards[t]
+        assert terminated == (t == len(episode) - 1)
+    assert env.t == len(episode) == len(episode.actions)
+
+
 def test_runner_episodes_replayable():
-    net = concat_factory(np.random.default_rng(17))
-    runner = ParallelRunner(small_cfg(), plain_env_factory, net)
-    episodes = []
-    while not episodes:
-        episodes.extend(runner.tick())
-    episode = episodes[0]
-    assert episode[-1].terminal
-    assert all(not tr.terminal for tr in episode[:-1])
+    for preset in ("3v3", "5v6"):
+        cfg = PRESETS[preset]
+        net = net_factory_for("concat", cfg)(np.random.default_rng(17))
+        runner = ParallelRunner(small_cfg(parallel_runners=3),
+                                lambda tag: SeedLoggingEnv(cfg), net)
+        replayed = 0
+        while replayed < 6:
+            resets = [len(env.seeds) for env in runner.envs]
+            episodes = runner.tick()
+            # episodes come back in runner order; a runner that finished
+            # one has just reset again
+            seeds = [env.seeds[-2] for env, count in zip(runner.envs, resets)
+                     if len(env.seeds) > count]
+            assert len(seeds) == len(episodes)
+            for seed, episode in zip(seeds, episodes):
+                assert_replays(cfg, seed, episode)
+                replayed += 1
 
 
 def test_evaluate_scripted_policies():
