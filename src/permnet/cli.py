@@ -9,8 +9,8 @@ Each seed trains independently and streams one CSV curve
 percentile columns.
 
 Exit codes: 0 all seeds complete, 2 unknown architecture/mixer/config
-name, 3 unwritable or already-occupied output, 4 mismatched aggregation
-grids.
+name or invalid config value, 3 unwritable or already-occupied output, 4
+mismatched aggregation grids.
 """
 
 from __future__ import annotations
@@ -77,6 +77,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown preset {self.preset!r}; choose from "
                 f"{', '.join(PRESETS)}", token=self.preset)
+        if self.eval_interval < 1:
+            raise ValueError(
+                f"eval_interval must be >= 1, got {self.eval_interval}")
         if not self.tag:
             parts = [self.architecture, self.mixer]
             if self.augment:
@@ -144,7 +147,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         else:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}",
                               token=key)
-    return ExperimentConfig(train=TrainConfig(**train_kwargs), **exp_kwargs)
+    try:
+        return ExperimentConfig(train=TrainConfig(**train_kwargs),
+                                **exp_kwargs)
+    except ValueError as err:
+        raise ConfigError(f"bad value: {err}")
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -30,6 +30,8 @@ _MOVE_DELTAS = {
     ACTION_EAST: (1, 0), ACTION_WEST: (-1, 0),
 }
 _ENEMY_MOVE_PREFERENCE = (ACTION_WEST, ACTION_EAST, ACTION_SOUTH, ACTION_NORTH)
+_PURSUIT_DX = np.array([_MOVE_DELTAS[a][0] for a in _ENEMY_MOVE_PREFERENCE])
+_PURSUIT_DY = np.array([_MOVE_DELTAS[a][1] for a in _ENEMY_MOVE_PREFERENCE])
 
 
 @dataclass(frozen=True)
@@ -522,3 +524,274 @@ class ShuffleWrapper:
             self.enemy_perm[actions[attack] - N_MOVE_ACTIONS]
         obs, state, reward, terminated, info = self.env.step(actions)
         return [self._wrap_obs(o) for o in obs], state, reward, terminated, info
+
+
+class BattleBatch:
+    """R battles of one config stepped together with array ops.
+
+    Row r holds battle r as (R, n) and (R, m) int arrays plus the ally-row
+    and enemy permutations it is presented under (a ``ShuffleWrapper``'s,
+    or the identity for a bare env).  ``available_actions``,
+    ``observations`` and ``step`` speak that presented indexing, exactly as
+    each wrapper would, and follow ``MicroBattleEnv``'s rules bit for bit;
+    the scalar env is the reference the batch is tested against.
+
+    The batch never resets a battle: the caller resets its own env (or
+    wrapper), so seeds and permutation draws stay in that object's stream,
+    and ``load`` copies the fresh battle into its row.
+    """
+
+    def __init__(self, envs: list):
+        cfg = envs[0].cfg
+        self.cfg = cfg
+        r, n, m = len(envs), cfg.n_allies, cfg.n_enemies
+        self.ally_x = np.zeros((r, n), dtype=np.int64)
+        self.ally_y = np.zeros((r, n), dtype=np.int64)
+        self.ally_hp = np.zeros((r, n), dtype=np.int64)
+        self.enemy_x = np.zeros((r, m), dtype=np.int64)
+        self.enemy_y = np.zeros((r, m), dtype=np.int64)
+        self.enemy_hp = np.zeros((r, m), dtype=np.int64)
+        self.t = np.zeros(r, dtype=np.int64)
+        self.enemy_perm = np.zeros((r, m), dtype=np.int64)
+        # ally group rows as true ally indices: row (r, p, k) is the ally
+        # that observer p sees in presented slot k
+        self._ally_rows = np.zeros((r, n, n - 1), dtype=np.int64)
+        # presented action -> true action, per battle
+        self._true_action = np.zeros((r, cfg.n_actions), dtype=np.int64)
+        self._done = np.ones(r, dtype=bool)
+        self._last_avail: np.ndarray | None = None
+        self._rows = np.arange(r)[:, None]
+        self._agents = np.arange(n)
+        # battle r's cell (x, y) is flat cell r * g * g + x * g + y
+        self._cell_base = self._rows * cfg.grid_size ** 2
+        self._norm = float(cfg.grid_size - 1)
+        self._others = other_ally_index(n)
+        # (dx, dy) of every true action index; zero for non-moves
+        self._dx = np.zeros(cfg.n_actions, dtype=np.int64)
+        self._dy = np.zeros(cfg.n_actions, dtype=np.int64)
+        for a, (dx, dy) in _MOVE_DELTAS.items():
+            self._dx[a], self._dy[a] = dx, dy
+        for i, env in enumerate(envs):
+            self.load(i, env)
+
+    def load(self, i: int, env):
+        """Copy a freshly reset env (or ShuffleWrapper) into row i."""
+        cfg = self.cfg
+        if isinstance(env, ShuffleWrapper):
+            battle, ally_perm, enemy_perm = env.env, env.ally_perm, env.enemy_perm
+        else:
+            battle = env
+            ally_perm = np.arange(cfg.n_allies - 1)
+            enemy_perm = np.arange(cfg.n_enemies)
+        self.ally_x[i], self.ally_y[i] = battle.ally_x, battle.ally_y
+        self.ally_hp[i] = battle.ally_hp
+        self.enemy_x[i], self.enemy_y[i] = battle.enemy_x, battle.enemy_y
+        self.enemy_hp[i] = battle.enemy_hp
+        self.t[i] = battle.t
+        self._done[i] = battle._done
+        self.enemy_perm[i] = enemy_perm
+        self._ally_rows[i] = self._others[:, ally_perm]
+        self._true_action[i, :N_MOVE_ACTIONS] = np.arange(N_MOVE_ACTIONS)
+        self._true_action[i, N_MOVE_ACTIONS:] = N_MOVE_ACTIONS + enemy_perm
+        self._last_avail = None
+
+    # -- views ---------------------------------------------------------
+    def _presented_enemies(self):
+        """Enemy x, y, hp as (R, m) arrays in each battle's presented order."""
+        rows, perm = self._rows, self.enemy_perm
+        return (self.enemy_x[rows, perm], self.enemy_y[rows, perm],
+                self.enemy_hp[rows, perm])
+
+    def state(self) -> np.ndarray:
+        """(R, state_dim) global states, in true entity order (a wrapper
+        does not permute the state)."""
+        cfg = self.cfg
+        xs = np.concatenate([self.ally_x, self.enemy_x], axis=1)
+        ys = np.concatenate([self.ally_y, self.enemy_y], axis=1)
+        hps = np.concatenate([self.ally_hp, self.enemy_hp], axis=1)
+        live = hps > 0
+        block = np.zeros(hps.shape + (ENTITY_FEATURES,))
+        block[live, 0] = xs[live] / self._norm
+        block[live, 1] = ys[live] / self._norm
+        block[live, 2] = hps[live] / cfg.max_health
+        block[live, 3] = 1.0
+        return block.reshape(len(hps), -1)
+
+    def observations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """own (R, n, OWN_FEATURES), allies (R, n, n - 1, ENTITY_FEATURES)
+        and enemies (R, n, m, ENTITY_FEATURES), group rows presented."""
+        cfg = self.cfg
+        live = self.ally_hp > 0
+        own = np.zeros(live.shape + (OWN_FEATURES,))
+        own[live, 0] = self.ally_x[live] / self._norm
+        own[live, 1] = self.ally_y[live] / self._norm
+        own[live, 2] = self.ally_hp[live] / cfg.max_health
+        rows = self._rows[:, :, None]
+        allies = self._relative_rows(
+            live, self.ally_x[rows, self._ally_rows],
+            self.ally_y[rows, self._ally_rows],
+            self.ally_hp[rows, self._ally_rows])
+        ex, ey, ehp = self._presented_enemies()
+        enemies = self._relative_rows(live, ex[:, None], ey[:, None],
+                                      ehp[:, None])
+        return own, allies, enemies
+
+    def _relative_rows(self, observer_live, xs, ys, hps) -> np.ndarray:
+        """(R, n, k, ENTITY_FEATURES) rows of entities (xs, ys, hps
+        broadcast to (R, n, k)) as seen by every ally; all-zero for a dead
+        entity or observer."""
+        seen = observer_live[:, :, None] & (hps > 0)
+        rows = np.zeros(seen.shape + (ENTITY_FEATURES,))
+        rows[..., 0] = (xs - self.ally_x[:, :, None]) / self._norm
+        rows[..., 1] = (ys - self.ally_y[:, :, None]) / self._norm
+        rows[..., 2] = hps / self.cfg.max_health
+        rows[..., 3] = 1.0
+        rows[~seen] = 0.0
+        return rows
+
+    def available_actions(self) -> np.ndarray:
+        """(R, n, n_actions) boolean masks under the same rules as
+        ``MicroBattleEnv.available_actions``, attack columns presented."""
+        cfg = self.cfg
+        g = cfg.grid_size
+        x, y = self.ally_x, self.ally_y
+        live = self.ally_hp > 0
+        mask = np.empty(live.shape + (cfg.n_actions,), dtype=bool)
+        mask[..., ACTION_NOOP] = ~live
+        mask[..., ACTION_STOP] = live
+        mask[..., ACTION_NORTH] = live & (y + 1 < g)
+        mask[..., ACTION_SOUTH] = live & (y - 1 >= 0)
+        mask[..., ACTION_EAST] = live & (x + 1 < g)
+        mask[..., ACTION_WEST] = live & (x - 1 >= 0)
+        ex, ey, ehp = self._presented_enemies()
+        dist = np.maximum(np.abs(ex[:, None, :] - x[:, :, None]),
+                          np.abs(ey[:, None, :] - y[:, :, None]))
+        mask[..., N_MOVE_ACTIONS:] = (live[:, :, None] & (ehp > 0)[:, None, :]
+                                      & (dist <= cfg.attack_range))
+        self._last_avail = mask
+        return mask
+
+    def _cells(self, xs, ys) -> np.ndarray:
+        """Flat occupancy-grid cells of (R, k) positions."""
+        return self._cell_base + xs * self.cfg.grid_size + ys
+
+    def _occupancy(self) -> np.ndarray:
+        """Flat (R * grid_size ** 2) flags of the cells living units
+        stand on."""
+        grid = np.zeros(self._cell_base.size * self.cfg.grid_size ** 2,
+                        dtype=bool)
+        grid[self._cells(self.ally_x, self.ally_y)[self.ally_hp > 0]] = True
+        grid[self._cells(self.enemy_x, self.enemy_y)[self.enemy_hp > 0]] = True
+        return grid
+
+    def _move_in_order(self, grid, xs, ys, dx, dy, go):
+        """Move unit after unit, in index order, by (R, k) steps (dx, dy)
+        where ``go`` holds and the destination cell is free at that
+        moment; updates positions and the grid."""
+        cells = self._cells(xs, ys)
+        shift = dx * self.cfg.grid_size + dy
+        for unit in np.flatnonzero(go.any(axis=0)):
+            src = cells[:, unit]
+            dst = src + shift[:, unit]
+            moves = go[:, unit] & ~grid[dst]
+            grid[src[moves]] = False
+            grid[dst[moves]] = True
+            xs[:, unit] += dx[:, unit] * moves
+            ys[:, unit] += dy[:, unit] * moves
+
+    # -- dynamics ------------------------------------------------------
+    def step(self, actions):
+        """One tick of every battle from (R, n) presented actions.
+
+        Returns (rewards (R,), terminated (R,), win (R,)).  Every row must
+        hold a running battle: ``load`` a reset battle into a row after it
+        terminates.
+        """
+        cfg = self.cfg
+        if self._done.any():
+            raise RuntimeError("step() on a finished battle; load a reset "
+                               "battle into its row")
+        actions = np.asarray(actions, dtype=np.int64)
+        if actions.shape != self.ally_hp.shape:
+            raise ValueError(f"expected {self.ally_hp.shape} actions, got "
+                             f"{actions.shape}")
+        avail = self._last_avail if self._last_avail is not None \
+            else self.available_actions()
+        known = (actions >= 0) & (actions < cfg.n_actions)
+        if not (known & avail[self._rows, self._agents,
+                              np.where(known, actions, 0)]).all():
+            raise ValueError("action not available")
+        actions = self._true_action[self._rows, actions]
+        live = self.ally_hp > 0
+
+        # phase 1: ally moves, agent-index order
+        grid = self._occupancy()
+        dx, dy = self._dx[actions], self._dy[actions]
+        self._move_in_order(grid, self.ally_x, self.ally_y, dx, dy,
+                            live & ((dx != 0) | (dy != 0)))
+
+        # phase 2: simultaneous ally attacks
+        attacking = live & (actions >= N_MOVE_ACTIONS)
+        targets = actions - N_MOVE_ACTIONS
+        hits = attacking[:, :, None] & (
+            targets[:, :, None] == np.arange(cfg.n_enemies))
+        before = self.enemy_hp
+        self.enemy_hp = np.maximum(
+            0, before - cfg.attack_damage * hits.sum(axis=1))
+        damage_dealt = (before - self.enemy_hp).sum(axis=1)
+        killed = (before > 0) & (self.enemy_hp == 0)
+        kills = killed.sum(axis=1)
+        reward = cfg.damage_scale * damage_dealt + cfg.kill_bonus * kills
+        win = ~(self.enemy_hp > 0).any(axis=1)
+
+        # phase 3: scripted enemies (a won battle has none left to act);
+        # the units just killed free their cells
+        grid[self._cells(self.enemy_x, self.enemy_y)[killed]] = False
+        self._enemy_phase(grid)
+
+        self.t += 1
+        terminated = win | ~(self.ally_hp > 0).any(axis=1) \
+            | (self.t >= cfg.episode_limit)
+        reward = np.where(win, reward + cfg.win_bonus, reward)
+        self._done = terminated
+        self._last_avail = None
+        return reward, terminated, win
+
+    def _enemy_phase(self, grid):
+        """``scripted_enemy_policy`` for every enemy of every battle, judged
+        against one snapshot (the occupancy grid as the ally phase left
+        it), then moves in enemy-index order and simultaneous attacks."""
+        cfg = self.cfg
+        g = cfg.grid_size
+        ax, ay, ex, ey = self.ally_x, self.ally_y, self.enemy_x, self.enemy_y
+        ally_live = self.ally_hp > 0
+        enemy_live = self.enemy_hp > 0
+        # (R, m, n) distances from every enemy to every ally
+        dist = np.maximum(np.abs(ex[:, :, None] - ax[:, None, :]),
+                          np.abs(ey[:, :, None] - ay[:, None, :]))
+        pair = enemy_live[:, :, None] & ally_live[:, None, :]
+        in_range = pair & (dist <= cfg.attack_range)
+        attacks = in_range.any(axis=2)
+        victim = in_range.argmax(axis=2)          # lowest index in range
+        pursuing = enemy_live & ~attacks & ally_live.any(axis=1)[:, None]
+        far = np.where(pair, dist, 2 * g)
+        target = far.argmin(axis=2)               # nearest, lowest index
+        best_d = far.min(axis=2)
+        tx, ty = ax[self._rows, target], ay[self._rows, target]
+        # pursue: of the free in-bounds cells one step away, the one closest
+        # to the target (first in preference order on ties), if no farther
+        # than now; (4, R, m) candidates in preference order
+        nx = ex + _PURSUIT_DX[:, None, None]
+        ny = ey + _PURSUIT_DY[:, None, None]
+        inside = (nx >= 0) & (nx < g) & (ny >= 0) & (ny < g)
+        free = inside & ~grid[np.where(inside, self._cells(nx, ny), 0)]
+        score = np.where(free, np.maximum(np.abs(nx - tx), np.abs(ny - ty)),
+                         2 * g)
+        choice = score.argmin(axis=0)
+        go = pursuing & (score.min(axis=0) <= best_d)
+        self._move_in_order(grid, ex, ey, _PURSUIT_DX[choice] * go,
+                            _PURSUIT_DY[choice] * go, go)
+        hits = attacks[:, :, None] & (
+            victim[:, :, None] == np.arange(cfg.n_allies))
+        self.ally_hp = np.maximum(
+            0, self.ally_hp - cfg.attack_damage * hits.sum(axis=1))

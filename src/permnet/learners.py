@@ -14,9 +14,12 @@ entity blocks, availability masks, and attack-action indices all move
 together) so a step keeps describing the same event under a different
 entity naming.
 
-Rollouts run as lockstep batched environments: every runner steps once per
-tick, network forwards are batched across runners, and completed episodes
-merge in runner-index order, so training is bitwise reproducible per seed.
+Rollouts run as lockstep batched environments: every runner's battle lives
+in one ``BattleBatch`` and all of them step once per tick with one set of
+array ops, one network forward and one masked argmax over every agent;
+exploration draws come from one stream in (runner, agent) order and
+completed episodes merge in runner-index order, so training is bitwise
+reproducible per seed.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .autodiff import (
     reshape,
     take_index,
 )
-from .env import (ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES,
+from .env import (ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES, BattleBatch,
                   other_ally_index)
 from .layers import NEG_MASK, Linear, Mlp, Module
 
@@ -90,6 +93,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epsilon_anneal_steps", "buffer_size", "batch_episodes",
+                     "target_update_interval", "parallel_runners",
+                     "mixing_embed_dim", "hypernet_embed", "train_interval"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.td_lambda <= 1.0:
             raise ValueError(f"td_lambda {self.td_lambda} outside [0, 1]")
         if not 0.0 < self.gamma <= 1.0:
@@ -190,19 +199,6 @@ def anneal_epsilon(step: int, start: float = 1.0, finish: float = 0.05,
     """Linear schedule from start to finish over anneal_steps, then held."""
     frac = min(1.0, max(0.0, step / anneal_steps))
     return start + (finish - start) * frac
-
-
-def epsilon_greedy_select(q_values, available, epsilon: float,
-                          rng: np.random.Generator | None = None) -> int:
-    """Masked argmax, or a uniform available action with probability eps."""
-    q = np.asarray(getattr(q_values, "data", q_values), dtype=np.float64)
-    avail = np.asarray(available, dtype=bool)
-    open_actions = np.flatnonzero(avail)
-    if open_actions.size == 0:
-        raise ValueError("no available actions to select from")
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(open_actions[rng.integers(open_actions.size)])
-    return int(np.argmax(np.where(avail, q, NEG_MASK)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +443,14 @@ class Learner:
 class ParallelRunner:
     """Lockstep batched episode collector.
 
-    Every runner steps its own environment once per tick; agent forwards
-    are batched across runners and actions drawn from one shared stream in
-    runner-index order, so collection is deterministic.  Runner i seeds its
-    episode stream with seed XOR i.
+    All runners' battles live in one ``BattleBatch`` and step together
+    once per tick: one acting forward over every agent, one masked argmax,
+    and exploration draws from one shared stream in (runner, agent) order,
+    so collection is deterministic.  Resets stay per battle: runner i's
+    env (``envs[i]``, from ``env_factory(i)``) is reset with seeds drawn
+    from ``streams[i]``, seeded with seed XOR i, and then copied into the
+    batch, which alone holds the live battle; ``envs[i]`` keeps the state
+    of its last reset.
     """
 
     def __init__(self, cfg: TrainConfig, env_factory, net):
@@ -462,47 +462,56 @@ class ParallelRunner:
         self.select_rng = np.random.default_rng([cfg.seed, 4])
         self.env_steps = 0
         self._partial = [[] for _ in self.envs]
-        self._obs = []
-        self._state = []
-        for i, env in enumerate(self.envs):
-            obs, state = env.reset(int(self.streams[i].integers(2 ** 31)))
-            self._obs.append(obs)
-            self._state.append(state)
+        for env, stream in zip(self.envs, self.streams):
+            env.reset(int(stream.integers(2 ** 31)))
+        self.batch = BattleBatch(self.envs)
 
     def tick(self) -> list:
         """Advance every environment one step; return finished episodes."""
-        n = self.envs[0].cfg.n_allies
-        avail = [env.available_actions() for env in self.envs]
-        own = np.stack([o.own for obs in self._obs for o in obs])
-        allies = np.stack([o.allies for obs in self._obs for o in obs])
-        enemies = np.stack([o.enemies for obs in self._obs for o in obs])
+        batch = self.batch
+        avail = batch.available_actions()
+        if not avail.any(axis=-1).all():
+            raise ValueError("no available actions to select from")
+        own, allies, enemies = batch.observations()
+        state = batch.state()
+        runners, n, _ = avail.shape
+        rows = runners * n
         with no_grad():
-            q = _net_forward(self.net, Tensor(own), Tensor(allies),
-                             Tensor(enemies), deterministic=True).data
+            q = _net_forward(
+                self.net, Tensor(own.reshape(rows, OWN_FEATURES)),
+                Tensor(allies.reshape(rows, n - 1, ENTITY_FEATURES)),
+                Tensor(enemies.reshape(rows, -1, ENTITY_FEATURES)),
+                deterministic=True).data
+        actions = np.where(avail, q.reshape(avail.shape),
+                           NEG_MASK).argmax(axis=-1)
         eps = anneal_epsilon(self.env_steps, self.cfg.epsilon_start,
                              self.cfg.epsilon_finish,
                              self.cfg.epsilon_anneal_steps)
+        if eps > 0.0:
+            # per agent in (runner, agent) order: a uniform, then an index
+            # into its available actions only when exploring
+            draw, pick = self.select_rng.random, self.select_rng.integers
+            explore = [(i, j, pick(count))
+                       for i, counts in enumerate(avail.sum(axis=-1).tolist())
+                       for j, count in enumerate(counts) if draw() < eps]
+            if explore:
+                i, j, k = np.array(explore).T
+                # the explorer's (k + 1)-th available action
+                actions[i, j] = (avail[i, j].cumsum(axis=-1)
+                                 <= k[:, None]).sum(axis=-1)
+        rewards, terminated, _ = batch.step(actions)
+        self.env_steps += runners
         completed = []
-        for i, env in enumerate(self.envs):
-            # one select_rng draw sequence per agent, in agent order
-            actions = np.array(
-                [epsilon_greedy_select(q[i * n + j], avail[i][j], eps,
-                                       self.select_rng)
-                 for j in range(n)], dtype=np.int64)
-            obs, state, reward, terminated, info = env.step(actions)
-            rows = slice(i * n, (i + 1) * n)
-            self._partial[i].append((own[rows], allies[rows], enemies[rows],
-                                     self._state[i], actions, avail[i],
-                                     reward))
-            self.env_steps += 1
-            if terminated:
+        for i in range(runners):
+            self._partial[i].append((own[i], allies[i], enemies[i], state[i],
+                                     actions[i], avail[i], rewards[i]))
+            if terminated[i]:
                 completed.append(Episode(*map(np.stack,
                                               zip(*self._partial[i]))))
                 self._partial[i] = []
-                obs, state = env.reset(
-                    int(self.streams[i].integers(2 ** 31)))
-            self._obs[i] = obs
-            self._state[i] = state
+                env = self.envs[i]
+                env.reset(int(self.streams[i].integers(2 ** 31)))
+                batch.load(i, env)
         return completed
 
 
@@ -534,7 +543,6 @@ def evaluate_net(net, env_factory, episodes: int = 32,
                  seed_base: int = EVAL_SEED_BASE) -> float:
     """Batched-lockstep greedy evaluation of a Q-network."""
     envs = [env_factory(1000 + i) for i in range(episodes)]
-    n = envs[0].cfg.n_allies
     obs = []
     for i, env in enumerate(envs):
         o, _ = env.reset(seed_base + i)
@@ -543,20 +551,17 @@ def evaluate_net(net, env_factory, episodes: int = 32,
     won = np.zeros(episodes, dtype=bool)
     while not done.all():
         active = np.flatnonzero(~done)
-        avails = [envs[i].available_actions() for i in active]
+        avail = np.stack([envs[i].available_actions() for i in active])
         own = np.stack([o.own for i in active for o in obs[i]])
         allies = np.stack([o.allies for i in active for o in obs[i]])
         enemies = np.stack([o.enemies for i in active for o in obs[i]])
         with no_grad():
             q = _net_forward(net, Tensor(own), Tensor(allies),
                              Tensor(enemies), deterministic=True).data
-        q = q.reshape(len(active), n, -1)
+        actions = np.where(avail, q.reshape(avail.shape),
+                           NEG_MASK).argmax(axis=-1)
         for pos, i in enumerate(active):
-            actions = np.array(
-                [int(np.argmax(np.where(avails[pos][j], q[pos, j],
-                                        NEG_MASK)))
-                 for j in range(n)], dtype=np.int64)
-            o, _, _, terminated, info = envs[i].step(actions)
+            o, _, _, terminated, info = envs[i].step(actions[pos])
             obs[i] = o
             if terminated:
                 done[i] = True

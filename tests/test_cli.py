@@ -96,6 +96,24 @@ def test_unknown_architecture_exits_2(tmp_path, capsys):
     assert "transformer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("train_interval", "0"), ("eval_interval", "0"),
+    ("parallel_runners", "0"), ("target_update_interval", "0"),
+    ("epsilon_anneal_steps", "0"), ("batch_episodes", "0"),
+    ("buffer_size", "-1"), ("gamma", "2"),
+])
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key,
+                                                  value):
+    # each of these once hung the run loop or crashed it with a traceback
+    text = re.sub(rf"^{key} = .*$", "", TINY, flags=re.MULTILINE)
+    cfg = write_config(tmp_path, text + f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not out.exists()
+
+
 def test_run_writes_schedule_and_is_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Grid-battle environment: dynamics, masks, rewards, scripted opponents."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from permnet.env import (
     N_MOVE_ACTIONS,
     OWN_FEATURES,
     PRESETS,
+    BattleBatch,
     BattleConfig,
     MicroBattleEnv,
     ShuffleWrapper,
@@ -678,3 +681,85 @@ def test_shuffle_wrapper_draws_fresh_permutations():
         wrapped.reset(k)
         seen.add(tuple(wrapped.enemy_perm.tolist()))
     assert len(seen) > 1
+
+
+# -- battle batch ------------------------------------------------------
+
+
+def attack_minded_actions(avail, rng):
+    """Per agent: an available attack with probability 0.9 when there is
+    one, otherwise any available action, uniformly."""
+    actions = []
+    for row in avail:
+        attacks = np.flatnonzero(row[N_MOVE_ACTIONS:]) + N_MOVE_ACTIONS
+        if attacks.size and rng.random() < 0.9:
+            actions.append(rng.choice(attacks))
+        else:
+            actions.append(rng.choice(np.flatnonzero(row)))
+    return np.array(actions, dtype=np.int64)
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("preset, shuffle", [
+    ("3v3", True), ("5v6", False), ("8v9", True),
+], ids=["3v3-shuffle", "5v6", "8v9-shuffle"])
+def test_battle_batch_matches_scalar_env_bitwise(preset, shuffle):
+    rng = np.random.default_rng(41)
+    seen = dict.fromkeys(["win", "reweighted_win", "loss", "time_limit",
+                          "ally_death", "kill", "blocked_move",
+                          "battle_steps"], 0)
+    # the preset as it is; with reward weights under which the order of
+    # the three reward terms shows in the float bits; with an episode limit
+    # short enough that battles also end on it
+    cfg = PRESETS[preset]
+    configs = (cfg, dataclasses.replace(cfg, kill_bonus=0.7),
+               dataclasses.replace(cfg, episode_limit=12))
+    for cfg, win_key in zip(configs, ("win", "reweighted_win", "win")):
+        envs = [ShuffleWrapper(MicroBattleEnv(cfg),
+                               np.random.default_rng([41, i]))
+                if shuffle else MicroBattleEnv(cfg) for i in range(4)]
+        for env in envs:
+            env.reset(int(rng.integers(2 ** 31)))
+        batch = BattleBatch(envs)
+        for _ in range(200):
+            avail = batch.available_actions()
+            assert_same_bytes(avail, np.stack([env.available_actions()
+                                               for env in envs]))
+            got = batch.observations()
+            for field, column in zip(("own", "allies", "enemies"), got):
+                assert_same_bytes(column, np.stack([
+                    np.stack([getattr(o, field) for o in env.observations()])
+                    for env in envs]))
+            assert_same_bytes(batch.state(),
+                              np.stack([env.state() for env in envs]))
+            actions = np.stack([attack_minded_actions(a, rng) for a in avail])
+            rewards, terminated, win = batch.step(actions)
+            assert rewards.dtype == np.float64
+            for i, env in enumerate(envs):
+                battle = getattr(env, "env", env)
+                ally_hp, enemy_hp = battle.ally_hp, battle.enemy_hp
+                xy_before = np.stack([battle.ally_x, battle.ally_y])
+                _, _, reward, done, info = env.step(actions[i])
+                assert np.float64(reward).tobytes() == rewards[i].tobytes()
+                assert done == terminated[i] and info["win"] == win[i]
+                moved = np.any(np.stack([battle.ally_x, battle.ally_y])
+                               != xy_before, axis=0)
+                moves = (actions[i] >= ACTION_NORTH) & (
+                    actions[i] < N_MOVE_ACTIONS)
+                seen["blocked_move"] += int((moves & ~moved).sum())
+                seen["ally_death"] += int(((ally_hp > 0)
+                                           & (battle.ally_hp == 0)).sum())
+                seen["kill"] += int(((enemy_hp > 0)
+                                     & (battle.enemy_hp == 0)).sum())
+                seen["battle_steps"] += 1
+                if done:
+                    seen[win_key if info["win"] else "time_limit"
+                         if battle.t == cfg.episode_limit else "loss"] += 1
+                    env.reset(int(rng.integers(2 ** 31)))
+                    batch.load(i, env)
+    assert min(seen.values()) > 0, seen
+    assert seen["battle_steps"] >= 2000

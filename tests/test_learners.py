@@ -38,7 +38,6 @@ from permnet.learners import (
     TrainConfig,
     anneal_epsilon,
     augment_experience,
-    epsilon_greedy_select,
     evaluate,
     evaluate_net,
     relabel_episode,
@@ -108,6 +107,10 @@ def test_train_config_validation():
         TrainConfig(gamma=0.0)
     with pytest.raises(ValueError, match="gamma"):
         TrainConfig(gamma=1.5)
+    with pytest.raises(ValueError, match="train_interval"):
+        TrainConfig(train_interval=0)
+    with pytest.raises(ValueError, match="parallel_runners"):
+        TrainConfig(parallel_runners=-2)
 
 
 # -- VDN ---------------------------------------------------------------
@@ -272,30 +275,6 @@ def test_anneal_schedule():
     assert anneal_epsilon(50_000) == pytest.approx(0.525, abs=1e-12)
     assert anneal_epsilon(100_000) == pytest.approx(0.05, abs=1e-12)
     assert anneal_epsilon(250_000) == pytest.approx(0.05, abs=1e-12)
-
-
-def test_epsilon_zero_is_masked_argmax():
-    q = np.array([5.0, 1.0, 3.0, 2.0])
-    avail = np.array([False, True, True, True])
-    assert epsilon_greedy_select(q, avail, 0.0) == 2
-
-
-def test_epsilon_one_is_uniform_over_available():
-    rng = np.random.default_rng(11)
-    q = np.zeros(9)
-    avail = np.zeros(9, dtype=bool)
-    avail[[1, 3, 4, 7]] = True
-    counts = np.zeros(9)
-    for _ in range(100_000):
-        counts[epsilon_greedy_select(q, avail, 1.0, rng)] += 1
-    freqs = counts / 100_000
-    assert counts[~avail].sum() == 0
-    assert np.abs(freqs[[1, 3, 4, 7]] - 0.25).max() < 0.01
-
-
-def test_epsilon_all_unavailable_raises():
-    with pytest.raises(ValueError, match="available"):
-        epsilon_greedy_select(np.zeros(4), np.zeros(4, dtype=bool), 0.0)
 
 
 # -- replay ------------------------------------------------------------
@@ -716,17 +695,231 @@ def test_runner_episodes_replayable():
                 replayed += 1
 
 
+class RandomQNet:
+    """Stand-in agent net: fresh standard-normal Q rows on every forward,
+    each remembered."""
+
+    def __init__(self, n_actions, seed=0):
+        self.rng = np.random.default_rng(seed)
+        self.n_actions = n_actions
+        self.outputs = []
+
+    def forward_batch(self, own, allies, enemies, *, rng=None,
+                      deterministic=True):
+        q = self.rng.standard_normal((own.shape[0], self.n_actions))
+        self.outputs.append(q)
+        return Tensor(q)
+
+
+def record_steps(runner):
+    """Wrap the runner's batch so each tick's (avail, actions) pair is
+    kept."""
+    batch, seen = runner.batch, []
+    avail_of, step = batch.available_actions, batch.step
+
+    def available_actions():
+        seen.append([avail_of()])
+        return seen[-1][0]
+
+    def recording_step(actions):
+        seen[-1].append(np.array(actions))
+        return step(actions)
+
+    batch.available_actions = available_actions
+    batch.step = recording_step
+    return seen
+
+
+def test_runner_greedy_is_masked_argmax():
+    cfg = PRESETS["5v6"]
+    net = RandomQNet(cfg.n_actions)
+    runner = ParallelRunner(
+        small_cfg(parallel_runners=3, epsilon_start=0.0, epsilon_finish=0.0),
+        env_factory_for("5v6", True, 0), net)
+    seen = record_steps(runner)
+    for _ in range(100):
+        runner.tick()
+    masked_away = 0
+    for (avail, actions), q in zip(seen, net.outputs):
+        q = q.reshape(avail.shape)
+        for i, j in np.ndindex(actions.shape):
+            open_actions = np.flatnonzero(avail[i, j])
+            best = open_actions[np.argmax(q[i, j, open_actions])]
+            assert actions[i, j] == best
+            masked_away += not avail[i, j, np.argmax(q[i, j])]
+    assert masked_away > 100
+
+
+def test_runner_exploration_is_uniform_over_available():
+    cfg = PRESETS["3v3"]
+    runner = ParallelRunner(
+        small_cfg(parallel_runners=4, epsilon_start=1.0, epsilon_finish=1.0),
+        plain_env_factory, RandomQNet(cfg.n_actions))
+    seen = record_steps(runner)
+    for _ in range(1500):
+        runner.tick()
+    counts = {}     # open-action count -> how often each rank was chosen
+    for avail, actions in seen:
+        for i, j in np.ndindex(actions.shape):
+            open_actions = np.flatnonzero(avail[i, j])
+            assert avail[i, j, actions[i, j]]
+            rank = np.searchsorted(open_actions, actions[i, j])
+            counts.setdefault(open_actions.size,
+                              np.zeros(open_actions.size))[rank] += 1
+    checked = 0
+    for size, ranks in counts.items():
+        if size > 1 and ranks.sum() >= 2000:
+            assert np.abs(ranks / ranks.sum() - 1 / size).max() < 0.03
+            checked += 1
+    assert checked >= 2
+
+
+def test_runner_rejects_empty_availability_row():
+    runner = ParallelRunner(small_cfg(), plain_env_factory,
+                            RandomQNet(PRESETS["3v3"].n_actions))
+    avail_of = runner.batch.available_actions
+
+    def one_empty_row():
+        avail = avail_of()
+        avail[1, 2] = False
+        return avail
+
+    runner.batch.available_actions = one_empty_row
+    with pytest.raises(ValueError, match="available"):
+        runner.tick()
+
+
+class PerBattleRunner:
+    """The runner as it was before the battle batch: one env.step per
+    battle and one epsilon-greedy choice per agent, each from its own
+    ``ObservationSet``.  The reference for ``ParallelRunner``'s streams."""
+
+    def __init__(self, cfg, env_factory, net):
+        self.cfg = cfg
+        self.net = net
+        self.envs = [env_factory(i) for i in range(cfg.parallel_runners)]
+        self.streams = [np.random.default_rng(cfg.seed ^ i)
+                        for i in range(cfg.parallel_runners)]
+        self.select_rng = np.random.default_rng([cfg.seed, 4])
+        self.env_steps = 0
+        self._partial = [[] for _ in self.envs]
+        self._obs, self._state = [], []
+        for i, env in enumerate(self.envs):
+            obs, state = env.reset(int(self.streams[i].integers(2 ** 31)))
+            self._obs.append(obs)
+            self._state.append(state)
+
+    @staticmethod
+    def select(q, avail, eps, rng):
+        open_actions = np.flatnonzero(avail)
+        if open_actions.size == 0:
+            raise ValueError("no available actions to select from")
+        if eps > 0.0 and rng.random() < eps:
+            return int(open_actions[rng.integers(open_actions.size)])
+        return int(np.argmax(np.where(avail, q, NEG_MASK)))
+
+    def tick(self):
+        n = self.envs[0].cfg.n_allies
+        avail = [env.available_actions() for env in self.envs]
+        own = np.stack([o.own for obs in self._obs for o in obs])
+        allies = np.stack([o.allies for obs in self._obs for o in obs])
+        enemies = np.stack([o.enemies for obs in self._obs for o in obs])
+        with no_grad():
+            q = learners._net_forward(self.net, Tensor(own), Tensor(allies),
+                                      Tensor(enemies)).data
+        eps = anneal_epsilon(self.env_steps, self.cfg.epsilon_start,
+                             self.cfg.epsilon_finish,
+                             self.cfg.epsilon_anneal_steps)
+        completed = []
+        for i, env in enumerate(self.envs):
+            actions = np.array(
+                [self.select(q[i * n + j], avail[i][j], eps, self.select_rng)
+                 for j in range(n)], dtype=np.int64)
+            obs, state, reward, terminated, _ = env.step(actions)
+            rows = slice(i * n, (i + 1) * n)
+            self._partial[i].append((own[rows], allies[rows], enemies[rows],
+                                     self._state[i], actions, avail[i],
+                                     reward))
+            self.env_steps += 1
+            if terminated:
+                completed.append(Episode(*map(np.stack,
+                                              zip(*self._partial[i]))))
+                self._partial[i] = []
+                obs, state = env.reset(
+                    int(self.streams[i].integers(2 ** 31)))
+            self._obs[i] = obs
+            self._state[i] = state
+        return completed
+
+
+def rng_states(runner):
+    """Bit-generator states of every stream a runner draws from."""
+    wrappers = [env._rng for env in runner.envs if hasattr(env, "_rng")]
+    return [g.bit_generator.state
+            for g in [runner.select_rng, *runner.streams, *wrappers]]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("preset, shuffle", [("3v3", True), ("5v6", False)],
+                         ids=["3v3-shuffle", "5v6"])
+def test_tick_matches_per_battle_runner_bitwise(preset, shuffle, eps):
+    cfg = small_cfg(parallel_runners=3, epsilon_start=eps,
+                    epsilon_finish=eps, seed=5)
+    net = net_factory_for("concat", PRESETS[preset])(
+        np.random.default_rng(23))
+    runners = [cls(cfg, env_factory_for(preset, shuffle, 5), net)
+               for cls in (ParallelRunner, PerBattleRunner)]
+    finished = 0
+    for _ in range(150):
+        got, want = (runner.tick() for runner in runners)
+        assert len(got) == len(want)
+        for ep_got, ep_want in zip(got, want):
+            assert_same_arrays(vars(ep_got), vars(ep_want))
+        finished += len(got)
+    assert finished >= 10
+    assert runners[0].env_steps == runners[1].env_steps
+    assert rng_states(runners[0]) == rng_states(runners[1])
+
+
+@pytest.mark.parametrize("arch, mixer, augment, shuffle, preset", [
+    ("concat", "vdn", False, True, "3v3"),
+    ("dpn", "qmix", True, False, "5v6"),
+], ids=["concat-shuffle-3v3", "dpn-qmix-aug-5v6"])
+def test_train_loop_matches_per_battle_runner_bitwise(
+        monkeypatch, arch, mixer, augment, shuffle, preset):
+    learners_built = []
+
+    class RecordingLearner(Learner):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            learners_built.append(self)
+
+    monkeypatch.setattr(learners, "Learner", RecordingLearner)
+    runs = []
+    for runner_cls in (ParallelRunner, PerBattleRunner):
+        monkeypatch.setattr(learners, "ParallelRunner", runner_cls)
+        rows = train_loop(small_cfg(seed=3), env_factory_for(preset, shuffle, 3),
+                          net_factory_for(arch, PRESETS[preset]), mixer=mixer,
+                          augment=augment, eval_interval=200)
+        learner = learners_built[-1]
+        assert learner.train_steps > 0
+        runs.append((repr(rows), {name: p.data.tobytes()
+                                  for name, p in learner.params.items()}))
+    assert runs[0] == runs[1]
+
+
 def test_evaluate_scripted_policies():
     assert evaluate(always_lose_policy, plain_env_factory, episodes=8) == 0.0
     assert evaluate(focus_fire_policy, plain_env_factory, episodes=32) == 1.0
 
 
 def greedy_net_policy(net):
-    """Reference policy: one single-observation forward per agent."""
+    """Reference policy: one single-observation forward and one masked
+    argmax per agent."""
     def policy(env, avail):
         with no_grad():
             return np.array(
-                [epsilon_greedy_select(net.forward(o).data, avail[i], 0.0)
+                [np.argmax(np.where(avail[i], net.forward(o).data, NEG_MASK))
                  for i, o in enumerate(env.observations())], dtype=np.int64)
     return policy
 
