@@ -9,8 +9,8 @@ Each seed trains independently and streams one CSV curve
 percentile columns.
 
 Exit codes: 0 all seeds complete, 2 unknown architecture/mixer/config
-name or invalid config value, 3 unwritable or already-occupied output, 4
-mismatched aggregation grids.
+name, invalid config value or ``--jobs`` below 1, 3 unwritable or
+already-occupied output, 4 mismatched aggregation grids.
 """
 
 from __future__ import annotations
@@ -217,6 +217,9 @@ def run_seed(exp: ExperimentConfig, seed: int, out_dir: str,
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        print(f"bad --jobs {args.jobs}: must be >= 1", file=sys.stderr)
+        return EXIT_BAD_NAME
     try:
         exp = load_config(args.config)
     except ConfigError as err:

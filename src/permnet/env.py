@@ -8,7 +8,11 @@ four moves) followed by one attack action per enemy slot, so agent networks
 can treat entity groups as sets and attack actions as per-entity outputs.
 
 All dynamics are integer-state and rule-based: a (seed, action log) pair
-replays a trajectory bitwise.
+replays a trajectory bitwise.  ``BattleBatch`` is the one implementation of
+the rules, for R battles at once; ``MicroBattleEnv`` is a batch of one for
+single-battle use (evaluation, the scripted policies, the tests) and
+``ShuffleWrapper`` only draws each episode's permutations, which the batch
+row then presents.
 """
 
 from __future__ import annotations
@@ -102,268 +106,433 @@ def chebyshev(x0: int, y0: int, x1: int, y1: int) -> int:
     return max(abs(x0 - x1), abs(y0 - y1))
 
 
-class MicroBattleEnv:
-    """Single battle instance.  reset() then step() until terminal."""
+class BattleBatch:
+    """R battles of one config, stepped together with array ops.
 
-    def __init__(self, cfg: BattleConfig):
+    This is the one implementation of the battle rules.  Row r holds
+    battle r as (R, n) and (R, m) int arrays plus the ally-row and enemy
+    permutations it is presented under (a ``ShuffleWrapper``'s draws, or
+    the identity).  ``available_actions``, ``observations`` and ``step``
+    speak that presented indexing; positions, health and ``state`` keep
+    the true entity order.
+
+    ``reset(i, seed, ...)`` starts a fresh battle in row i.  Rows start
+    finished, and every row must hold a running battle when ``step`` is
+    called, so a caller resets a row before its first step and after it
+    terminates.  ``MicroBattleEnv`` is a batch of one.
+    """
+
+    def __init__(self, cfg: BattleConfig, size: int):
         self.cfg = cfg
-        self.t = 0
         n, m, g = cfg.n_allies, cfg.n_enemies, cfg.grid_size
-        self.ally_x = np.zeros(n, dtype=np.int64)
-        self.ally_y = np.zeros(n, dtype=np.int64)
-        self.ally_hp = np.zeros(n, dtype=np.int64)
-        self.enemy_x = np.zeros(m, dtype=np.int64)
-        self.enemy_y = np.zeros(m, dtype=np.int64)
-        self.enemy_hp = np.zeros(m, dtype=np.int64)
+        self.ally_x = np.zeros((size, n), dtype=np.int64)
+        self.ally_y = np.zeros((size, n), dtype=np.int64)
+        self.ally_hp = np.zeros((size, n), dtype=np.int64)
+        self.enemy_x = np.zeros((size, m), dtype=np.int64)
+        self.enemy_y = np.zeros((size, m), dtype=np.int64)
+        self.enemy_hp = np.zeros((size, m), dtype=np.int64)
+        self.t = np.zeros(size, dtype=np.int64)
+        self.enemy_perm = np.zeros((size, m), dtype=np.int64)
+        # ally group rows as true ally indices: row (r, p, k) is the ally
+        # that observer p sees in presented slot k
+        self._ally_rows = np.zeros((size, n, n - 1), dtype=np.int64)
+        # presented action -> true action, per battle
+        self._true_action = np.zeros((size, cfg.n_actions), dtype=np.int64)
+        self._true_action[:, :N_MOVE_ACTIONS] = np.arange(N_MOVE_ACTIONS)
+        self._done = np.ones(size, dtype=bool)
         self._last_avail: np.ndarray | None = None
-        self._done = True
+        self._rows = np.arange(size)[:, None]
+        self._agents = np.arange(n)
+        # occupancy grids: battle r's cell (x, y) is flat cell
+        # r * w * w + (x + 1) * w + y + 1 of a (g + 2) x (g + 2) grid whose
+        # border cells (x or y in {-1, g}) are walls, always occupied
+        self._width = g + 2
+        self._cell_base = self._rows * self._width ** 2
+        walls = np.ones((size, self._width, self._width), dtype=bool)
+        walls[:, 1:-1, 1:-1] = False
+        self._walls = walls.reshape(-1)
         self._norm = float(g - 1)
         self._others = other_ally_index(n)
+        # (dx, dy) of every true action index; zero for non-moves
+        self._dx = np.zeros(cfg.n_actions, dtype=np.int64)
+        self._dy = np.zeros(cfg.n_actions, dtype=np.int64)
+        for a, (dx, dy) in _MOVE_DELTAS.items():
+            self._dx[a], self._dy[a] = dx, dy
+        # the ally line's cells relative to its first row: one column on
+        # the left wall, or two (filled row by row) when one would not fit
+        if n <= g:
+            self._line_x = np.zeros(n, dtype=np.int64)
+            self._line_y = np.arange(n)
+        else:
+            self._line_x = np.arange(n) % 2
+            self._line_y = np.arange(n) // 2
+        self._line_starts = g - int(self._line_y[-1])
 
     # -- lifecycle -----------------------------------------------------
-    def reset(self, seed: int):
-        """Place allies as a contiguous line hugging the left wall and
-        enemies at scattered cells in the right four columns, both
-        deterministic from the seed; everyone at full health.
+    def reset(self, i: int, seed: int, ally_perm=None, enemy_perm=None):
+        """Start a fresh battle in row i, placed from ``default_rng(seed)``:
+        the ally line's first row (one ``integers`` draw), then distinct
+        enemy cells in the right four columns (one ``choice`` without
+        replacement); everyone at full health.  The row is presented under
+        ``ally_perm`` / ``enemy_perm`` (presented row k is true row
+        perm[k]), the identity by default.
 
         The asymmetry is deliberate: the ally line forms a mutually
         supporting front, while scattered enemies arrive in staggered
         waves that a coordinated team can defeat piecemeal.
         """
         cfg = self.cfg
-        rng = np.random.default_rng(seed)
         g = cfg.grid_size
-        n = cfg.n_allies
-        if n <= g:
-            r0 = int(rng.integers(0, g - n + 1))
-            ally_cells = [(0, r0 + j) for j in range(n)]
-        else:
-            rows = (n + 1) // 2
-            r0 = int(rng.integers(0, g - rows + 1))
-            ally_cells = [(x, r0 + j) for j in range(rows) for x in (0, 1)][:n]
-        right = [(x, y) for x in range(g - 4, g) for y in range(g)]
-        picks = rng.choice(len(right), size=cfg.n_enemies, replace=False)
-        for i, (x, y) in enumerate(ally_cells):
-            self.ally_x[i], self.ally_y[i] = x, y
-        for i, c in enumerate(picks):
-            self.enemy_x[i], self.enemy_y[i] = right[c]
-        self.ally_hp[:] = cfg.max_health
-        self.enemy_hp[:] = cfg.max_health
-        self.t = 0
-        self._done = False
+        rng = np.random.default_rng(seed)
+        self.ally_x[i] = self._line_x
+        self.ally_y[i] = rng.integers(0, self._line_starts) + self._line_y
+        # right-column cell c is (g - 4 + c // g, c % g)
+        cells = rng.choice(4 * g, size=cfg.n_enemies, replace=False)
+        self.enemy_x[i] = g - 4 + cells // g
+        self.enemy_y[i] = cells % g
+        self.ally_hp[i] = cfg.max_health
+        self.enemy_hp[i] = cfg.max_health
+        self.t[i] = 0
+        self._done[i] = False
+        if ally_perm is None:
+            ally_perm = np.arange(cfg.n_allies - 1)
+        if enemy_perm is None:
+            enemy_perm = np.arange(cfg.n_enemies)
+        self.enemy_perm[i] = enemy_perm
+        self._ally_rows[i] = self._others[:, ally_perm]
+        self._true_action[i, N_MOVE_ACTIONS:] = N_MOVE_ACTIONS + enemy_perm
         self._last_avail = None
-        return self.observations(), self.state()
 
     # -- views ---------------------------------------------------------
-    def ally_alive(self) -> np.ndarray:
-        return self.ally_hp > 0
-
-    def enemy_alive(self) -> np.ndarray:
-        return self.enemy_hp > 0
+    def _presented_enemies(self):
+        """Enemy x, y, hp as (R, m) arrays in each battle's presented order."""
+        rows, perm = self._rows, self.enemy_perm
+        return (self.enemy_x[rows, perm], self.enemy_y[rows, perm],
+                self.enemy_hp[rows, perm])
 
     def state(self) -> np.ndarray:
-        """Global state: one (x, y, health, alive) block per entity,
-        allies first, normalized like observations; dead rows all-zero."""
+        """(R, state_dim) global states: one (x, y, health, alive) block
+        per entity, allies first, normalized like observations, dead rows
+        all-zero; in true entity order (a wrapper does not permute the
+        state)."""
         cfg = self.cfg
-        rows = []
-        for x, y, hp in ((self.ally_x, self.ally_y, self.ally_hp),
-                         (self.enemy_x, self.enemy_y, self.enemy_hp)):
-            block = np.zeros((len(hp), ENTITY_FEATURES))
-            live = hp > 0
-            block[live, 0] = x[live] / self._norm
-            block[live, 1] = y[live] / self._norm
-            block[live, 2] = hp[live] / cfg.max_health
-            block[live, 3] = 1.0
-            rows.append(block)
-        return np.concatenate(rows).reshape(-1)
+        xs = np.concatenate([self.ally_x, self.enemy_x], axis=1)
+        ys = np.concatenate([self.ally_y, self.enemy_y], axis=1)
+        hps = np.concatenate([self.ally_hp, self.enemy_hp], axis=1)
+        live = hps > 0
+        block = np.zeros(hps.shape + (ENTITY_FEATURES,))
+        block[live, 0] = xs[live] / self._norm
+        block[live, 1] = ys[live] / self._norm
+        block[live, 2] = hps[live] / cfg.max_health
+        block[live, 3] = 1.0
+        return block.reshape(len(hps), -1)
 
-    def observations(self) -> list[ObservationSet]:
-        """Per-agent views into (n, ...) arrays built for all allies at once."""
+    def observations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """own (R, n, OWN_FEATURES), allies (R, n, n - 1, ENTITY_FEATURES)
+        and enemies (R, n, m, ENTITY_FEATURES), group rows presented."""
         cfg = self.cfg
         live = self.ally_hp > 0
-        own = np.zeros((cfg.n_allies, OWN_FEATURES))
+        own = np.zeros(live.shape + (OWN_FEATURES,))
         own[live, 0] = self.ally_x[live] / self._norm
         own[live, 1] = self.ally_y[live] / self._norm
         own[live, 2] = self.ally_hp[live] / cfg.max_health
-        every_ally = self._relative_rows(live, self.ally_x, self.ally_y,
-                                         self.ally_hp)
-        allies = every_ally[np.arange(cfg.n_allies)[:, None], self._others]
-        enemies = self._relative_rows(live, self.enemy_x, self.enemy_y,
-                                      self.enemy_hp)
-        return [ObservationSet(own[i], allies[i], enemies[i])
-                for i in range(cfg.n_allies)]
+        rows = self._rows[:, :, None]
+        allies = self._relative_rows(
+            live, self.ally_x[rows, self._ally_rows],
+            self.ally_y[rows, self._ally_rows],
+            self.ally_hp[rows, self._ally_rows])
+        ex, ey, ehp = self._presented_enemies()
+        enemies = self._relative_rows(live, ex[:, None], ey[:, None],
+                                      ehp[:, None])
+        return own, allies, enemies
 
     def _relative_rows(self, observer_live, xs, ys, hps) -> np.ndarray:
-        """(n_allies, len(hps), ENTITY_FEATURES) rows of every entity as
-        seen by every ally; all-zero for a dead entity or observer."""
-        seen = observer_live[:, None] & (hps > 0)[None, :]
+        """(R, n, k, ENTITY_FEATURES) rows of entities (xs, ys, hps
+        broadcast to (R, n, k)) as seen by every ally; all-zero for a dead
+        entity or observer."""
+        seen = observer_live[:, :, None] & (hps > 0)
         rows = np.zeros(seen.shape + (ENTITY_FEATURES,))
-        rows[..., 0] = (xs[None, :] - self.ally_x[:, None]) / self._norm
-        rows[..., 1] = (ys[None, :] - self.ally_y[:, None]) / self._norm
+        rows[..., 0] = (xs - self.ally_x[:, :, None]) / self._norm
+        rows[..., 1] = (ys - self.ally_y[:, :, None]) / self._norm
         rows[..., 2] = hps / self.cfg.max_health
         rows[..., 3] = 1.0
         rows[~seen] = 0.0
         return rows
 
     def available_actions(self) -> np.ndarray:
-        """(n_allies, n_actions) boolean mask.  Dead agents may only noop;
-        living agents may stop, move to any in-bounds cell, and attack any
-        living enemy within attack range."""
+        """(R, n, n_actions) boolean masks, attack columns presented.
+        Dead agents may only noop; living agents may stop, move to any
+        in-bounds cell, and attack any living enemy within attack range."""
         cfg = self.cfg
-        mask = np.zeros((cfg.n_allies, cfg.n_actions), dtype=bool)
         g = cfg.grid_size
-        for i in range(cfg.n_allies):
-            if self.ally_hp[i] <= 0:
-                mask[i, ACTION_NOOP] = True
-                continue
-            mask[i, ACTION_STOP] = True
-            x, y = int(self.ally_x[i]), int(self.ally_y[i])
-            mask[i, ACTION_NORTH] = y + 1 < g
-            mask[i, ACTION_SOUTH] = y - 1 >= 0
-            mask[i, ACTION_EAST] = x + 1 < g
-            mask[i, ACTION_WEST] = x - 1 >= 0
-            for e in range(cfg.n_enemies):
-                mask[i, N_MOVE_ACTIONS + e] = (
-                    self.enemy_hp[e] > 0
-                    and chebyshev(x, y, int(self.enemy_x[e]),
-                                  int(self.enemy_y[e])) <= cfg.attack_range)
+        x, y = self.ally_x, self.ally_y
+        live = self.ally_hp > 0
+        mask = np.empty(live.shape + (cfg.n_actions,), dtype=bool)
+        mask[..., ACTION_NOOP] = ~live
+        mask[..., ACTION_STOP] = live
+        mask[..., ACTION_NORTH] = live & (y + 1 < g)
+        mask[..., ACTION_SOUTH] = live & (y - 1 >= 0)
+        mask[..., ACTION_EAST] = live & (x + 1 < g)
+        mask[..., ACTION_WEST] = live & (x - 1 >= 0)
+        ex, ey, ehp = self._presented_enemies()
+        dist = np.maximum(np.abs(ex[:, None, :] - x[:, :, None]),
+                          np.abs(ey[:, None, :] - y[:, :, None]))
+        mask[..., N_MOVE_ACTIONS:] = (live[:, :, None] & (ehp > 0)[:, None, :]
+                                      & (dist <= cfg.attack_range))
         self._last_avail = mask
         return mask
 
-    def _occupied(self) -> set[tuple[int, int]]:
-        cells = set()
-        for j in range(self.cfg.n_allies):
-            if self.ally_hp[j] > 0:
-                cells.add((int(self.ally_x[j]), int(self.ally_y[j])))
-        for j in range(self.cfg.n_enemies):
-            if self.enemy_hp[j] > 0:
-                cells.add((int(self.enemy_x[j]), int(self.enemy_y[j])))
-        return cells
+    def _cells(self, xs, ys) -> np.ndarray:
+        """Flat occupancy-grid cells of (R, ...) positions."""
+        return self._cell_base + (xs + 1) * self._width + ys + 1
+
+    def _occupancy(self) -> np.ndarray:
+        """Flat occupancy grids: the walls plus the cells living units
+        stand on."""
+        grid = self._walls.copy()
+        grid[self._cells(self.ally_x, self.ally_y)[self.ally_hp > 0]] = True
+        grid[self._cells(self.enemy_x, self.enemy_y)[self.enemy_hp > 0]] = True
+        return grid
+
+    def _move_in_order(self, grid, xs, ys, dx, dy, go):
+        """Move unit after unit, in index order, by (R, k) steps (dx, dy)
+        where ``go`` holds and the destination cell is free at that
+        moment; updates positions and the grid."""
+        # (k, R): one contiguous row per unit
+        src = self._cells(xs, ys).T
+        dst = src + (dx * self._width + dy).T
+        moved = np.zeros(src.shape, dtype=bool)
+        for unit in np.flatnonzero(go.any(axis=0)):
+            moves = go[:, unit] & ~grid[dst[unit]]
+            grid[src[unit, moves]] = False
+            grid[dst[unit, moves]] = True
+            moved[unit] = moves
+        xs += dx * moved.T
+        ys += dy * moved.T
 
     # -- dynamics ------------------------------------------------------
     def step(self, actions):
-        """Resolve one tick: ally moves (index order, collision keeps the
-        mover in place), simultaneous ally attacks, scripted enemy phase,
-        then terminal checks.  Reward counts only ally-dealt damage, enemy
-        kills, and the win bonus."""
+        """One tick of every battle from (R, n) presented actions: ally
+        moves (index order, collision keeps the mover in place),
+        simultaneous ally attacks, the scripted enemy phase, then terminal
+        checks.  Reward counts only ally-dealt damage, enemy kills and the
+        win bonus.
+
+        Returns (rewards (R,), terminated (R,), win (R,)).  Every row must
+        hold a running battle: ``reset`` a row after it terminates.
+        """
         cfg = self.cfg
-        if self._done:
-            raise RuntimeError("step() on a finished episode; call reset()")
+        if self._done.any():
+            raise RuntimeError(
+                f"step() on a finished episode in battle "
+                f"{np.flatnonzero(self._done)[0]}; reset it first")
         actions = np.asarray(actions, dtype=np.int64)
-        if actions.shape != (cfg.n_allies,):
-            raise ValueError(f"expected {cfg.n_allies} actions, got {actions.shape}")
+        if actions.shape != self.ally_hp.shape:
+            raise ValueError(f"expected {self.ally_hp.shape} actions, got "
+                             f"{actions.shape}")
         avail = self._last_avail if self._last_avail is not None \
             else self.available_actions()
-        for i, a in enumerate(actions):
-            if not (0 <= a < cfg.n_actions) or not avail[i, a]:
-                raise ValueError(f"action {int(a)} not available for agent {i}")
+        known = (actions >= 0) & (actions < cfg.n_actions)
+        allowed = known & avail[self._rows, self._agents,
+                                np.where(known, actions, 0)]
+        if not allowed.all():
+            battle, agent = np.argwhere(~allowed)[0]
+            raise ValueError(f"action {actions[battle, agent]} not available "
+                             f"for agent {agent} in battle {battle}")
+        actions = self._true_action[self._rows, actions]
+        live = self.ally_hp > 0
 
         # phase 1: ally moves, agent-index order
-        occupied = self._occupied()
-        for i, a in enumerate(actions):
-            if a in _MOVE_DELTAS and self.ally_hp[i] > 0:
-                dx, dy = _MOVE_DELTAS[int(a)]
-                src = (int(self.ally_x[i]), int(self.ally_y[i]))
-                dst = (src[0] + dx, src[1] + dy)
-                if dst not in occupied:
-                    occupied.discard(src)
-                    occupied.add(dst)
-                    self.ally_x[i], self.ally_y[i] = dst
+        grid = self._occupancy()
+        dx, dy = self._dx[actions], self._dy[actions]
+        self._move_in_order(grid, self.ally_x, self.ally_y, dx, dy,
+                            live & ((dx != 0) | (dy != 0)))
 
         # phase 2: simultaneous ally attacks
-        incoming = np.zeros(cfg.n_enemies, dtype=np.int64)
-        for i, a in enumerate(actions):
-            if a >= N_MOVE_ACTIONS and self.ally_hp[i] > 0:
-                incoming[a - N_MOVE_ACTIONS] += cfg.attack_damage
-        before = self.enemy_hp.copy()
-        self.enemy_hp = np.maximum(0, self.enemy_hp - incoming)
-        damage_dealt = int((before - self.enemy_hp).sum())
-        kills = int(((before > 0) & (self.enemy_hp == 0)).sum())
-
+        attacking = live & (actions >= N_MOVE_ACTIONS)
+        targets = actions - N_MOVE_ACTIONS
+        hits = attacking[:, :, None] & (
+            targets[:, :, None] == np.arange(cfg.n_enemies))
+        before = self.enemy_hp
+        self.enemy_hp = np.maximum(
+            0, before - cfg.attack_damage * hits.sum(axis=1))
+        damage_dealt = (before - self.enemy_hp).sum(axis=1)
+        killed = (before > 0) & (self.enemy_hp == 0)
+        kills = killed.sum(axis=1)
         reward = cfg.damage_scale * damage_dealt + cfg.kill_bonus * kills
-        win = not self.enemy_alive().any()
+        win = ~(self.enemy_hp > 0).any(axis=1)
 
-        # phase 3: scripted enemies (skipped once they are all dead)
-        if not win:
-            self._enemy_phase()
+        # phase 3: scripted enemies (a won battle has none left to act);
+        # the units just killed free their cells
+        grid[self._cells(self.enemy_x, self.enemy_y)[killed]] = False
+        self._enemy_turn(grid)
 
         self.t += 1
-        terminated = win or not self.ally_alive().any() \
-            or self.t >= cfg.episode_limit
-        if win:
-            reward += cfg.win_bonus
+        terminated = win | ~(self.ally_hp > 0).any(axis=1) \
+            | (self.t >= cfg.episode_limit)
+        reward = np.where(win, reward + cfg.win_bonus, reward)
         self._done = terminated
         self._last_avail = None
-        info = {"win": win}
-        return self.observations(), self.state(), float(reward), terminated, info
+        return reward, terminated, win
 
-    def _enemy_phase(self):
-        intents = scripted_enemy_policy(self)
-        # moves first, enemy-index order, same collision rule as allies
-        occupied = self._occupied()
-        for e, intent in intents:
-            if intent[0] == "move":
-                dx, dy = intent[1], intent[2]
-                src = (int(self.enemy_x[e]), int(self.enemy_y[e]))
-                dst = (src[0] + dx, src[1] + dy)
-                if dst not in occupied:
-                    occupied.discard(src)
-                    occupied.add(dst)
-                    self.enemy_x[e], self.enemy_y[e] = dst
-        # then simultaneous attacks
-        incoming = np.zeros(self.cfg.n_allies, dtype=np.int64)
-        for e, intent in intents:
-            if intent[0] == "attack":
-                incoming[intent[1]] += self.cfg.attack_damage
-        self.ally_hp = np.maximum(0, self.ally_hp - incoming)
+    def _enemy_turn(self, grid):
+        """The scripted enemy rule for every enemy of every battle.
+
+        Each living enemy attacks the lowest-index living ally in attack
+        range.  Otherwise it targets the nearest living ally (lowest index
+        on distance ties) and takes the move minimizing the resulting
+        Chebyshev distance, skipping occupied or out-of-bounds cells; move
+        ties prefer the x-axis and then the negative direction, and staying
+        put is the last resort.  Intents are judged against one snapshot
+        (the occupancy grid as the ally phase left it); then enemies move
+        in index order, under the allies' collision rule, and attack
+        simultaneously."""
+        cfg = self.cfg
+        g = cfg.grid_size
+        ax, ay, ex, ey = self.ally_x, self.ally_y, self.enemy_x, self.enemy_y
+        ally_live = self.ally_hp > 0
+        enemy_live = self.enemy_hp > 0
+        # (R, m, n) distances from every enemy to every ally
+        dist = np.maximum(np.abs(ex[:, :, None] - ax[:, None, :]),
+                          np.abs(ey[:, :, None] - ay[:, None, :]))
+        pair = enemy_live[:, :, None] & ally_live[:, None, :]
+        in_range = pair & (dist <= cfg.attack_range)
+        attacks = in_range.any(axis=2)
+        victim = in_range.argmax(axis=2)          # lowest index in range
+        pursuing = enemy_live & ~attacks & ally_live.any(axis=1)[:, None]
+        far = np.where(pair, dist, 2 * g)
+        target = far.argmin(axis=2)               # nearest, lowest index
+        best_d = far.min(axis=2)
+        tx, ty = ax[self._rows, target], ay[self._rows, target]
+        # pursue: of the free cells one step away (walls are never free),
+        # the one closest to the target (first in preference order on
+        # ties), if no farther than now (a diagonal offset cannot be
+        # strictly reduced by a single axis step); (4, R, m) candidates in
+        # preference order
+        nx = ex + _PURSUIT_DX[:, None, None]
+        ny = ey + _PURSUIT_DY[:, None, None]
+        free = ~grid[self._cells(nx, ny)]
+        score = np.where(free, np.maximum(np.abs(nx - tx), np.abs(ny - ty)),
+                         2 * g)
+        choice = score.argmin(axis=0)
+        go = pursuing & (score.min(axis=0) <= best_d)
+        self._move_in_order(grid, ex, ey, _PURSUIT_DX[choice] * go,
+                            _PURSUIT_DY[choice] * go, go)
+        hits = attacks[:, :, None] & (
+            victim[:, :, None] == np.arange(cfg.n_allies))
+        self.ally_hp = np.maximum(
+            0, self.ally_hp - cfg.attack_damage * hits.sum(axis=1))
 
 
-def scripted_enemy_policy(env: MicroBattleEnv):
-    """Deterministic enemy rule.
+def _row0(name: str) -> property:
+    return property(lambda self: getattr(self.batch, name)[0],
+                    doc=f"Row 0 of the batch's ``{name}`` (a writable view).")
 
-    Each living enemy attacks the lowest-index living ally in attack range.
-    Otherwise it targets the nearest living ally (lowest index on distance
-    ties) and takes the move minimizing the resulting Chebyshev distance,
-    skipping occupied or out-of-bounds cells; move ties prefer the x-axis
-    and then the negative direction, and staying put is the last resort.
 
-    Returns a list of (enemy_index, intent) with intent one of
-    ("attack", ally_index), ("move", dx, dy), ("stop",).
+class MicroBattleEnv:
+    """Single battle instance: a ``BattleBatch`` of one, driven through
+    its row 0.  reset() then step() until terminal.
+
+    ``ally_x`` ... ``enemy_hp`` are views of the battle's arrays (the
+    scripted policies read them; tests place units by writing them) and
+    ``t`` is its tick count.
     """
-    cfg = env.cfg
-    intents = []
-    occupied = env._occupied()
-    live_allies = [i for i in range(cfg.n_allies) if env.ally_hp[i] > 0]
-    for e in range(cfg.n_enemies):
-        if env.enemy_hp[e] <= 0 or not live_allies:
-            continue
-        ex, ey = int(env.enemy_x[e]), int(env.enemy_y[e])
-        dists = [(chebyshev(ex, ey, int(env.ally_x[i]), int(env.ally_y[i])), i)
-                 for i in live_allies]
-        in_range = [i for d, i in dists if d <= cfg.attack_range]
-        if in_range:
-            intents.append((e, ("attack", min(in_range))))
-            continue
-        best_d, target = min(dists)
-        tx, ty = int(env.ally_x[target]), int(env.ally_y[target])
-        # pursue: take the unblocked move minimizing the resulting distance,
-        # accepting equal-distance moves (a diagonal offset cannot be
-        # strictly reduced by a single axis step); stay as last resort
-        best = ("stop",)
-        best_score = best_d + 1
-        for a in _ENEMY_MOVE_PREFERENCE:
-            dx, dy = _MOVE_DELTAS[a]
-            nx, ny = ex + dx, ey + dy
-            if not (0 <= nx < cfg.grid_size and 0 <= ny < cfg.grid_size):
-                continue
-            if (nx, ny) in occupied:
-                continue
-            score = chebyshev(nx, ny, tx, ty)
-            if score < best_score and score <= best_d:
-                best_score = score
-                best = ("move", dx, dy)
-        intents.append((e, best))
-    return intents
+
+    ally_x = _row0("ally_x")
+    ally_y = _row0("ally_y")
+    ally_hp = _row0("ally_hp")
+    enemy_x = _row0("enemy_x")
+    enemy_y = _row0("enemy_y")
+    enemy_hp = _row0("enemy_hp")
+
+    def __init__(self, cfg: BattleConfig):
+        self.cfg = cfg
+        self.batch = BattleBatch(cfg, 1)
+
+    @property
+    def t(self) -> int:
+        return int(self.batch.t[0])
+
+    # -- lifecycle -----------------------------------------------------
+    def reset_into(self, batch: BattleBatch, i: int, seed: int):
+        """Start a fresh battle from ``seed`` in row i of ``batch``."""
+        batch.reset(i, seed)
+
+    def reset(self, seed: int):
+        """Start a fresh battle from ``seed``; returns (observations,
+        state)."""
+        self.reset_into(self.batch, 0, seed)
+        return self.observations(), self.state()
+
+    # -- views ---------------------------------------------------------
+    def state(self) -> np.ndarray:
+        return self.batch.state()[0]
+
+    def observations(self) -> list[ObservationSet]:
+        """Per-agent views into the batch's (1, n, ...) arrays."""
+        own, allies, enemies = self.batch.observations()
+        return [ObservationSet(own[0, i], allies[0, i], enemies[0, i])
+                for i in range(self.cfg.n_allies)]
+
+    def available_actions(self) -> np.ndarray:
+        """(n_allies, n_actions) boolean mask."""
+        return self.batch.available_actions()[0]
+
+    # -- dynamics ------------------------------------------------------
+    def step(self, actions):
+        """One tick from n actions; returns (observations, state, reward,
+        terminated, {"win": ...})."""
+        actions = np.asarray(actions, dtype=np.int64)
+        if actions.shape != (self.cfg.n_allies,):
+            raise ValueError(f"expected {self.cfg.n_allies} actions, got "
+                             f"{actions.shape}")
+        rewards, terminated, win = self.batch.step(actions[None])
+        return (self.observations(), self.state(), float(rewards[0]),
+                bool(terminated[0]), {"win": bool(win[0])})
+
+
+class ShuffleWrapper:
+    """Presents the env under fixed per-episode group permutations.
+
+    Each reset draws an ally-row permutation and then an enemy permutation
+    from the wrapper's own stream and hands both to the battle's batch
+    row, which applies them to every observation's group rows and to the
+    attack-action indexing and masks for the whole episode (the wrapped
+    env, sharing that row, presents the same view).  The underlying
+    episode is semantically identical; the wrapper only relabels what the
+    agents see.  The drawn permutations are exposed as ``ally_perm`` /
+    ``enemy_perm`` (presented row r is true row perm[r]).
+    """
+
+    def __init__(self, env: MicroBattleEnv, rng: np.random.Generator):
+        self.env = env
+        self.cfg = env.cfg
+        self._rng = rng
+        self.ally_perm = np.arange(max(env.cfg.n_allies - 1, 0))
+        self.enemy_perm = np.arange(env.cfg.n_enemies)
+
+    def reset_into(self, batch: BattleBatch, i: int, seed: int):
+        """Draw this episode's permutations and start a fresh battle from
+        ``seed`` in row i of ``batch``, presented under them."""
+        self.ally_perm = self._rng.permutation(self.cfg.n_allies - 1)
+        self.enemy_perm = self._rng.permutation(self.cfg.n_enemies)
+        batch.reset(i, seed, self.ally_perm, self.enemy_perm)
+
+    def reset(self, seed: int):
+        self.reset_into(self.env.batch, 0, seed)
+        return self.env.observations(), self.env.state()
+
+    def observations(self) -> list[ObservationSet]:
+        return self.env.observations()
+
+    def available_actions(self) -> np.ndarray:
+        return self.env.available_actions()
+
+    def state(self) -> np.ndarray:
+        return self.env.state()
+
+    def step(self, actions):
+        return self.env.step(actions)
 
 
 def _assign_focus_attacks(env: MicroBattleEnv, avail: np.ndarray) -> dict[int, int]:
@@ -475,323 +644,3 @@ def always_lose_policy(env: MicroBattleEnv, avail: np.ndarray) -> np.ndarray:
     actions = np.full(env.cfg.n_allies, ACTION_STOP, dtype=np.int64)
     actions[env.ally_hp <= 0] = ACTION_NOOP
     return actions
-
-
-class ShuffleWrapper:
-    """Presents the env under fixed per-episode group permutations.
-
-    Each reset draws an ally-row permutation and an enemy permutation from
-    the wrapper's own stream and applies them to every observation's group
-    rows and to the attack-action indexing and masks for the whole episode.
-    The underlying episode is semantically identical; the wrapper only
-    relabels what the agents see.  The drawn permutations are exposed as
-    ``ally_perm`` / ``enemy_perm`` (presented row r is true row perm[r]).
-    """
-
-    def __init__(self, env: MicroBattleEnv, rng: np.random.Generator):
-        self.env = env
-        self.cfg = env.cfg
-        self._rng = rng
-        self.ally_perm = np.arange(max(env.cfg.n_allies - 1, 0))
-        self.enemy_perm = np.arange(env.cfg.n_enemies)
-
-    def reset(self, seed: int):
-        self.ally_perm = self._rng.permutation(self.cfg.n_allies - 1)
-        self.enemy_perm = self._rng.permutation(self.cfg.n_enemies)
-        obs, state = self.env.reset(seed)
-        return [self._wrap_obs(o) for o in obs], state
-
-    def _wrap_obs(self, obs: ObservationSet) -> ObservationSet:
-        return ObservationSet(obs.own, obs.allies[self.ally_perm],
-                              obs.enemies[self.enemy_perm])
-
-    def observations(self) -> list[ObservationSet]:
-        return [self._wrap_obs(o) for o in self.env.observations()]
-
-    def available_actions(self) -> np.ndarray:
-        mask = self.env.available_actions()
-        out = mask.copy()
-        out[:, N_MOVE_ACTIONS:] = mask[:, N_MOVE_ACTIONS + self.enemy_perm]
-        return out
-
-    def state(self) -> np.ndarray:
-        return self.env.state()
-
-    def step(self, actions):
-        actions = np.asarray(actions, dtype=np.int64).copy()
-        attack = actions >= N_MOVE_ACTIONS
-        actions[attack] = N_MOVE_ACTIONS + \
-            self.enemy_perm[actions[attack] - N_MOVE_ACTIONS]
-        obs, state, reward, terminated, info = self.env.step(actions)
-        return [self._wrap_obs(o) for o in obs], state, reward, terminated, info
-
-
-class BattleBatch:
-    """R battles of one config stepped together with array ops.
-
-    Row r holds battle r as (R, n) and (R, m) int arrays plus the ally-row
-    and enemy permutations it is presented under (a ``ShuffleWrapper``'s,
-    or the identity for a bare env).  ``available_actions``,
-    ``observations`` and ``step`` speak that presented indexing, exactly as
-    each wrapper would, and follow ``MicroBattleEnv``'s rules bit for bit;
-    the scalar env is the reference the batch is tested against.
-
-    The batch never resets a battle: the caller resets its own env (or
-    wrapper), so seeds and permutation draws stay in that object's stream,
-    and ``load`` copies the fresh battle into its row.
-    """
-
-    def __init__(self, envs: list):
-        cfg = envs[0].cfg
-        self.cfg = cfg
-        r, n, m = len(envs), cfg.n_allies, cfg.n_enemies
-        self.ally_x = np.zeros((r, n), dtype=np.int64)
-        self.ally_y = np.zeros((r, n), dtype=np.int64)
-        self.ally_hp = np.zeros((r, n), dtype=np.int64)
-        self.enemy_x = np.zeros((r, m), dtype=np.int64)
-        self.enemy_y = np.zeros((r, m), dtype=np.int64)
-        self.enemy_hp = np.zeros((r, m), dtype=np.int64)
-        self.t = np.zeros(r, dtype=np.int64)
-        self.enemy_perm = np.zeros((r, m), dtype=np.int64)
-        # ally group rows as true ally indices: row (r, p, k) is the ally
-        # that observer p sees in presented slot k
-        self._ally_rows = np.zeros((r, n, n - 1), dtype=np.int64)
-        # presented action -> true action, per battle
-        self._true_action = np.zeros((r, cfg.n_actions), dtype=np.int64)
-        self._done = np.ones(r, dtype=bool)
-        self._last_avail: np.ndarray | None = None
-        self._rows = np.arange(r)[:, None]
-        self._agents = np.arange(n)
-        # battle r's cell (x, y) is flat cell r * g * g + x * g + y
-        self._cell_base = self._rows * cfg.grid_size ** 2
-        self._norm = float(cfg.grid_size - 1)
-        self._others = other_ally_index(n)
-        # (dx, dy) of every true action index; zero for non-moves
-        self._dx = np.zeros(cfg.n_actions, dtype=np.int64)
-        self._dy = np.zeros(cfg.n_actions, dtype=np.int64)
-        for a, (dx, dy) in _MOVE_DELTAS.items():
-            self._dx[a], self._dy[a] = dx, dy
-        for i, env in enumerate(envs):
-            self.load(i, env)
-
-    def load(self, i: int, env):
-        """Copy a freshly reset env (or ShuffleWrapper) into row i."""
-        cfg = self.cfg
-        if isinstance(env, ShuffleWrapper):
-            battle, ally_perm, enemy_perm = env.env, env.ally_perm, env.enemy_perm
-        else:
-            battle = env
-            ally_perm = np.arange(cfg.n_allies - 1)
-            enemy_perm = np.arange(cfg.n_enemies)
-        self.ally_x[i], self.ally_y[i] = battle.ally_x, battle.ally_y
-        self.ally_hp[i] = battle.ally_hp
-        self.enemy_x[i], self.enemy_y[i] = battle.enemy_x, battle.enemy_y
-        self.enemy_hp[i] = battle.enemy_hp
-        self.t[i] = battle.t
-        self._done[i] = battle._done
-        self.enemy_perm[i] = enemy_perm
-        self._ally_rows[i] = self._others[:, ally_perm]
-        self._true_action[i, :N_MOVE_ACTIONS] = np.arange(N_MOVE_ACTIONS)
-        self._true_action[i, N_MOVE_ACTIONS:] = N_MOVE_ACTIONS + enemy_perm
-        self._last_avail = None
-
-    # -- views ---------------------------------------------------------
-    def _presented_enemies(self):
-        """Enemy x, y, hp as (R, m) arrays in each battle's presented order."""
-        rows, perm = self._rows, self.enemy_perm
-        return (self.enemy_x[rows, perm], self.enemy_y[rows, perm],
-                self.enemy_hp[rows, perm])
-
-    def state(self) -> np.ndarray:
-        """(R, state_dim) global states, in true entity order (a wrapper
-        does not permute the state)."""
-        cfg = self.cfg
-        xs = np.concatenate([self.ally_x, self.enemy_x], axis=1)
-        ys = np.concatenate([self.ally_y, self.enemy_y], axis=1)
-        hps = np.concatenate([self.ally_hp, self.enemy_hp], axis=1)
-        live = hps > 0
-        block = np.zeros(hps.shape + (ENTITY_FEATURES,))
-        block[live, 0] = xs[live] / self._norm
-        block[live, 1] = ys[live] / self._norm
-        block[live, 2] = hps[live] / cfg.max_health
-        block[live, 3] = 1.0
-        return block.reshape(len(hps), -1)
-
-    def observations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """own (R, n, OWN_FEATURES), allies (R, n, n - 1, ENTITY_FEATURES)
-        and enemies (R, n, m, ENTITY_FEATURES), group rows presented."""
-        cfg = self.cfg
-        live = self.ally_hp > 0
-        own = np.zeros(live.shape + (OWN_FEATURES,))
-        own[live, 0] = self.ally_x[live] / self._norm
-        own[live, 1] = self.ally_y[live] / self._norm
-        own[live, 2] = self.ally_hp[live] / cfg.max_health
-        rows = self._rows[:, :, None]
-        allies = self._relative_rows(
-            live, self.ally_x[rows, self._ally_rows],
-            self.ally_y[rows, self._ally_rows],
-            self.ally_hp[rows, self._ally_rows])
-        ex, ey, ehp = self._presented_enemies()
-        enemies = self._relative_rows(live, ex[:, None], ey[:, None],
-                                      ehp[:, None])
-        return own, allies, enemies
-
-    def _relative_rows(self, observer_live, xs, ys, hps) -> np.ndarray:
-        """(R, n, k, ENTITY_FEATURES) rows of entities (xs, ys, hps
-        broadcast to (R, n, k)) as seen by every ally; all-zero for a dead
-        entity or observer."""
-        seen = observer_live[:, :, None] & (hps > 0)
-        rows = np.zeros(seen.shape + (ENTITY_FEATURES,))
-        rows[..., 0] = (xs - self.ally_x[:, :, None]) / self._norm
-        rows[..., 1] = (ys - self.ally_y[:, :, None]) / self._norm
-        rows[..., 2] = hps / self.cfg.max_health
-        rows[..., 3] = 1.0
-        rows[~seen] = 0.0
-        return rows
-
-    def available_actions(self) -> np.ndarray:
-        """(R, n, n_actions) boolean masks under the same rules as
-        ``MicroBattleEnv.available_actions``, attack columns presented."""
-        cfg = self.cfg
-        g = cfg.grid_size
-        x, y = self.ally_x, self.ally_y
-        live = self.ally_hp > 0
-        mask = np.empty(live.shape + (cfg.n_actions,), dtype=bool)
-        mask[..., ACTION_NOOP] = ~live
-        mask[..., ACTION_STOP] = live
-        mask[..., ACTION_NORTH] = live & (y + 1 < g)
-        mask[..., ACTION_SOUTH] = live & (y - 1 >= 0)
-        mask[..., ACTION_EAST] = live & (x + 1 < g)
-        mask[..., ACTION_WEST] = live & (x - 1 >= 0)
-        ex, ey, ehp = self._presented_enemies()
-        dist = np.maximum(np.abs(ex[:, None, :] - x[:, :, None]),
-                          np.abs(ey[:, None, :] - y[:, :, None]))
-        mask[..., N_MOVE_ACTIONS:] = (live[:, :, None] & (ehp > 0)[:, None, :]
-                                      & (dist <= cfg.attack_range))
-        self._last_avail = mask
-        return mask
-
-    def _cells(self, xs, ys) -> np.ndarray:
-        """Flat occupancy-grid cells of (R, k) positions."""
-        return self._cell_base + xs * self.cfg.grid_size + ys
-
-    def _occupancy(self) -> np.ndarray:
-        """Flat (R * grid_size ** 2) flags of the cells living units
-        stand on."""
-        grid = np.zeros(self._cell_base.size * self.cfg.grid_size ** 2,
-                        dtype=bool)
-        grid[self._cells(self.ally_x, self.ally_y)[self.ally_hp > 0]] = True
-        grid[self._cells(self.enemy_x, self.enemy_y)[self.enemy_hp > 0]] = True
-        return grid
-
-    def _move_in_order(self, grid, xs, ys, dx, dy, go):
-        """Move unit after unit, in index order, by (R, k) steps (dx, dy)
-        where ``go`` holds and the destination cell is free at that
-        moment; updates positions and the grid."""
-        cells = self._cells(xs, ys)
-        shift = dx * self.cfg.grid_size + dy
-        for unit in np.flatnonzero(go.any(axis=0)):
-            src = cells[:, unit]
-            dst = src + shift[:, unit]
-            moves = go[:, unit] & ~grid[dst]
-            grid[src[moves]] = False
-            grid[dst[moves]] = True
-            xs[:, unit] += dx[:, unit] * moves
-            ys[:, unit] += dy[:, unit] * moves
-
-    # -- dynamics ------------------------------------------------------
-    def step(self, actions):
-        """One tick of every battle from (R, n) presented actions.
-
-        Returns (rewards (R,), terminated (R,), win (R,)).  Every row must
-        hold a running battle: ``load`` a reset battle into a row after it
-        terminates.
-        """
-        cfg = self.cfg
-        if self._done.any():
-            raise RuntimeError("step() on a finished battle; load a reset "
-                               "battle into its row")
-        actions = np.asarray(actions, dtype=np.int64)
-        if actions.shape != self.ally_hp.shape:
-            raise ValueError(f"expected {self.ally_hp.shape} actions, got "
-                             f"{actions.shape}")
-        avail = self._last_avail if self._last_avail is not None \
-            else self.available_actions()
-        known = (actions >= 0) & (actions < cfg.n_actions)
-        if not (known & avail[self._rows, self._agents,
-                              np.where(known, actions, 0)]).all():
-            raise ValueError("action not available")
-        actions = self._true_action[self._rows, actions]
-        live = self.ally_hp > 0
-
-        # phase 1: ally moves, agent-index order
-        grid = self._occupancy()
-        dx, dy = self._dx[actions], self._dy[actions]
-        self._move_in_order(grid, self.ally_x, self.ally_y, dx, dy,
-                            live & ((dx != 0) | (dy != 0)))
-
-        # phase 2: simultaneous ally attacks
-        attacking = live & (actions >= N_MOVE_ACTIONS)
-        targets = actions - N_MOVE_ACTIONS
-        hits = attacking[:, :, None] & (
-            targets[:, :, None] == np.arange(cfg.n_enemies))
-        before = self.enemy_hp
-        self.enemy_hp = np.maximum(
-            0, before - cfg.attack_damage * hits.sum(axis=1))
-        damage_dealt = (before - self.enemy_hp).sum(axis=1)
-        killed = (before > 0) & (self.enemy_hp == 0)
-        kills = killed.sum(axis=1)
-        reward = cfg.damage_scale * damage_dealt + cfg.kill_bonus * kills
-        win = ~(self.enemy_hp > 0).any(axis=1)
-
-        # phase 3: scripted enemies (a won battle has none left to act);
-        # the units just killed free their cells
-        grid[self._cells(self.enemy_x, self.enemy_y)[killed]] = False
-        self._enemy_phase(grid)
-
-        self.t += 1
-        terminated = win | ~(self.ally_hp > 0).any(axis=1) \
-            | (self.t >= cfg.episode_limit)
-        reward = np.where(win, reward + cfg.win_bonus, reward)
-        self._done = terminated
-        self._last_avail = None
-        return reward, terminated, win
-
-    def _enemy_phase(self, grid):
-        """``scripted_enemy_policy`` for every enemy of every battle, judged
-        against one snapshot (the occupancy grid as the ally phase left
-        it), then moves in enemy-index order and simultaneous attacks."""
-        cfg = self.cfg
-        g = cfg.grid_size
-        ax, ay, ex, ey = self.ally_x, self.ally_y, self.enemy_x, self.enemy_y
-        ally_live = self.ally_hp > 0
-        enemy_live = self.enemy_hp > 0
-        # (R, m, n) distances from every enemy to every ally
-        dist = np.maximum(np.abs(ex[:, :, None] - ax[:, None, :]),
-                          np.abs(ey[:, :, None] - ay[:, None, :]))
-        pair = enemy_live[:, :, None] & ally_live[:, None, :]
-        in_range = pair & (dist <= cfg.attack_range)
-        attacks = in_range.any(axis=2)
-        victim = in_range.argmax(axis=2)          # lowest index in range
-        pursuing = enemy_live & ~attacks & ally_live.any(axis=1)[:, None]
-        far = np.where(pair, dist, 2 * g)
-        target = far.argmin(axis=2)               # nearest, lowest index
-        best_d = far.min(axis=2)
-        tx, ty = ax[self._rows, target], ay[self._rows, target]
-        # pursue: of the free in-bounds cells one step away, the one closest
-        # to the target (first in preference order on ties), if no farther
-        # than now; (4, R, m) candidates in preference order
-        nx = ex + _PURSUIT_DX[:, None, None]
-        ny = ey + _PURSUIT_DY[:, None, None]
-        inside = (nx >= 0) & (nx < g) & (ny >= 0) & (ny < g)
-        free = inside & ~grid[np.where(inside, self._cells(nx, ny), 0)]
-        score = np.where(free, np.maximum(np.abs(nx - tx), np.abs(ny - ty)),
-                         2 * g)
-        choice = score.argmin(axis=0)
-        go = pursuing & (score.min(axis=0) <= best_d)
-        self._move_in_order(grid, ex, ey, _PURSUIT_DX[choice] * go,
-                            _PURSUIT_DY[choice] * go, go)
-        hits = attacks[:, :, None] & (
-            victim[:, :, None] == np.arange(cfg.n_allies))
-        self.ally_hp = np.maximum(
-            0, self.ally_hp - cfg.attack_damage * hits.sum(axis=1))

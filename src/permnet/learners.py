@@ -109,21 +109,10 @@ class TrainConfig:
 # mixers
 # ---------------------------------------------------------------------------
 
-def vdn_mix(per_agent_q):
-    """Team value as the sum of per-agent chosen-action values.
-
-    Accepts a list of scalar tensors (or floats) or a single tensor whose
-    last axis indexes agents; the sum runs over that axis.
-    """
-    if isinstance(per_agent_q, Tensor):
-        return reduce_sum(per_agent_q, axis=-1)
-    if len(per_agent_q) == 0:
-        raise ValueError("nothing to mix: empty per-agent value list")
-    total = None
-    for q in per_agent_q:
-        q = q if isinstance(q, Tensor) else Tensor(q)
-        total = q if total is None else add(total, q)
-    return total
+def vdn_mix(per_agent_q: Tensor) -> Tensor:
+    """Team value as the sum of per-agent chosen-action values over the
+    last axis, which indexes agents."""
+    return reduce_sum(per_agent_q, axis=-1)
 
 
 class QmixMixer(Module):
@@ -446,11 +435,11 @@ class ParallelRunner:
     All runners' battles live in one ``BattleBatch`` and step together
     once per tick: one acting forward over every agent, one masked argmax,
     and exploration draws from one shared stream in (runner, agent) order,
-    so collection is deterministic.  Resets stay per battle: runner i's
-    env (``envs[i]``, from ``env_factory(i)``) is reset with seeds drawn
-    from ``streams[i]``, seeded with seed XOR i, and then copied into the
-    batch, which alone holds the live battle; ``envs[i]`` keeps the state
-    of its last reset.
+    so collection is deterministic.  Runner i's battle is row i of
+    ``batch``, reset in place through ``envs[i].reset_into`` (``envs[i]``
+    from ``env_factory(i)``; a ``ShuffleWrapper`` draws the episode's
+    permutations from its own stream) with seeds drawn from
+    ``streams[i]``, seeded with seed XOR i.  ``envs[i]`` holds no battle.
     """
 
     def __init__(self, cfg: TrainConfig, env_factory, net):
@@ -462,9 +451,9 @@ class ParallelRunner:
         self.select_rng = np.random.default_rng([cfg.seed, 4])
         self.env_steps = 0
         self._partial = [[] for _ in self.envs]
-        for env, stream in zip(self.envs, self.streams):
-            env.reset(int(stream.integers(2 ** 31)))
-        self.batch = BattleBatch(self.envs)
+        self.batch = BattleBatch(self.envs[0].cfg, cfg.parallel_runners)
+        for i, (env, stream) in enumerate(zip(self.envs, self.streams)):
+            env.reset_into(self.batch, i, int(stream.integers(2 ** 31)))
 
     def tick(self) -> list:
         """Advance every environment one step; return finished episodes."""
@@ -509,9 +498,8 @@ class ParallelRunner:
                 completed.append(Episode(*map(np.stack,
                                               zip(*self._partial[i]))))
                 self._partial[i] = []
-                env = self.envs[i]
-                env.reset(int(self.streams[i].integers(2 ** 31)))
-                batch.load(i, env)
+                self.envs[i].reset_into(
+                    batch, i, int(self.streams[i].integers(2 ** 31)))
         return completed
 
 

@@ -198,6 +198,16 @@ def test_bad_seed_lists_exit_2_naming_their_source(tmp_path, monkeypatch,
     assert "bad PERMNET_SEED list: 'y'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bad_jobs_exits_2_naming_the_flag(tmp_path, capsys, jobs):
+    # --jobs 0 once trained every seed serially without a word
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+    assert f"bad --jobs {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parallel_jobs(tmp_path):
     cfg = write_config(tmp_path, TINY.replace("seeds = 0", "seeds = 0 1"))
     out = tmp_path / "out"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permnet import env as production
 from permnet.env import (
     ACTION_EAST,
     ACTION_NOOP,
@@ -25,8 +26,9 @@ from permnet.env import (
     always_lose_policy,
     chebyshev,
     focus_fire_policy,
-    scripted_enemy_policy,
 )
+
+import battle_reference as ref
 
 
 def make_env(**kw):
@@ -34,17 +36,18 @@ def make_env(**kw):
 
 
 def place(env, allies, enemies, ally_hp=None, enemy_hp=None):
-    """Overwrite positions/health to build a hand-crafted scenario."""
+    """Reset ``env`` (a battle or its shuffle wrapper), then overwrite the
+    battle's positions/health to build a hand-crafted scenario."""
     env.reset(0)
+    battle = getattr(env, "env", env)
     for i, (x, y) in enumerate(allies):
-        env.ally_x[i], env.ally_y[i] = x, y
+        battle.ally_x[i], battle.ally_y[i] = x, y
     for e, (x, y) in enumerate(enemies):
-        env.enemy_x[e], env.enemy_y[e] = x, y
+        battle.enemy_x[e], battle.enemy_y[e] = x, y
     if ally_hp is not None:
-        env.ally_hp[:] = ally_hp
+        battle.ally_hp[:] = ally_hp
     if enemy_hp is not None:
-        env.enemy_hp[:] = enemy_hp
-    env._last_avail = None
+        battle.enemy_hp[:] = enemy_hp
     return env
 
 
@@ -427,19 +430,27 @@ def test_episode_limit_terminates_without_win():
 # -- scripted enemies --------------------------------------------------
 
 
+def hold_step(env):
+    """One step in which every living ally holds (stop) and dead ones
+    noop, so only the scripted enemies act."""
+    env.step(np.where(env.ally_hp > 0, ACTION_STOP, ACTION_NOOP))
+
+
 def test_enemy_attacks_adjacent_ally():
     env = make_env()
     place(env, [(4, 4), (0, 0), (0, 1)], [(5, 5), (7, 0), (7, 1)])
-    intents = dict(scripted_enemy_policy(env))
-    assert intents[0] == ("attack", 0)
+    hold_step(env)
+    hit = env.cfg.max_health - env.cfg.attack_damage
+    assert env.ally_hp.tolist() == [hit, 6, 6]
 
 
 def test_enemy_attacks_lowest_index_in_range():
     env = make_env()
     place(env, [(4, 4), (4, 5), (6, 5)], [(5, 5), (7, 0), (7, 1)])
     # enemy 0 adjacent to allies 0, 1, 2: picks 0
-    intents = dict(scripted_enemy_policy(env))
-    assert intents[0] == ("attack", 0)
+    hold_step(env)
+    hit = env.cfg.max_health - env.cfg.attack_damage
+    assert env.ally_hp.tolist() == [hit, 6, 6]
 
 
 def test_enemy_pursues_nearest_ally_lowest_index_tie():
@@ -447,8 +458,8 @@ def test_enemy_pursues_nearest_ally_lowest_index_tie():
     place(env, [(1, 2), (5, 2), (0, 7)], [(3, 2), (7, 7), (7, 6)],
           ally_hp=[6, 6, 0])
     # allies 0 and 1 both at distance 2; target must be ally 0 (west move)
-    intents = dict(scripted_enemy_policy(env))
-    assert intents[0] == ("move", -1, 0)
+    hold_step(env)
+    assert (int(env.enemy_x[0]), int(env.enemy_y[0])) == (2, 2)
 
 
 def test_enemy_move_prefers_x_axis_then_negative():
@@ -456,8 +467,8 @@ def test_enemy_move_prefers_x_axis_then_negative():
     # ally diagonal down-left: west and south both keep distance 2
     place(env, [(1, 2), (0, 0), (0, 1)], [(3, 4), (7, 7), (7, 6)],
           ally_hp=[6, 0, 0])
-    intents = dict(scripted_enemy_policy(env))
-    assert intents[0] == ("move", -1, 0)
+    hold_step(env)
+    assert (int(env.enemy_x[0]), int(env.enemy_y[0])) == (2, 4)
 
 
 def test_enemy_blocked_stays():
@@ -466,8 +477,17 @@ def test_enemy_blocked_stays():
     env = make_env(n_enemies=4)
     place(env, [(2, 2), (0, 6), (0, 7)],
           [(4, 2), (3, 2), (4, 3), (4, 1)])
-    intents = dict(scripted_enemy_policy(env))
-    assert intents[0] == ("stop",)
+    hold_step(env)
+    assert (int(env.enemy_x[0]), int(env.enemy_y[0])) == (4, 2)
+
+
+def test_enemy_blocked_takes_next_preferred_move():
+    # west (distance 1) is occupied by enemy 1, which attacks; of the
+    # moves that keep distance 2, south comes first
+    env = make_env()
+    place(env, [(2, 2), (0, 6), (0, 7)], [(4, 2), (3, 2), (7, 7)])
+    hold_step(env)
+    assert (int(env.enemy_x[0]), int(env.enemy_y[0])) == (4, 1)
 
 
 def test_enemy_distance_never_increases():
@@ -620,9 +640,9 @@ def test_shuffle_wrapper_exposes_permutations():
 
 def test_shuffle_wrapper_permutes_rows_and_masks():
     env = make_env()
-    wrapped = ShuffleWrapper(env, np.random.default_rng(1))
+    wrapped = ShuffleWrapper(make_env(), np.random.default_rng(1))
     obs_w, _ = wrapped.reset(4)
-    obs_t = env.observations()
+    obs_t, _ = env.reset(4)
     mask_t = env.available_actions()
     mask_w = wrapped.available_actions()
     ap, ep = wrapped.ally_perm, wrapped.enemy_perm
@@ -636,18 +656,17 @@ def test_shuffle_wrapper_permutes_rows_and_masks():
 
 
 def test_shuffle_wrapper_translates_attacks():
-    env = make_env()
-    place(env, [(4, 4), (0, 0), (0, 1)], [(7, 7), (5, 4), (7, 6)],
+    wrapped = ShuffleWrapper(make_env(), np.random.default_rng(2))
+    place(wrapped, [(4, 4), (0, 0), (0, 1)], [(7, 7), (5, 4), (7, 6)],
           enemy_hp=[6, 2, 6])
-    wrapped = ShuffleWrapper(env, np.random.default_rng(2))
-    # choose a permutation by hand: presented slot j is true enemy perm[j]
-    wrapped.enemy_perm = np.array([2, 1, 0])
-    wrapped.ally_perm = np.array([0, 1])
+    # presented slot j is true enemy perm[j]; true enemy 1, the adjacent
+    # one, is presented in another slot under this stream's draw
+    slot = int(np.flatnonzero(wrapped.enemy_perm == 1)[0])
+    assert slot != 1
     mask = wrapped.available_actions()
-    # true enemy 1 is adjacent; it is presented in slot 1 here
-    assert mask[0, N_MOVE_ACTIONS + 1]
-    wrapped.step([N_MOVE_ACTIONS + 1, ACTION_STOP, ACTION_STOP])
-    assert env.enemy_hp[1] == 0
+    assert np.flatnonzero(mask[0, N_MOVE_ACTIONS:]).tolist() == [slot]
+    wrapped.step([N_MOVE_ACTIONS + slot, ACTION_STOP, ACTION_STOP])
+    assert wrapped.env.enemy_hp.tolist() == [6, 0, 6]
 
 
 def test_shuffle_wrapper_episode_semantics_unchanged():
@@ -704,6 +723,73 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def battles(cfg, shuffle, count, stream):
+    """``count`` production battles and as many frozen reference ones; the
+    i-th pair's wrappers draw from equal streams."""
+    def make(module, i):
+        env = module.MicroBattleEnv(cfg)
+        return (module.ShuffleWrapper(env, np.random.default_rng([stream, i]))
+                if shuffle else env)
+    return ([make(production, i) for i in range(count)],
+            [make(ref, i) for i in range(count)])
+
+
+def assert_same_draws(envs, refs):
+    """Wrappers drew the same permutations and left their streams in the
+    same state."""
+    for env, want in zip(envs, refs):
+        if isinstance(want, ref.ShuffleWrapper):
+            assert_same_bytes(env.ally_perm, want.ally_perm)
+            assert_same_bytes(env.enemy_perm, want.enemy_perm)
+            assert (env._rng.bit_generator.state
+                    == want._rng.bit_generator.state)
+
+
+def assert_row_matches(batch, i, want):
+    """Row i of the batch presents what reference env (or wrapper)
+    ``want`` shows: masks, observations and state, bitwise."""
+    assert_same_bytes(batch.available_actions()[i], want.available_actions())
+    for field, column in zip(("own", "allies", "enemies"),
+                             batch.observations()):
+        assert_same_bytes(column[i], np.stack(
+            [getattr(o, field) for o in want.observations()]))
+    assert_same_bytes(batch.state()[i], want.state())
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["plain", "shuffle"])
+@pytest.mark.parametrize("cfg", [
+    PRESETS["3v3"], PRESETS["5v6"], PRESETS["8v9"],
+    BattleConfig(grid_size=6, n_allies=9, n_enemies=4),
+], ids=["3v3", "5v6", "8v9", "9-allies-two-columns"])
+def test_battle_batch_reset_matches_reference_bitwise(cfg, shuffle):
+    # 250 fresh placements per config, reset in place into a batch row
+    # (as the runner does) and through a facade's reset (as evaluation
+    # does), against the frozen scalar reset
+    envs, refs = battles(cfg, shuffle, 4, stream=43)
+    single, batch = envs.pop(), BattleBatch(cfg, 3)
+    columns = set()
+    for seed in range(250):
+        i = seed % 3
+        envs[i].reset_into(batch, i, seed)
+        refs[i].reset(seed)
+        battle = getattr(refs[i], "env", refs[i])
+        for name in ("ally_x", "ally_y", "ally_hp", "enemy_x", "enemy_y",
+                     "enemy_hp"):
+            assert_same_bytes(getattr(batch, name)[i], getattr(battle, name))
+        assert batch.t[i] == battle.t == 0
+        assert_row_matches(batch, i, refs[i])
+        obs, state = single.reset(seed)
+        want_obs, want_state = refs[3].reset(seed)
+        assert_same_bytes(state, want_state)
+        for got, want in zip(obs, want_obs, strict=True):
+            for field in ("own", "allies", "enemies"):
+                assert_same_bytes(getattr(got, field), getattr(want, field))
+        columns.add(frozenset(battle.ally_x.tolist()))
+        assert_same_draws(envs + [single], refs)
+    assert columns == ({frozenset({0, 1})} if cfg.n_allies > cfg.grid_size
+                       else {frozenset({0})})
+
+
 @pytest.mark.parametrize("preset, shuffle", [
     ("3v3", True), ("5v6", False), ("8v9", True),
 ], ids=["3v3-shuffle", "5v6", "8v9-shuffle"])
@@ -719,31 +805,28 @@ def test_battle_batch_matches_scalar_env_bitwise(preset, shuffle):
     configs = (cfg, dataclasses.replace(cfg, kill_bonus=0.7),
                dataclasses.replace(cfg, episode_limit=12))
     for cfg, win_key in zip(configs, ("win", "reweighted_win", "win")):
-        envs = [ShuffleWrapper(MicroBattleEnv(cfg),
-                               np.random.default_rng([41, i]))
-                if shuffle else MicroBattleEnv(cfg) for i in range(4)]
-        for env in envs:
-            env.reset(int(rng.integers(2 ** 31)))
-        batch = BattleBatch(envs)
+        envs, refs = battles(cfg, shuffle, 4, stream=41)
+        batch = BattleBatch(cfg, 4)
+
+        def reset(i):
+            seed = int(rng.integers(2 ** 31))
+            envs[i].reset_into(batch, i, seed)
+            refs[i].reset(seed)
+
+        for i in range(4):
+            reset(i)
         for _ in range(200):
+            for i, want in enumerate(refs):
+                assert_row_matches(batch, i, want)
             avail = batch.available_actions()
-            assert_same_bytes(avail, np.stack([env.available_actions()
-                                               for env in envs]))
-            got = batch.observations()
-            for field, column in zip(("own", "allies", "enemies"), got):
-                assert_same_bytes(column, np.stack([
-                    np.stack([getattr(o, field) for o in env.observations()])
-                    for env in envs]))
-            assert_same_bytes(batch.state(),
-                              np.stack([env.state() for env in envs]))
             actions = np.stack([attack_minded_actions(a, rng) for a in avail])
             rewards, terminated, win = batch.step(actions)
             assert rewards.dtype == np.float64
-            for i, env in enumerate(envs):
-                battle = getattr(env, "env", env)
+            for i, want in enumerate(refs):
+                battle = getattr(want, "env", want)
                 ally_hp, enemy_hp = battle.ally_hp, battle.enemy_hp
                 xy_before = np.stack([battle.ally_x, battle.ally_y])
-                _, _, reward, done, info = env.step(actions[i])
+                _, _, reward, done, info = want.step(actions[i])
                 assert np.float64(reward).tobytes() == rewards[i].tobytes()
                 assert done == terminated[i] and info["win"] == win[i]
                 moved = np.any(np.stack([battle.ally_x, battle.ally_y])
@@ -759,7 +842,36 @@ def test_battle_batch_matches_scalar_env_bitwise(preset, shuffle):
                 if done:
                     seen[win_key if info["win"] else "time_limit"
                          if battle.t == cfg.episode_limit else "loss"] += 1
-                    env.reset(int(rng.integers(2 ** 31)))
-                    batch.load(i, env)
+                    reset(i)
+        assert_same_draws(envs, refs)
     assert min(seen.values()) > 0, seen
     assert seen["battle_steps"] >= 2000
+
+
+def test_battle_batch_step_names_the_offending_battle():
+    cfg = PRESETS["3v3"]
+    batch = BattleBatch(cfg, 3)
+    stop = np.full((3, cfg.n_allies), ACTION_STOP)
+    batch.reset(0, 0)
+    batch.reset(2, 2)
+    with pytest.raises(RuntimeError, match="finished episode in battle 1"):
+        batch.step(stop)
+    batch.reset(1, 1)
+    with pytest.raises(ValueError, match=r"expected \(3, 3\) actions"):
+        batch.step(stop[:2])
+    # nobody is in range at a fresh placement, so no attack is available
+    actions = stop.copy()
+    actions[2, 0] = N_MOVE_ACTIONS
+    actions[2, 1] = 99
+    actions[1, 2] = -1
+    with pytest.raises(ValueError, match=r"^action -1 not available for "
+                                         r"agent 2 in battle 1$"):
+        batch.step(actions)
+    actions[1, 2] = ACTION_STOP
+    with pytest.raises(ValueError, match=r"^action 6 not available for "
+                                         r"agent 0 in battle 2$"):
+        batch.step(actions)
+    # a rejected step changes nothing
+    assert batch.t.tolist() == [0, 0, 0]
+    rewards, terminated, _ = batch.step(stop)
+    assert batch.t.tolist() == [1, 1, 1] and not terminated.any()

@@ -46,6 +46,8 @@ from permnet.learners import (
     vdn_mix,
 )
 
+import battle_reference as ref
+
 K = ENTITY_FEATURES
 
 
@@ -117,17 +119,16 @@ def test_train_config_validation():
 
 
 def test_vdn_mix_examples():
-    assert vdn_mix([1.0, 2.0, 3.0]).item() == 6.0
-    assert vdn_mix([0.0, 0.0, 0.0]).item() == 0.0
-    with pytest.raises(ValueError, match="empty"):
-        vdn_mix([])
+    assert vdn_mix(Tensor(np.array([1.0, 2.0, 3.0]))).item() == 6.0
+    assert vdn_mix(Tensor(np.zeros(3))).item() == 0.0
 
 
 def test_vdn_mix_permutation_invariant():
     rng = np.random.default_rng(0)
-    values = list(rng.normal(size=5))
-    base = vdn_mix(values).item()
-    assert vdn_mix(values[::-1]).item() == pytest.approx(base, abs=1e-12)
+    values = rng.normal(size=5)
+    base = vdn_mix(Tensor(values)).item()
+    assert vdn_mix(Tensor(values[::-1].copy())).item() == pytest.approx(
+        base, abs=1e-12)
 
 
 def test_vdn_mix_tensor_axis_form():
@@ -651,15 +652,16 @@ class SeedLoggingEnv(MicroBattleEnv):
         super().__init__(cfg)
         self.seeds = []
 
-    def reset(self, seed):
+    def reset_into(self, batch, i, seed):
         self.seeds.append(seed)
-        return super().reset(seed)
+        super().reset_into(batch, i, seed)
 
 
 def assert_replays(cfg, seed, episode):
-    """Stepping a fresh env with the recorded actions reproduces every
-    recorded field bitwise and ends exactly at the last recorded step."""
-    env = MicroBattleEnv(cfg)
+    """Stepping a fresh frozen reference env with the recorded actions
+    reproduces every recorded field bitwise and ends exactly at the last
+    recorded step."""
+    env = ref.MicroBattleEnv(cfg)
     obs, state = env.reset(seed)
     for t in range(len(episode)):
         recorded = {name: column[t] for name, column in vars(episode).items()
@@ -789,10 +791,21 @@ def test_runner_rejects_empty_availability_row():
         runner.tick()
 
 
+def reference_env_factory(preset, shuffle, run_seed):
+    """``cli.env_factory_for`` over the frozen reference env and wrapper:
+    same configs, same wrapper streams."""
+    cfg = PRESETS[preset]
+    if not shuffle:
+        return lambda tag: ref.MicroBattleEnv(cfg)
+    return lambda tag: ref.ShuffleWrapper(
+        ref.MicroBattleEnv(cfg), np.random.default_rng([run_seed, 17, tag]))
+
+
 class PerBattleRunner:
     """The runner as it was before the battle batch: one env.step per
     battle and one epsilon-greedy choice per agent, each from its own
-    ``ObservationSet``.  The reference for ``ParallelRunner``'s streams."""
+    ``ObservationSet``.  The reference for ``ParallelRunner``'s streams;
+    run it on ``reference_env_factory`` envs."""
 
     def __init__(self, cfg, env_factory, net):
         self.cfg = cfg
@@ -867,8 +880,9 @@ def test_tick_matches_per_battle_runner_bitwise(preset, shuffle, eps):
                     epsilon_finish=eps, seed=5)
     net = net_factory_for("concat", PRESETS[preset])(
         np.random.default_rng(23))
-    runners = [cls(cfg, env_factory_for(preset, shuffle, 5), net)
-               for cls in (ParallelRunner, PerBattleRunner)]
+    runners = [cls(cfg, factory(preset, shuffle, 5), net)
+               for cls, factory in ((ParallelRunner, env_factory_for),
+                                    (PerBattleRunner, reference_env_factory))]
     finished = 0
     for _ in range(150):
         got, want = (runner.tick() for runner in runners)
@@ -896,9 +910,11 @@ def test_train_loop_matches_per_battle_runner_bitwise(
 
     monkeypatch.setattr(learners, "Learner", RecordingLearner)
     runs = []
-    for runner_cls in (ParallelRunner, PerBattleRunner):
+    # the reference run also evaluates on the frozen reference envs
+    for runner_cls, factory in ((ParallelRunner, env_factory_for),
+                                (PerBattleRunner, reference_env_factory)):
         monkeypatch.setattr(learners, "ParallelRunner", runner_cls)
-        rows = train_loop(small_cfg(seed=3), env_factory_for(preset, shuffle, 3),
+        rows = train_loop(small_cfg(seed=3), factory(preset, shuffle, 3),
                           net_factory_for(arch, PRESETS[preset]), mixer=mixer,
                           augment=augment, eval_interval=200)
         learner = learners_built[-1]
