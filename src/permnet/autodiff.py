@@ -66,9 +66,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
 
@@ -94,10 +91,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        """Leaf view of the same values, cut out of the graph."""
-        return Tensor(self.data)
 
     def backward(self, seed=None):
         """Reverse-mode pass from this tensor.
@@ -545,24 +538,19 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState,
-              grads: dict[str, np.ndarray] | None = None):
-    """One Adam update over named parameters.
+def adam_step(params: dict[str, Tensor], state: AdamState):
+    """One Adam update over named parameters from each tensor's
+    accumulated ``.grad``.
 
-    Gradients come from ``grads`` when given, else from each tensor's
-    accumulated ``.grad``.  Parameters with no gradient are treated as
-    zero-gradient (their moments still decay).  NaN gradients abort,
-    naming the parameter.
+    Parameters with no gradient are treated as zero-gradient (their
+    moments still decay).  NaN gradients abort, naming the parameter.
     """
     state.step += 1
     t = state.step
     bias1 = 1.0 - state.beta1 ** t
     bias2 = 1.0 - state.beta2 ** t
     for name, p in params.items():
-        if grads is not None:
-            g = grads.get(name)
-        else:
-            g = p.grad
+        g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
         if np.any(np.isnan(g)):

@@ -77,9 +77,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown preset {self.preset!r}; choose from "
                 f"{', '.join(PRESETS)}", token=self.preset)
-        if self.eval_interval < 1:
-            raise ValueError(
-                f"eval_interval must be >= 1, got {self.eval_interval}")
+        for name in ("eval_interval", "augment_copies"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.tag:
             parts = [self.architecture, self.mixer]
             if self.augment:
@@ -92,8 +93,11 @@ class ExperimentConfig:
 
 def _parse_seeds(text: str) -> tuple:
     """Seeds separated by commas and/or whitespace; ValueError if one is
-    not an integer."""
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+    not an integer or there are none."""
+    seeds = tuple(int(tok) for tok in text.replace(",", " ").split())
+    if not seeds:
+        raise ValueError(f"no seeds in {text!r}")
+    return seeds
 
 
 def _parse_value(key: str, value: str, kind: type):
@@ -101,7 +105,8 @@ def _parse_value(key: str, value: str, kind: type):
         try:
             return _parse_seeds(value)
         except ValueError:
-            raise ConfigError(f"bad seed list {value!r}", token=value)
+            raise ConfigError(f"bad seed list {value!r} for {key}",
+                              token=value)
     if kind is bool:
         lowered = value.lower()
         if lowered in ("true", "1", "yes", "on"):

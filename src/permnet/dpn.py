@@ -26,7 +26,6 @@ from .autodiff import (
     one_hot,
     relu,
     reshape,
-    straight_through,
     take_index,
 )
 from .env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES
@@ -95,10 +94,8 @@ def generate_permutation_matrix(net: DpnNet, X: Tensor,
         slot = np.full(lead + (m,), d, dtype=np.intp)
         logits = take_index(scores, slot)   # transposed row d: (..., m)
         masked = add(logits, Tensor(NEG_MASK * taken))
-        soft = gumbel_softmax(masked, replace(cfg, hard=False), rng)
-        hard = one_hot(np.argmax(soft.data, axis=-1), m)
-        taken = taken + hard
-        row = straight_through(soft, hard) if cfg.hard else soft
+        row = gumbel_softmax(masked, cfg, rng)
+        taken = taken + one_hot(np.argmax(row.data, axis=-1), m)
         rows.append(reshape(row, lead + (1, m)))
     return concat(rows, axis=-2)
 

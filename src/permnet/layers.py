@@ -2,7 +2,7 @@
 
 Parameters are exposed through ``named_parameters()`` as a flat dict of
 dotted names to Tensors, which is the interface the optimizer and the
-checkpoint code consume.  Names follow attribute paths (``body.weight``,
+target-network sync consume.  Names follow attribute paths (``body.weight``,
 ``layers.0.bias``).  Initialization is uniform(-1/sqrt(fan_in), ..) from an
 explicit numpy Generator so construction is reproducible.
 """
@@ -77,14 +77,13 @@ class AgentNet(Module):
 class Linear(Module):
     """Affine map x @ W + b with W of shape (in_dim, out_dim)."""
 
-    def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int,
-                 bias: bool = True):
+    def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.weight = Tensor(uniform_init(rng, in_dim, (in_dim, out_dim)),
                              requires_grad=True)
-        self.bias = (Tensor(uniform_init(rng, in_dim, (out_dim,)),
-                            requires_grad=True) if bias else None)
+        self.bias = Tensor(uniform_init(rng, in_dim, (out_dim,)),
+                           requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_dim:

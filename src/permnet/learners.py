@@ -95,14 +95,19 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epsilon_anneal_steps", "buffer_size", "batch_episodes",
                      "target_update_interval", "parallel_runners",
-                     "mixing_embed_dim", "hypernet_embed", "train_interval"):
+                     "mixing_embed_dim", "hypernet_embed", "total_env_steps",
+                     "train_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.td_lambda <= 1.0:
-            raise ValueError(f"td_lambda {self.td_lambda} outside [0, 1]")
+        for name in ("td_lambda", "epsilon_start", "epsilon_finish"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(
+                    f"{name} {getattr(self, name)} outside [0, 1]")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma {self.gamma} outside (0, 1]")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +395,9 @@ class Learner:
         best = np.where(data["avail"], q_online, NEG_MASK).argmax(axis=-1)
         chosen_target = np.take_along_axis(
             q_target, best[..., None], axis=-1)[..., 0]
-        if self.target_mixer is None:
-            values = chosen_target.sum(axis=-1)
-        else:
-            with no_grad():
-                values = self.target_mixer(
-                    Tensor(chosen_target.reshape(batch * horizon, n)),
-                    Tensor(data["state"].reshape(batch * horizon, -1))
-                ).data.reshape(batch, horizon)
+        with no_grad():
+            values = self._mix(Tensor(chosen_target), data["state"],
+                               self.target_mixer).data
         values = values * data["mask"]
         next_values = np.zeros_like(values)
         next_values[:, :-1] = values[:, 1:]
@@ -504,27 +504,6 @@ class ParallelRunner:
 
 
 EVAL_SEED_BASE = 9_000_000
-
-
-def evaluate(policy, env_factory, episodes: int = 32,
-             seed_base: int = EVAL_SEED_BASE) -> float:
-    """Win fraction of ``policy`` over fixed-seed greedy episodes.
-
-    ``policy`` is called as policy(env, avail) and must return one action
-    per ally; scripted policies plug in directly.
-    """
-    wins = 0
-    for i in range(episodes):
-        env = env_factory(1000 + i)
-        env.reset(seed_base + i)
-        terminated = False
-        won = False
-        while not terminated:
-            actions = policy(env, env.available_actions())
-            _, _, _, terminated, info = env.step(actions)
-            won = info["win"]
-        wins += int(won)
-    return wins / episodes
 
 
 def evaluate_net(net, env_factory, episodes: int = 32,

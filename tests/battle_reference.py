@@ -23,9 +23,10 @@ from permnet.env import (
     OWN_FEATURES,
     BattleConfig,
     ObservationSet,
-    chebyshev,
     other_ally_index,
 )
+
+from scripted_policies import chebyshev
 
 # x-axis moves before y-axis moves, negative direction first within an axis;
 # this is the scripted-enemy move preference order

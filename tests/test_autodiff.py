@@ -57,14 +57,6 @@ def test_no_grad_blocks_recording():
     assert not y.requires_grad and y._parents == ()
 
 
-def test_detach_cuts_graph():
-    x = t(4.0)
-    d = (x * x).detach()
-    z = d * x
-    z.backward()
-    assert x.grad == 16.0  # only the direct factor, not through d
-
-
 def test_shared_gradient_array_is_not_written_in_place():
     # add hands its one gradient array to both leaves; a later gradient for
     # a must make a new sum, or b's gradient would change with it

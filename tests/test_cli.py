@@ -101,10 +101,14 @@ def test_unknown_architecture_exits_2(tmp_path, capsys):
     ("parallel_runners", "0"), ("target_update_interval", "0"),
     ("epsilon_anneal_steps", "0"), ("batch_episodes", "0"),
     ("buffer_size", "-1"), ("gamma", "2"),
+    ("augment_copies", "0"), ("augment_copies", "-3"),
+    ("total_env_steps", "0"), ("lr", "-0.5"), ("lr", "0"),
+    ("epsilon_start", "1.5"), ("epsilon_finish", "-0.1"), ("seeds", ""),
 ])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key,
                                                   value):
-    # each of these once hung the run loop or crashed it with a traceback
+    # each of these once hung the run loop, crashed it with a traceback, or
+    # trained the wrong experiment (or none) and exited 0
     text = re.sub(rf"^{key} = .*$", "", TINY, flags=re.MULTILINE)
     cfg = write_config(tmp_path, text + f"{key} = {value}\n")
     out = tmp_path / "out"
@@ -196,6 +200,13 @@ def test_bad_seed_lists_exit_2_naming_their_source(tmp_path, monkeypatch,
     assert "bad --seeds list: '1,x'" in capsys.readouterr().err
     assert main(["--config", cfg, "--out", out]) == 2
     assert "bad PERMNET_SEED list: 'y'" in capsys.readouterr().err
+    # a list with no seeds in it would train nothing and exit 0
+    monkeypatch.setenv("PERMNET_SEED", " , ")
+    assert main(["--config", cfg, "--out", out, "--seeds", ","]) == 2
+    assert "bad --seeds list: ','" in capsys.readouterr().err
+    assert main(["--config", cfg, "--out", out]) == 2
+    assert "bad PERMNET_SEED list: ' , '" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

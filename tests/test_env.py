@@ -23,12 +23,10 @@ from permnet.env import (
     BattleConfig,
     MicroBattleEnv,
     ShuffleWrapper,
-    always_lose_policy,
-    chebyshev,
-    focus_fire_policy,
 )
 
 import battle_reference as ref
+from scripted_policies import always_lose_policy, chebyshev, focus_fire_policy
 
 
 def make_env(**kw):

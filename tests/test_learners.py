@@ -24,8 +24,6 @@ from permnet.env import (
     PRESETS,
     MicroBattleEnv,
     ObservationSet,
-    always_lose_policy,
-    focus_fire_policy,
 )
 from permnet.hpn import HpnAgentNet
 from permnet.layers import NEG_MASK
@@ -38,7 +36,6 @@ from permnet.learners import (
     TrainConfig,
     anneal_epsilon,
     augment_experience,
-    evaluate,
     evaluate_net,
     relabel_episode,
     td_lambda_targets,
@@ -47,6 +44,7 @@ from permnet.learners import (
 )
 
 import battle_reference as ref
+from scripted_policies import always_lose_policy, evaluate, focus_fire_policy
 
 K = ENTITY_FEATURES
 
@@ -113,6 +111,17 @@ def test_train_config_validation():
         TrainConfig(train_interval=0)
     with pytest.raises(ValueError, match="parallel_runners"):
         TrainConfig(parallel_runners=-2)
+    with pytest.raises(ValueError, match="total_env_steps"):
+        TrainConfig(total_env_steps=0)
+    for lr in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
+    for name in ("epsilon_start", "epsilon_finish"):
+        for bad in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: bad})
+        TrainConfig(**{name: 0.0})
+        TrainConfig(**{name: 1.0})
 
 
 # -- VDN ---------------------------------------------------------------
