@@ -81,6 +81,11 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.eval_interval > self.train.total_env_steps:
+            # no evaluation would fall inside the run
+            raise ValueError(
+                f"eval_interval {self.eval_interval} > total_env_steps "
+                f"{self.train.total_env_steps}")
         if not self.tag:
             parts = [self.architecture, self.mixer]
             if self.augment:

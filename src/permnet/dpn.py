@@ -23,7 +23,6 @@ from .autodiff import (
     add,
     bmm,
     concat,
-    one_hot,
     relu,
     reshape,
     take_index,
@@ -69,9 +68,10 @@ def generate_permutation_matrix(net: DpnNet, X: Tensor,
 
     ``X`` is (m, k) or batched (..., m, k).  Each slot row adds a -1e10
     penalty on already-taken entities, samples a hard one-hot over the
-    rest, and feeds the selection into the next row's penalty mask.  The
-    mask is accumulated outside the graph; gradients reach the assignment
-    parameters through each row's straight-through softmax.
+    rest, and adds that row's forward value (the exact one-hot) to the
+    next row's penalty mask; a soft config penalizes by the soft row
+    instead.  The mask is accumulated outside the graph; gradients reach
+    the assignment parameters through each row's straight-through softmax.
 
     ``deterministic`` overrides the net's GumbelConfig flag (argmax
     selection, no noise) without mutating it.
@@ -95,7 +95,7 @@ def generate_permutation_matrix(net: DpnNet, X: Tensor,
         logits = take_index(scores, slot)   # transposed row d: (..., m)
         masked = add(logits, Tensor(NEG_MASK * taken))
         row = gumbel_softmax(masked, cfg, rng)
-        taken = taken + one_hot(np.argmax(row.data, axis=-1), m)
+        taken = taken + row.data
         rows.append(reshape(row, lead + (1, m)))
     return concat(rows, axis=-2)
 

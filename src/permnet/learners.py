@@ -108,6 +108,11 @@ class TrainConfig:
             raise ValueError(f"gamma {self.gamma} outside (0, 1]")
         if not self.lr > 0.0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.buffer_size < self.batch_episodes:
+            # the buffer could never hold a batch, so nothing would train
+            raise ValueError(
+                f"buffer_size {self.buffer_size} < batch_episodes "
+                f"{self.batch_episodes}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,23 +295,22 @@ def _net_forward(net, own: Tensor, allies: Tensor, enemies: Tensor,
 
 
 def _stack_episodes(episodes: list) -> dict[str, np.ndarray]:
-    """Zero-pad episodes to a common horizon and stack them field by field.
+    """Join the episodes' steps along time, field by field.
 
-    Padded steps carry all-zero observations, reward 0, and a noop-only
-    availability row so downstream argmaxes stay well defined; the returned
-    ``mask`` flags real steps.
+    Every per-step field becomes one (S, ...) array over the S real steps,
+    episode after episode, so no padded step reaches a network.  Only the
+    TD(lambda) recursion runs on a (B, T_max) grid: ``rewards`` is
+    zero-padded to it and the boolean ``mask`` flags its real steps, in
+    the same order as the joined rows.
     """
-    batch = len(episodes)
-    horizon = max(len(e) for e in episodes)
-    data = {name: np.zeros((batch, horizon) + column.shape[1:],
-                           dtype=column.dtype)
-            for name, column in vars(episodes[0]).items()}
-    data["avail"][..., 0] = True
-    data["mask"] = np.zeros((batch, horizon))
-    for b, episode in enumerate(episodes):
-        for name, column in vars(episode).items():
-            data[name][b, :len(episode)] = column
-        data["mask"][b, :len(episode)] = 1.0
+    data = {name: np.concatenate([getattr(e, name) for e in episodes])
+            for name in ("own", "allies", "enemies", "state", "actions",
+                         "avail")}
+    lengths = np.array([len(e) for e in episodes])
+    data["mask"] = np.arange(lengths.max()) < lengths[:, None]
+    data["rewards"] = np.zeros(data["mask"].shape)
+    data["rewards"][data["mask"]] = np.concatenate(
+        [e.rewards for e in episodes])
     return data
 
 
@@ -357,22 +361,22 @@ class Learner:
         copy_parameters(self.params, self._target_params())
 
     def _mix(self, chosen: Tensor, state: np.ndarray, mixer) -> Tensor:
-        """(B, T, n) chosen values -> (B, T) team values."""
-        b, t, n = chosen.shape
+        """(S, n) chosen values -> (S,) team values."""
         if mixer is None:
             return vdn_mix(chosen)
-        flat = mixer(reshape(chosen, (b * t, n)),
-                     Tensor(state.reshape(b * t, -1)))
-        return reshape(flat, (b, t))
+        return mixer(chosen, Tensor(state))
 
     def train_step(self, episodes: list) -> float:
-        """One gradient update on a batch of episodes; returns the loss."""
+        """One gradient update on a batch of episodes; returns the loss.
+
+        Every forward, the mixing and the backward run on the real steps
+        alone; only the TD(lambda) recursion sees the padded grid.
+        """
         if not episodes:
             raise ValueError("empty training batch")
         data = _stack_episodes(episodes)
-        batch, horizon, n = data["actions"].shape
-        n_actions = data["avail"].shape[-1]
-        rows = batch * horizon * n
+        steps, n = data["actions"].shape
+        rows = steps * n
         own = Tensor(data["own"].reshape(rows, OWN_FEATURES))
         allies = Tensor(data["allies"].reshape(rows, n - 1, ENTITY_FEATURES))
         enemies = Tensor(data["enemies"].reshape(
@@ -390,27 +394,29 @@ class Learner:
         else:
             # same ops and values as a greedy forward: reuse them
             q_online = q.data
-        q_online = q_online.reshape(batch, horizon, n, n_actions)
-        q_target = q_target.reshape(batch, horizon, n, n_actions)
+        q_online = q_online.reshape(data["avail"].shape)
+        q_target = q_target.reshape(data["avail"].shape)
         best = np.where(data["avail"], q_online, NEG_MASK).argmax(axis=-1)
         chosen_target = np.take_along_axis(
             q_target, best[..., None], axis=-1)[..., 0]
         with no_grad():
             values = self._mix(Tensor(chosen_target), data["state"],
                                self.target_mixer).data
-        values = values * data["mask"]
-        next_values = np.zeros_like(values)
-        next_values[:, :-1] = values[:, 1:]
+        # scatter onto the padded grid for the recursion, which then reads
+        # V(s_{t+1}) = 0 past each episode's last step; gather back after
+        mask = data["mask"]
+        grid = np.zeros(mask.shape)
+        grid[mask] = values
+        next_values = np.zeros(mask.shape)
+        next_values[:, :-1] = grid[:, 1:]
         targets = td_lambda_targets(data["rewards"], next_values,
-                                    self.cfg.gamma, self.cfg.td_lambda)
+                                    self.cfg.gamma, self.cfg.td_lambda)[mask]
 
         chosen = reshape(take_index(q, data["actions"].reshape(rows)),
-                         (batch, horizon, n))
+                         (steps, n))
         q_tot = self._mix(chosen, data["state"], self.mixer)
         diff = q_tot - Tensor(targets)
-        masked_sq = mul(mul(diff, diff), Tensor(data["mask"]))
-        loss = mul(reduce_sum(masked_sq),
-                   Tensor(1.0 / float(data["mask"].sum())))
+        loss = mul(reduce_sum(mul(diff, diff)), Tensor(1.0 / float(steps)))
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise FloatingPointError(

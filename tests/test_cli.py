@@ -104,6 +104,7 @@ def test_unknown_architecture_exits_2(tmp_path, capsys):
     ("augment_copies", "0"), ("augment_copies", "-3"),
     ("total_env_steps", "0"), ("lr", "-0.5"), ("lr", "0"),
     ("epsilon_start", "1.5"), ("epsilon_finish", "-0.1"), ("seeds", ""),
+    ("buffer_size", "1"), ("eval_interval", "401"),
 ])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key,
                                                   value):

@@ -113,6 +113,9 @@ def test_train_config_validation():
         TrainConfig(parallel_runners=-2)
     with pytest.raises(ValueError, match="total_env_steps"):
         TrainConfig(total_env_steps=0)
+    with pytest.raises(ValueError, match="buffer_size"):
+        TrainConfig(buffer_size=31, batch_episodes=32)
+    TrainConfig(buffer_size=32, batch_episodes=32)
     for lr in (0.0, -0.5, float("nan")):
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=lr)
@@ -518,36 +521,29 @@ def test_qmix_learner_updates_mixer_parameters():
 
 
 def reference_stack(episodes):
-    """The batch x step x agent loop that _stack_episodes' one copy per
-    field per episode replaces."""
-    batch = len(episodes)
-    horizon = max(len(e) for e in episodes)
+    """The step x agent loop that _stack_episodes' one concatenation per
+    field replaces: real steps only, episode after episode, plus rewards
+    on the zero-padded (B, T_max) grid and its real-step mask."""
     _, n, m, _ = episodes[0].enemies.shape
-    n_actions = episodes[0].avail.shape[-1]
-    own = np.zeros((batch, horizon, n, episodes[0].own.shape[-1]))
-    allies = np.zeros((batch, horizon, n, n - 1, K))
-    enemies = np.zeros((batch, horizon, n, m, K))
-    state = np.zeros((batch, horizon, episodes[0].state.shape[-1]))
-    actions = np.zeros((batch, horizon, n), dtype=np.int64)
-    avail = np.zeros((batch, horizon, n, n_actions), dtype=bool)
-    avail[..., 0] = True
-    rewards = np.zeros((batch, horizon))
-    mask = np.zeros((batch, horizon))
+    fields = {name: [] for name in ("own", "allies", "enemies", "state",
+                                    "actions", "avail")}
+    horizon = max(len(e) for e in episodes)
+    rewards = np.zeros((len(episodes), horizon))
+    mask = np.zeros((len(episodes), horizon), dtype=bool)
     for b, episode in enumerate(episodes):
         for t in range(len(episode)):
-            for i in range(n):
-                o = step_obs(episode, t, i)
-                own[b, t, i] = o.own
-                allies[b, t, i] = o.allies
-                enemies[b, t, i] = o.enemies
-            state[b, t] = episode.state[t]
-            actions[b, t] = episode.actions[t]
-            avail[b, t] = episode.avail[t]
+            obs = [step_obs(episode, t, i) for i in range(n)]
+            fields["own"].append(np.stack([o.own for o in obs]))
+            fields["allies"].append(np.stack([o.allies for o in obs]))
+            fields["enemies"].append(np.stack([o.enemies for o in obs]))
+            fields["state"].append(episode.state[t])
+            fields["actions"].append(episode.actions[t])
+            fields["avail"].append(episode.avail[t])
             rewards[b, t] = episode.rewards[t]
-            mask[b, t] = 1.0
-    return {"own": own, "allies": allies, "enemies": enemies,
-            "state": state, "actions": actions, "avail": avail,
-            "rewards": rewards, "mask": mask}
+            mask[b, t] = True
+    out = {name: np.stack(rows) for name, rows in fields.items()}
+    out.update(rewards=rewards, mask=mask)
+    return out
 
 
 def collect_episodes(preset, shuffle, count, seed=21):
@@ -564,7 +560,7 @@ def collect_episodes(preset, shuffle, count, seed=21):
 @pytest.mark.parametrize("preset, shuffle", [("3v3", True), ("5v6", False)])
 def test_stack_episodes_matches_per_step_reference_bitwise(preset, shuffle):
     episodes = collect_episodes(preset, shuffle, 6)
-    assert len({len(e) for e in episodes}) > 1    # padding is exercised
+    assert len({len(e) for e in episodes}) > 1    # the grid has padding
     assert_same_arrays(learners._stack_episodes(episodes),
                        reference_stack(episodes))
 
@@ -574,31 +570,29 @@ def three_forward_train_step(learner, episodes):
     target and grad forwards, in that order, for any agent net."""
     cfg = learner.cfg
     data = learners._stack_episodes(episodes)
-    batch, horizon, n = data["actions"].shape
-    rows = batch * horizon * n
+    steps, n = data["actions"].shape
+    rows = steps * n
     own = Tensor(data["own"].reshape(rows, -1))
     allies = Tensor(data["allies"].reshape(rows, n - 1, K))
     enemies = Tensor(data["enemies"].reshape(rows, -1, K))
     with no_grad():
         q_online, q_target = [
-            net.forward_batch(own, allies, enemies).data.reshape(
-                batch, horizon, n, -1)
+            net.forward_batch(own, allies, enemies).data.reshape(steps, n, -1)
             for net in (learner.net, learner.target_net)]
     best = np.where(data["avail"], q_online, NEG_MASK).argmax(axis=-1)
     values = np.take_along_axis(q_target, best[..., None], axis=-1)[..., 0]
-    values = values.sum(axis=-1) * data["mask"]
-    next_values = np.zeros_like(values)
-    next_values[:, :-1] = values[:, 1:]
+    grid = np.zeros(data["mask"].shape)
+    grid[data["mask"]] = values.sum(axis=-1)
+    next_values = np.zeros_like(grid)
+    next_values[:, :-1] = grid[:, 1:]
     targets = td_lambda_targets(data["rewards"], next_values, cfg.gamma,
-                                cfg.td_lambda)
+                                cfg.td_lambda)[data["mask"]]
     q = learner.net.forward_batch(own, allies, enemies,
                                   rng=learner.forward_rng,
                                   deterministic=False)
-    chosen = reshape(take_index(q, data["actions"].reshape(rows)),
-                     (batch, horizon, n))
+    chosen = reshape(take_index(q, data["actions"].reshape(rows)), (steps, n))
     diff = vdn_mix(chosen) - Tensor(targets)
-    loss = mul(reduce_sum(mul(mul(diff, diff), Tensor(data["mask"]))),
-               Tensor(1.0 / float(data["mask"].sum())))
+    loss = mul(reduce_sum(mul(diff, diff)), Tensor(1.0 / steps))
     for p in learner.params.values():
         p.zero_grad()
     loss.backward()
@@ -634,6 +628,107 @@ def test_train_step_reuses_grad_forward_bitwise(arch, forwards, monkeypatch):
         assert loss == three_forward_train_step(reference, episodes)
     for name, p in learner.params.items():
         assert p.data.tobytes() == reference.params[name].data.tobytes(), name
+
+
+def padded_train_step(learner, episodes):
+    """The zero-padded update that train_step's real-step rows replace.
+
+    Episodes are padded to the longest, with zero observations and state,
+    a noop-only availability row and mask 0 on padded steps; every
+    forward, the mixing and the masked mean loss run over the whole
+    (B, T_max) grid.  Only for nets whose grad forward is greedy."""
+    cfg = learner.cfg
+    batch, horizon = len(episodes), max(len(e) for e in episodes)
+    data = {name: np.zeros((batch, horizon) + column.shape[1:], column.dtype)
+            for name, column in vars(episodes[0]).items()}
+    data["avail"][..., 0] = True
+    mask = np.zeros((batch, horizon))
+    for b, episode in enumerate(episodes):
+        for name, column in vars(episode).items():
+            data[name][b, :len(episode)] = column
+        mask[b, :len(episode)] = 1.0
+    n = data["actions"].shape[-1]
+    rows = batch * horizon * n
+    own = Tensor(data["own"].reshape(rows, -1))
+    allies = Tensor(data["allies"].reshape(rows, n - 1, K))
+    enemies = Tensor(data["enemies"].reshape(rows, -1, K))
+    state = Tensor(data["state"].reshape(batch * horizon, -1))
+
+    def mix(chosen, mixer):
+        if mixer is None:
+            return vdn_mix(chosen)
+        flat = mixer(reshape(chosen, (batch * horizon, n)), state)
+        return reshape(flat, (batch, horizon))
+
+    with no_grad():
+        q_target = learner.target_net.forward_batch(
+            own, allies, enemies).data.reshape(batch, horizon, n, -1)
+    q = learner.net.forward_batch(own, allies, enemies)
+    best = np.where(data["avail"], q.data.reshape(q_target.shape),
+                    NEG_MASK).argmax(axis=-1)
+    chosen_target = np.take_along_axis(q_target, best[..., None],
+                                       axis=-1)[..., 0]
+    with no_grad():
+        values = mix(Tensor(chosen_target), learner.target_mixer).data * mask
+    next_values = np.zeros_like(values)
+    next_values[:, :-1] = values[:, 1:]
+    targets = td_lambda_targets(data["rewards"], next_values, cfg.gamma,
+                                cfg.td_lambda)
+    chosen = reshape(take_index(q, data["actions"].reshape(rows)),
+                     (batch, horizon, n))
+    diff = mix(chosen, learner.mixer) - Tensor(targets)
+    loss = mul(reduce_sum(mul(mul(diff, diff), Tensor(mask))),
+               Tensor(1.0 / float(mask.sum())))
+    for p in learner.params.values():
+        p.zero_grad()
+    loss.backward()
+    adam_step(learner.params, learner.opt)
+    learner.train_steps += 1
+    if learner.train_steps % cfg.target_update_interval == 0:
+        learner._sync_target()
+    return float(loss.data)
+
+
+@pytest.mark.parametrize("arch, mixer", [("hpn", "vdn"), ("concat", "qmix")])
+def test_train_step_matches_padded_reference(arch, mixer):
+    # dropping the padded rows changes summation order only: the loss and
+    # every post-Adam parameter agree with the padded update to rounding
+    episodes = collect_episodes("3v3", False, 5)
+    assert len({len(e) for e in episodes}) > 1
+    factory = net_factory_for(arch, PRESETS["3v3"])
+    learner = Learner(small_cfg(), factory, PRESETS["3v3"], mixer)
+    reference = Learner(small_cfg(), factory, PRESETS["3v3"], mixer)
+    for _ in range(6):  # crosses the target sync at step 5
+        loss = learner.train_step(episodes)
+        assert loss == pytest.approx(padded_train_step(reference, episodes),
+                                     rel=1e-12, abs=0.0)
+    for name, p in learner.params.items():
+        np.testing.assert_allclose(p.data, reference.params[name].data,
+                                   rtol=1e-12, atol=0.0, err_msg=name)
+
+
+@pytest.mark.parametrize("arch, mixer, augment", [
+    ("hpn", "vdn", False), ("dpn", "qmix", True)])
+def test_learner_forwards_see_only_real_steps(arch, mixer, augment,
+                                              monkeypatch):
+    cfg = PRESETS["5v6"]
+    episodes = collect_episodes("5v6", False, 4)
+    if augment:
+        episodes = augment_experience(episodes, 1, np.random.default_rng(3))
+    learner = Learner(small_cfg(), net_factory_for(arch, cfg), cfg, mixer)
+    cls = type(learner.net)
+    original = cls.forward_batch
+    rows = []
+
+    def counted(self, own, allies, enemies, **kwargs):
+        rows.append((own.shape[0], allies.shape[0], enemies.shape[0]))
+        return original(self, own, allies, enemies, **kwargs)
+
+    monkeypatch.setattr(cls, "forward_batch", counted)
+    learner.train_step(episodes)
+    real = sum(len(e) for e in episodes) * cfg.n_allies
+    assert real < len(episodes) * max(len(e) for e in episodes) * cfg.n_allies
+    assert rows == [(real,) * 3] * (3 if arch == "dpn" else 2)
 
 
 # -- rollouts and evaluation -------------------------------------------
