@@ -44,11 +44,8 @@ EXIT_GRID_MISMATCH = 4
 
 
 class ConfigError(Exception):
-    """Invalid experiment configuration; carries the offending token."""
-
-    def __init__(self, message: str, token: str = ""):
-        super().__init__(message)
-        self.token = token
+    """Invalid experiment configuration; the message quotes the offending
+    token."""
 
 
 @dataclasses.dataclass
@@ -68,15 +65,15 @@ class ExperimentConfig:
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(
                 f"unknown architecture {self.architecture!r}; choose from "
-                f"{', '.join(ARCHITECTURES)}", token=self.architecture)
+                f"{', '.join(ARCHITECTURES)}")
         if self.mixer not in MIXERS:
             raise ConfigError(
                 f"unknown mixer {self.mixer!r}; choose from "
-                f"{', '.join(MIXERS)}", token=self.mixer)
+                f"{', '.join(MIXERS)}")
         if self.preset not in PRESETS:
             raise ConfigError(
                 f"unknown preset {self.preset!r}; choose from "
-                f"{', '.join(PRESETS)}", token=self.preset)
+                f"{', '.join(PRESETS)}")
         for name in ("eval_interval", "augment_copies"):
             if getattr(self, name) < 1:
                 raise ValueError(
@@ -98,10 +95,10 @@ class ExperimentConfig:
 
 def _parse_seeds(text: str) -> tuple:
     """Seeds separated by commas and/or whitespace; ValueError if one is
-    not an integer or there are none."""
+    not a non-negative integer or there are none."""
     seeds = tuple(int(tok) for tok in text.replace(",", " ").split())
-    if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
+    if not seeds or min(seeds) < 0:
+        raise ValueError(f"no seeds, or a negative one, in {text!r}")
     return seeds
 
 
@@ -110,30 +107,30 @@ def _parse_value(key: str, value: str, kind: type):
         try:
             return _parse_seeds(value)
         except ValueError:
-            raise ConfigError(f"bad seed list {value!r} for {key}",
-                              token=value)
+            raise ConfigError(f"bad seed list {value!r} for {key}")
     if kind is bool:
         lowered = value.lower()
         if lowered in ("true", "1", "yes", "on"):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
-        raise ConfigError(f"bad boolean {value!r} for {key}", token=value)
+        raise ConfigError(f"bad boolean {value!r} for {key}")
     try:
         if kind is int:
             return int(value)
         if kind is float:
             return float(value)
     except ValueError:
-        raise ConfigError(f"bad {kind.__name__} {value!r} for {key}",
-                          token=value)
+        raise ConfigError(f"bad {kind.__name__} {value!r} for {key}")
     return value
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     exp_fields = {f.name: f.type for f in
                   dataclasses.fields(ExperimentConfig) if f.name != "train"}
-    train_fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    # each run's seed comes from ``seeds``; a ``seed`` key would be ignored
+    train_fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)
+                    if f.name != "seed"}
     type_of = {"str": str, "int": int, "float": float, "bool": bool,
                "tuple": tuple}
     exp_kwargs: dict = {}
@@ -144,7 +141,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got "
-                              f"{line!r}", token=line)
+                              f"{line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
@@ -155,8 +152,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             train_kwargs[key] = _parse_value(
                 key, value, type_of.get(train_fields[key], str))
         else:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}",
-                              token=key)
+            hint = "; list run seeds under 'seeds'" if key == "seed" else ""
+            raise ConfigError(
+                f"line {lineno}: unknown config key {key!r}{hint}")
     try:
         return ExperimentConfig(train=TrainConfig(**train_kwargs),
                                 **exp_kwargs)

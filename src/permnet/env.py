@@ -135,9 +135,7 @@ class BattleBatch:
         self._true_action = np.zeros((size, cfg.n_actions), dtype=np.int64)
         self._true_action[:, :N_MOVE_ACTIONS] = np.arange(N_MOVE_ACTIONS)
         self._done = np.ones(size, dtype=bool)
-        self._last_avail: np.ndarray | None = None
         self._rows = np.arange(size)[:, None]
-        self._agents = np.arange(n)
         # occupancy grids: battle r's cell (x, y) is flat cell
         # r * w * w + (x + 1) * w + y + 1 of a (g + 2) x (g + 2) grid whose
         # border cells (x or y in {-1, g}) are walls, always occupied
@@ -196,7 +194,6 @@ class BattleBatch:
         self.enemy_perm[i] = enemy_perm
         self._ally_rows[i] = self._others[:, ally_perm]
         self._true_action[i, N_MOVE_ACTIONS:] = N_MOVE_ACTIONS + enemy_perm
-        self._last_avail = None
 
     # -- views ---------------------------------------------------------
     def _presented_enemies(self):
@@ -274,7 +271,6 @@ class BattleBatch:
                           np.abs(ey[:, None, :] - y[:, :, None]))
         mask[..., N_MOVE_ACTIONS:] = (live[:, :, None] & (ehp > 0)[:, None, :]
                                       & (dist <= cfg.attack_range))
-        self._last_avail = mask
         return mask
 
     def _cells(self, xs, ys) -> np.ndarray:
@@ -313,6 +309,11 @@ class BattleBatch:
         checks.  Reward counts only ally-dealt damage, enemy kills and the
         win bonus.
 
+        Actions are not checked (``MicroBattleEnv.step`` checks those from
+        outside): each must be available, or be the noop or stop that
+        ``learners.greedy_actions`` falls back to, which moves and attacks
+        nobody.
+
         Returns (rewards (R,), terminated (R,), win (R,)).  Every row must
         hold a running battle: ``reset`` a row after it terminates.
         """
@@ -321,19 +322,6 @@ class BattleBatch:
             raise RuntimeError(
                 f"step() on a finished episode in battle "
                 f"{np.flatnonzero(self._done)[0]}; reset it first")
-        actions = np.asarray(actions, dtype=np.int64)
-        if actions.shape != self.ally_hp.shape:
-            raise ValueError(f"expected {self.ally_hp.shape} actions, got "
-                             f"{actions.shape}")
-        avail = self._last_avail if self._last_avail is not None \
-            else self.available_actions()
-        known = (actions >= 0) & (actions < cfg.n_actions)
-        allowed = known & avail[self._rows, self._agents,
-                                np.where(known, actions, 0)]
-        if not allowed.all():
-            battle, agent = np.argwhere(~allowed)[0]
-            raise ValueError(f"action {actions[battle, agent]} not available "
-                             f"for agent {agent} in battle {battle}")
         actions = self._true_action[self._rows, actions]
         live = self.ally_hp > 0
 
@@ -367,7 +355,6 @@ class BattleBatch:
             | (self.t >= cfg.episode_limit)
         reward = np.where(win, reward + cfg.win_bonus, reward)
         self._done = terminated
-        self._last_avail = None
         return reward, terminated, win
 
     def _enemy_turn(self, grid):
@@ -476,11 +463,23 @@ class MicroBattleEnv:
     # -- dynamics ------------------------------------------------------
     def step(self, actions):
         """One tick from n actions; returns (observations, state, reward,
-        terminated, {"win": ...})."""
-        actions = np.asarray(actions, dtype=np.int64)
-        if actions.shape != (self.cfg.n_allies,):
-            raise ValueError(f"expected {self.cfg.n_allies} actions, got "
-                             f"{actions.shape}")
+        terminated, {"win": ...}).  Actions enter the engine here and are
+        checked: a running episode, then n integers, each in range and
+        available (the error names the agent)."""
+        if self.batch._done[0]:
+            raise RuntimeError("step() on a finished episode; reset it first")
+        actions = np.asarray(actions)
+        n = self.cfg.n_allies
+        if actions.shape != (n,) or actions.dtype.kind not in "iu":
+            raise ValueError(f"expected {n} actions as integers, got "
+                             f"{actions.dtype} {actions.shape}")
+        known = (actions >= 0) & (actions < self.cfg.n_actions)
+        allowed = known & self.batch.available_actions()[
+            0, np.arange(n), np.where(known, actions, 0)]
+        if not allowed.all():
+            agent = int(np.argmin(allowed))
+            raise ValueError(f"action {actions[agent]} not available for "
+                             f"agent {agent}")
         rewards, terminated, win = self.batch.step(actions[None])
         return (self.observations(), self.state(), float(rewards[0]),
                 bool(terminated[0]), {"win": bool(win[0])})

@@ -294,6 +294,17 @@ def _net_forward(net, own: Tensor, allies: Tensor, enemies: Tensor,
                              deterministic=deterministic)
 
 
+def greedy_actions(q: np.ndarray, avail: np.ndarray) -> np.ndarray:
+    """Masked argmax over the last axis, the first maximum on ties.
+
+    The result is an available action unless every available value is
+    below ``NEG_MASK``; then it is the first masked column, noop for a
+    living agent and stop for a dead one, and ``BattleBatch.step`` moves
+    and attacks nobody for either.
+    """
+    return np.where(avail, q, NEG_MASK).argmax(axis=-1)
+
+
 def _stack_episodes(episodes: list) -> dict[str, np.ndarray]:
     """Join the episodes' steps along time, field by field.
 
@@ -328,20 +339,15 @@ class Learner:
         if mixer not in ("vdn", "qmix"):
             raise ValueError(f"unknown mixer {mixer!r}")
         self.cfg = cfg
-        self.mixer_kind = mixer
-        self.net = net_factory(np.random.default_rng([cfg.seed, 1]))
-        self.target_net = net_factory(np.random.default_rng([cfg.seed, 1]))
-        if mixer == "qmix":
-            self.mixer = QmixMixer(np.random.default_rng([cfg.seed, 2]),
-                                   env_cfg.n_allies, env_cfg.state_dim,
-                                   cfg.mixing_embed_dim, cfg.hypernet_embed)
-            self.target_mixer = QmixMixer(
-                np.random.default_rng([cfg.seed, 2]),
-                env_cfg.n_allies, env_cfg.state_dim,
-                cfg.mixing_embed_dim, cfg.hypernet_embed)
-        else:
-            self.mixer = None
-            self.target_mixer = None
+        # online and target copies start from the same draws
+        self.net, self.target_net = (
+            net_factory(np.random.default_rng([cfg.seed, 1]))
+            for _ in range(2))
+        self.mixer, self.target_mixer = (
+            None if mixer == "vdn" else QmixMixer(
+                np.random.default_rng([cfg.seed, 2]), env_cfg.n_allies,
+                env_cfg.state_dim, cfg.mixing_embed_dim, cfg.hypernet_embed)
+            for _ in range(2))
         self.params = self.net.named_parameters()
         if self.mixer is not None:
             self.params.update(self.mixer.named_parameters("mixer."))
@@ -396,7 +402,7 @@ class Learner:
             q_online = q.data
         q_online = q_online.reshape(data["avail"].shape)
         q_target = q_target.reshape(data["avail"].shape)
-        best = np.where(data["avail"], q_online, NEG_MASK).argmax(axis=-1)
+        best = greedy_actions(q_online, data["avail"])
         chosen_target = np.take_along_axis(
             q_target, best[..., None], axis=-1)[..., 0]
         with no_grad():
@@ -446,6 +452,9 @@ class ParallelRunner:
     from ``env_factory(i)``; a ``ShuffleWrapper`` draws the episode's
     permutations from its own stream) with seeds drawn from
     ``streams[i]``, seeded with seed XOR i.  ``envs[i]`` holds no battle.
+
+    Running episodes are logged on the battle clock: step t of row i at
+    ``[i, t]`` of one (R, episode_limit, ...) array per ``Episode`` field.
     """
 
     def __init__(self, cfg: TrainConfig, env_factory, net):
@@ -456,7 +465,7 @@ class ParallelRunner:
                         for i in range(cfg.parallel_runners)]
         self.select_rng = np.random.default_rng([cfg.seed, 4])
         self.env_steps = 0
-        self._partial = [[] for _ in self.envs]
+        self._log: dict[str, np.ndarray] = {}
         self.batch = BattleBatch(self.envs[0].cfg, cfg.parallel_runners)
         for i, (env, stream) in enumerate(zip(self.envs, self.streams)):
             env.reset_into(self.batch, i, int(stream.integers(2 ** 31)))
@@ -465,8 +474,6 @@ class ParallelRunner:
         """Advance every environment one step; return finished episodes."""
         batch = self.batch
         avail = batch.available_actions()
-        if not avail.any(axis=-1).all():
-            raise ValueError("no available actions to select from")
         own, allies, enemies = batch.observations()
         state = batch.state()
         runners, n, _ = avail.shape
@@ -477,8 +484,7 @@ class ParallelRunner:
                 Tensor(allies.reshape(rows, n - 1, ENTITY_FEATURES)),
                 Tensor(enemies.reshape(rows, -1, ENTITY_FEATURES)),
                 deterministic=True).data
-        actions = np.where(avail, q.reshape(avail.shape),
-                           NEG_MASK).argmax(axis=-1)
+        actions = greedy_actions(q.reshape(avail.shape), avail)
         eps = anneal_epsilon(self.env_steps, self.cfg.epsilon_start,
                              self.cfg.epsilon_finish,
                              self.cfg.epsilon_anneal_steps)
@@ -496,30 +502,30 @@ class ParallelRunner:
                                  <= k[:, None]).sum(axis=-1)
         rewards, terminated, _ = batch.step(actions)
         self.env_steps += runners
+        step = dict(own=own, allies=allies, enemies=enemies, state=state,
+                    actions=actions, avail=avail, rewards=rewards)
+        if not self._log:
+            shape = (runners, batch.cfg.episode_limit)
+            self._log = {name: np.zeros(shape + a.shape[1:], a.dtype)
+                         for name, a in step.items()}
+        for name, a in step.items():
+            self._log[name][np.arange(runners), batch.t - 1] = a
         completed = []
-        for i in range(runners):
-            self._partial[i].append((own[i], allies[i], enemies[i], state[i],
-                                     actions[i], avail[i], rewards[i]))
-            if terminated[i]:
-                completed.append(Episode(*map(np.stack,
-                                              zip(*self._partial[i]))))
-                self._partial[i] = []
-                self.envs[i].reset_into(
-                    batch, i, int(self.streams[i].integers(2 ** 31)))
+        for i in np.flatnonzero(terminated):
+            completed.append(Episode(**{name: log[i, :batch.t[i]].copy()
+                                        for name, log in self._log.items()}))
+            self.envs[i].reset_into(
+                batch, i, int(self.streams[i].integers(2 ** 31)))
         return completed
 
 
 EVAL_SEED_BASE = 9_000_000
 
 
-def evaluate_net(net, env_factory, episodes: int = 32,
-                 seed_base: int = EVAL_SEED_BASE) -> float:
+def evaluate_net(net, env_factory, episodes: int = 32) -> float:
     """Batched-lockstep greedy evaluation of a Q-network."""
     envs = [env_factory(1000 + i) for i in range(episodes)]
-    obs = []
-    for i, env in enumerate(envs):
-        o, _ = env.reset(seed_base + i)
-        obs.append(o)
+    obs = [env.reset(EVAL_SEED_BASE + i)[0] for i, env in enumerate(envs)]
     done = np.zeros(episodes, dtype=bool)
     won = np.zeros(episodes, dtype=bool)
     while not done.all():
@@ -531,14 +537,10 @@ def evaluate_net(net, env_factory, episodes: int = 32,
         with no_grad():
             q = _net_forward(net, Tensor(own), Tensor(allies),
                              Tensor(enemies), deterministic=True).data
-        actions = np.where(avail, q.reshape(avail.shape),
-                           NEG_MASK).argmax(axis=-1)
+        actions = greedy_actions(q.reshape(avail.shape), avail)
         for pos, i in enumerate(active):
-            o, _, _, terminated, info = envs[i].step(actions[pos])
-            obs[i] = o
-            if terminated:
-                done[i] = True
-                won[i] = info["win"]
+            obs[i], _, _, done[i], info = envs[i].step(actions[pos])
+            won[i] = info["win"]
     return float(won.mean())
 
 

@@ -56,6 +56,10 @@ def test_parse_config_fields():
 def test_parse_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config_text("learning_rate = 0.1\n")
+    # run_seed would overwrite a training seed with each entry of seeds
+    with pytest.raises(ConfigError, match="unknown config key 'seed'; list "
+                                          "run seeds under 'seeds'"):
+        parse_config_text("seed = 7\n")
 
 
 def test_parse_rejects_bad_values():
@@ -68,15 +72,15 @@ def test_parse_rejects_bad_values():
 
 
 def test_config_rejects_unknown_names():
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ConfigError, match="unknown architecture "
+                                          "'transformer'; choose from hpn"):
         ExperimentConfig(architecture="transformer")
-    assert err.value.token == "transformer"
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ConfigError, match="unknown mixer 'mean'; choose "
+                                          "from vdn, qmix$"):
         ExperimentConfig(mixer="mean")
-    assert err.value.token == "mean"
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ConfigError, match="unknown preset '9v9'; choose "
+                                          "from 3v3, 5v6, 8v9$"):
         ExperimentConfig(preset="9v9")
-    assert err.value.token == "9v9"
 
 
 def test_env_factory_shuffle_wraps():
@@ -104,7 +108,8 @@ def test_unknown_architecture_exits_2(tmp_path, capsys):
     ("augment_copies", "0"), ("augment_copies", "-3"),
     ("total_env_steps", "0"), ("lr", "-0.5"), ("lr", "0"),
     ("epsilon_start", "1.5"), ("epsilon_finish", "-0.1"), ("seeds", ""),
-    ("buffer_size", "1"), ("eval_interval", "401"),
+    ("buffer_size", "1"), ("eval_interval", "401"), ("seed", "7"),
+    ("seeds", "-1"), ("seeds", "0 -2"),
 ])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key,
                                                   value):
@@ -207,6 +212,17 @@ def test_bad_seed_lists_exit_2_naming_their_source(tmp_path, monkeypatch,
     assert "bad --seeds list: ','" in capsys.readouterr().err
     assert main(["--config", cfg, "--out", out]) == 2
     assert "bad PERMNET_SEED list: ' , '" in capsys.readouterr().err
+    # a negative seed once crashed after creating its CSV, which then
+    # blocked the rerun
+    bad_cfg = write_config(tmp_path, TINY.replace("seeds = 0", "seeds = -1"),
+                           name="negative.cfg")
+    assert main(["--config", bad_cfg, "--out", out]) == 2
+    assert "config error: bad seed list '-1'" in capsys.readouterr().err
+    monkeypatch.setenv("PERMNET_SEED", "-1")
+    assert main(["--config", cfg, "--out", out, "--seeds=0,-1"]) == 2
+    assert "bad --seeds list: '0,-1'" in capsys.readouterr().err
+    assert main(["--config", cfg, "--out", out]) == 2
+    assert "bad PERMNET_SEED list: '-1'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -278,20 +278,37 @@ def test_mask_attack_requires_range_and_alive():
 
 
 def test_step_rejects_unavailable_action():
-    env = make_env()
-    env.reset(0)
-    env.available_actions()
-    with pytest.raises(ValueError, match="not available for agent"):
-        env.step([N_MOVE_ACTIONS, ACTION_STOP, ACTION_STOP])
-    with pytest.raises(ValueError, match="not available"):
-        env.step([ACTION_NOOP, ACTION_STOP, ACTION_STOP])
+    # the facade is where actions enter the engine: it names the first
+    # offending agent and its action, and a rejected step changes nothing
+    env = place(make_env(), [(0, 0), (0, 2), (3, 3)],
+                [(7, 7), (7, 6), (4, 4)])
+    # only agent 2 may attack, and only the last enemy: -1 must not wrap
+    # to that column
+    assert env.available_actions()[:, N_MOVE_ACTIONS:].tolist() == [
+        [False] * 3, [False] * 3, [False, False, True]]
+    for agent, action in ((0, N_MOVE_ACTIONS + 2), (1, ACTION_NOOP),
+                          (0, ACTION_WEST), (1, 99), (2, -1)):
+        actions = [ACTION_STOP] * 3
+        actions[agent] = action
+        with pytest.raises(ValueError, match=rf"^action {action} not "
+                                             rf"available for agent {agent}$"):
+            env.step(actions)
+    assert env.t == 0 and env.enemy_hp.tolist() == [6, 6, 6]
+    env.step([ACTION_STOP, ACTION_STOP, N_MOVE_ACTIONS + 2])
+    assert env.t == 1 and env.enemy_hp.tolist() == [6, 6, 4]
 
 
 def test_step_rejects_wrong_arity():
     env = make_env()
     env.reset(0)
-    with pytest.raises(ValueError, match="expected 3 actions"):
-        env.step([ACTION_STOP, ACTION_STOP])
+    for actions, got in (([ACTION_STOP] * 2, r"int64 \(2,\)"),
+                         ([[ACTION_STOP] * 3], r"int64 \(1, 3\)"),
+                         ([1.9, 1.2, 1.0], r"float64 \(3,\)")):
+        # a float once ran truncated: 6.9 as an attack on enemy 0
+        with pytest.raises(ValueError, match=rf"^expected 3 actions as "
+                                             rf"integers, got {got}$"):
+            env.step(actions)
+    assert env.t == 0
 
 
 def test_step_after_terminal_raises():
@@ -300,8 +317,10 @@ def test_step_after_terminal_raises():
     done = False
     while not done:
         _, _, _, done, _ = env.step(focus_fire_policy(env, env.available_actions()))
-    with pytest.raises(RuntimeError, match="finished episode"):
-        env.step([ACTION_STOP, ACTION_STOP, ACTION_STOP])
+    # a finished episode is named before anything about the actions
+    for actions in ([ACTION_STOP] * 3, [ACTION_STOP], [99] * 3):
+        with pytest.raises(RuntimeError, match="finished episode"):
+            env.step(actions)
 
 
 # -- movement ----------------------------------------------------------
@@ -817,6 +836,9 @@ def test_battle_batch_matches_scalar_env_bitwise(preset, shuffle):
             for i, want in enumerate(refs):
                 assert_row_matches(batch, i, want)
             avail = batch.available_actions()
+            # a dead agent may always noop and a living one may always
+            # stop, so every agent has an action
+            assert avail.any(axis=-1).all()
             actions = np.stack([attack_minded_actions(a, rng) for a in avail])
             rewards, terminated, win = batch.step(actions)
             assert rewards.dtype == np.float64
@@ -847,6 +869,8 @@ def test_battle_batch_matches_scalar_env_bitwise(preset, shuffle):
 
 
 def test_battle_batch_step_names_the_offending_battle():
+    # the batch checks no actions (MicroBattleEnv.step does, where they
+    # enter), only that every row holds a running battle
     cfg = PRESETS["3v3"]
     batch = BattleBatch(cfg, 3)
     stop = np.full((3, cfg.n_allies), ACTION_STOP)
@@ -854,22 +878,8 @@ def test_battle_batch_step_names_the_offending_battle():
     batch.reset(2, 2)
     with pytest.raises(RuntimeError, match="finished episode in battle 1"):
         batch.step(stop)
-    batch.reset(1, 1)
-    with pytest.raises(ValueError, match=r"expected \(3, 3\) actions"):
-        batch.step(stop[:2])
-    # nobody is in range at a fresh placement, so no attack is available
-    actions = stop.copy()
-    actions[2, 0] = N_MOVE_ACTIONS
-    actions[2, 1] = 99
-    actions[1, 2] = -1
-    with pytest.raises(ValueError, match=r"^action -1 not available for "
-                                         r"agent 2 in battle 1$"):
-        batch.step(actions)
-    actions[1, 2] = ACTION_STOP
-    with pytest.raises(ValueError, match=r"^action 6 not available for "
-                                         r"agent 0 in battle 2$"):
-        batch.step(actions)
     # a rejected step changes nothing
     assert batch.t.tolist() == [0, 0, 0]
+    batch.reset(1, 1)
     rewards, terminated, _ = batch.step(stop)
     assert batch.t.tolist() == [1, 1, 1] and not terminated.any()

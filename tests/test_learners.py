@@ -1,5 +1,7 @@
 """Mixers, TD(lambda) targets, exploration, replay, relabeling, training."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,12 @@ from permnet.autodiff import (
 from permnet.baselines import ConcatAgentNet
 from permnet.cli import env_factory_for, net_factory_for
 from permnet.env import (
+    ACTION_NOOP,
     ACTION_STOP,
     ENTITY_FEATURES,
     N_MOVE_ACTIONS,
     PRESETS,
+    BattleBatch,
     MicroBattleEnv,
     ObservationSet,
 )
@@ -37,6 +41,7 @@ from permnet.learners import (
     anneal_epsilon,
     augment_experience,
     evaluate_net,
+    greedy_actions,
     relabel_episode,
     td_lambda_targets,
     train_loop,
@@ -880,19 +885,39 @@ def test_runner_exploration_is_uniform_over_available():
     assert checked >= 2
 
 
-def test_runner_rejects_empty_availability_row():
-    runner = ParallelRunner(small_cfg(), plain_env_factory,
-                            RandomQNet(PRESETS["3v3"].n_actions))
-    avail_of = runner.batch.available_actions
-
-    def one_empty_row():
-        avail = avail_of()
-        avail[1, 2] = False
-        return avail
-
-    runner.batch.available_actions = one_empty_row
-    with pytest.raises(ValueError, match="available"):
-        runner.tick()
+def test_greedy_actions_ties_and_all_masked_fallback():
+    avail = np.array([[True, True, False, True],
+                      [False, True, True, True],
+                      [True, False, True, False],
+                      [False, True, False, True]])
+    q = np.array([[1.0, 3.0, 9.0, 3.0],      # tie: the first maximum
+                  [7.0, 2.0, 2.0, -1.0],     # tie after a masked maximum
+                  [-2e10, 0.0, -3e10, 0.0],  # every available value masked
+                  [0.0, -2e10, 5.0, -2e10]])
+    assert greedy_actions(q, avail).tolist() == [1, 1, 1, 0]
+    # the all-masked fallback is noop for a living agent and stop for a
+    # dead one, and the batch runs either as nothing at all
+    cfg = PRESETS["3v3"]
+    batch, fallback = BattleBatch(cfg, 2), BattleBatch(cfg, 2)
+    for b in (batch, fallback):
+        b.reset(0, 4)
+        b.reset(1, 5)
+        b.ally_hp[1, 0] = 0
+    avail = batch.available_actions()
+    actions = greedy_actions(np.full(avail.shape, 2 * NEG_MASK), avail)
+    assert actions.tolist() == [[ACTION_NOOP] * 3,
+                                [ACTION_STOP, ACTION_NOOP, ACTION_NOOP]]
+    assert not avail[[0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2],
+                     actions.ravel()].any()
+    got = fallback.step(actions)
+    want = batch.step(np.where(avail[..., ACTION_NOOP], ACTION_NOOP,
+                               ACTION_STOP))
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    for name in ("ally_x", "ally_y", "ally_hp", "enemy_x", "enemy_y",
+                 "enemy_hp", "t"):
+        assert getattr(fallback, name).tobytes() == \
+            getattr(batch, name).tobytes(), name
 
 
 def reference_env_factory(preset, shuffle, run_seed):
@@ -977,9 +1002,15 @@ def rng_states(runner):
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("preset, shuffle", [("3v3", True), ("5v6", False)],
-                         ids=["3v3-shuffle", "5v6"])
-def test_tick_matches_per_battle_runner_bitwise(preset, shuffle, eps):
+@pytest.mark.parametrize("preset, shuffle, limit", [
+    ("3v3", True, None), ("5v6", False, None), ("3v3", True, 12),
+], ids=["3v3-shuffle", "5v6", "3v3-shuffle-limit12"])
+def test_tick_matches_per_battle_runner_bitwise(preset, shuffle, limit, eps,
+                                                monkeypatch):
+    if limit is not None:
+        # time-limited episodes fill the runner's log to its last column
+        monkeypatch.setitem(PRESETS, preset, dataclasses.replace(
+            PRESETS[preset], episode_limit=limit))
     cfg = small_cfg(parallel_runners=3, epsilon_start=eps,
                     epsilon_finish=eps, seed=5)
     net = net_factory_for("concat", PRESETS[preset])(
@@ -987,14 +1018,16 @@ def test_tick_matches_per_battle_runner_bitwise(preset, shuffle, eps):
     runners = [cls(cfg, factory(preset, shuffle, 5), net)
                for cls, factory in ((ParallelRunner, env_factory_for),
                                     (PerBattleRunner, reference_env_factory))]
-    finished = 0
+    finished = limited = 0
     for _ in range(150):
         got, want = (runner.tick() for runner in runners)
         assert len(got) == len(want)
         for ep_got, ep_want in zip(got, want):
             assert_same_arrays(vars(ep_got), vars(ep_want))
         finished += len(got)
+        limited += sum(len(e) == limit for e in got)
     assert finished >= 10
+    assert (limited >= 5) == (limit is not None)
     assert runners[0].env_steps == runners[1].env_steps
     assert rng_states(runners[0]) == rng_states(runners[1])
 
