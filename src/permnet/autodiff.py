@@ -5,7 +5,9 @@ array; non-leaf tensors record their parents and a backward rule, and
 ``Tensor.backward`` replays the rules in reverse topological order, visiting
 each node exactly once and *accumulating* (never overwriting) gradients.
 Gradient arrays may be shared between tensors and are never written in
-place.
+place.  The module-level op functions (``add``, ``mul``, ``reduce_sum``,
+``reshape``, ...) are the only way to build a graph node: ``Tensor`` has no
+operator overloads or op methods.
 
 Elementwise ops support leading-axis broadcasting only: after left-padding
 the shorter shape with 1s, an operand may be expanded along a contiguous
@@ -66,9 +68,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -105,47 +104,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward_rule is not None:
                 node._backward_rule(node.grad)
-
-    # -- operator sugar ------------------------------------------------
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other)))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), neg(self))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def sum(self, axis=None):
-        return reduce_sum(self, axis)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    @property
-    def T(self):
-        return transpose(self)
-
-
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -240,30 +198,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_val, (a, b), rule)
 
 
-def neg(a: Tensor) -> Tensor:
-    def rule(g):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return Tensor._from_op(-a.data, (a,), rule)
-
-
 def relu(a: Tensor) -> Tensor:
     out_val = np.maximum(a.data, 0.0)
 
     def rule(g):
         if a.requires_grad:
             a._accumulate(g * (a.data > 0.0))  # subgradient 0 at 0
-
-    return Tensor._from_op(out_val, (a,), rule)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_val = np.tanh(a.data)
-
-    def rule(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out_val * out_val))
 
     return Tensor._from_op(out_val, (a,), rule)
 
@@ -449,18 +389,6 @@ def reshape(t: Tensor, shape) -> Tensor:
     def rule(g):
         if t.requires_grad:
             t._accumulate(g.reshape(t.shape))
-
-    return Tensor._from_op(out_val, (t,), rule)
-
-
-def transpose(t: Tensor) -> Tensor:
-    if t.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-d tensor, got {t.shape}")
-    out_val = t.data.T.copy()
-
-    def rule(g):
-        if t.requires_grad:
-            t._accumulate(g.T)
 
     return Tensor._from_op(out_val, (t,), rule)
 

@@ -9,8 +9,9 @@ Each seed trains independently and streams one CSV curve
 percentile columns.
 
 Exit codes: 0 all seeds complete, 2 unknown architecture/mixer/config
-name, invalid config value or ``--jobs`` below 1, 3 unwritable or
-already-occupied output, 4 mismatched aggregation grids.
+name, invalid config value (a repeated seed, or a ``tag`` that is not a
+plain file name) or ``--jobs`` below 1, 3 unwritable or already-occupied
+output, 4 mismatched aggregation grids.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"eval_interval {self.eval_interval} > total_env_steps "
                 f"{self.train.total_env_steps}")
+        if self.tag in (".", "..") or os.path.basename(self.tag) != self.tag:
+            # the tag names the CSVs inside --out and must stay there
+            raise ValueError(f"tag {self.tag!r} is not a plain file name")
         if not self.tag:
             parts = [self.architecture, self.mixer]
             if self.augment:
@@ -95,10 +99,10 @@ class ExperimentConfig:
 
 def _parse_seeds(text: str) -> tuple:
     """Seeds separated by commas and/or whitespace; ValueError if one is
-    not a non-negative integer or there are none."""
+    not a non-negative integer, one repeats or there are none."""
     seeds = tuple(int(tok) for tok in text.replace(",", " ").split())
-    if not seeds or min(seeds) < 0:
-        raise ValueError(f"no seeds, or a negative one, in {text!r}")
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValueError(f"no seeds, a negative one or a repeat in {text!r}")
     return seeds
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, mul, one_hot, softmax, straight_through
+from .autodiff import Tensor, add, mul, one_hot, softmax, straight_through
 
 
 @dataclass
@@ -52,7 +52,7 @@ def gumbel_softmax(logits: Tensor, cfg: GumbelConfig,
         if rng is None:
             raise ValueError("stochastic sampling needs an rng")
         noise = sample_gumbel(rng, logits.shape)
-        perturbed = logits + Tensor(noise)
+        perturbed = add(logits, Tensor(noise))
     soft = softmax(mul(perturbed, Tensor(1.0 / cfg.tau)), axis=-1)
     if not cfg.hard:
         return soft

@@ -90,10 +90,10 @@ class Linear(Module):
             raise ShapeError(f"input width {x.shape[-1]} != {self.in_dim}")
         lead = x.shape[:-1]
         if len(lead) != 1:  # flatten leading axes so matmul stays 2-d
-            x = x.reshape(int(np.prod(lead)) if lead else 1, self.in_dim)
+            x = reshape(x, (int(np.prod(lead)) if lead else 1, self.in_dim))
         out = affine(x, self.weight, self.bias)
         if len(lead) != 1:
-            out = out.reshape(*lead, self.out_dim)
+            out = reshape(out, (*lead, self.out_dim))
         return out
 
 

@@ -282,6 +282,15 @@ def augment_experience(episodes: list, num_permutations: int,
 # learner
 # ---------------------------------------------------------------------------
 
+def team_parameters(net, mixer) -> dict[str, Tensor]:
+    """A (net, mixer) pair's named parameters, the mixer's under
+    ``mixer.``; ``mixer`` is None under VDN."""
+    params = net.named_parameters()
+    if mixer is not None:
+        params.update(mixer.named_parameters("mixer."))
+    return params
+
+
 def copy_parameters(src: dict[str, Tensor], dst: dict[str, Tensor]):
     for name, p in dst.items():
         p.data[...] = src[name].data
@@ -348,23 +357,16 @@ class Learner:
                 np.random.default_rng([cfg.seed, 2]), env_cfg.n_allies,
                 env_cfg.state_dim, cfg.mixing_embed_dim, cfg.hypernet_embed)
             for _ in range(2))
-        self.params = self.net.named_parameters()
-        if self.mixer is not None:
-            self.params.update(self.mixer.named_parameters("mixer."))
+        self.params = team_parameters(self.net, self.mixer)
         self.opt = AdamState(lr=cfg.lr)
         self.train_steps = 0
         # noisy canonicalization during the gradient forward only
         self.forward_rng = np.random.default_rng([cfg.seed, 3])
         self._sync_target()
 
-    def _target_params(self) -> dict[str, Tensor]:
-        params = self.target_net.named_parameters()
-        if self.target_mixer is not None:
-            params.update(self.target_mixer.named_parameters("mixer."))
-        return params
-
     def _sync_target(self):
-        copy_parameters(self.params, self._target_params())
+        copy_parameters(self.params,
+                        team_parameters(self.target_net, self.target_mixer))
 
     def _mix(self, chosen: Tensor, state: np.ndarray, mixer) -> Tensor:
         """(S, n) chosen values -> (S,) team values."""
@@ -421,7 +423,7 @@ class Learner:
         chosen = reshape(take_index(q, data["actions"].reshape(rows)),
                          (steps, n))
         q_tot = self._mix(chosen, data["state"], self.mixer)
-        diff = q_tot - Tensor(targets)
+        diff = add(q_tot, Tensor(-targets))
         loss = mul(reduce_sum(mul(diff, diff)), Tensor(1.0 / float(steps)))
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from permnet import autodiff as ad
 from permnet.autodiff import (
     AdamState, ShapeError, Tensor, adam_step, add, affine, bmm,
-    canonical_sum, concat, grad_check, no_grad, one_hot, softmax,
-    straight_through, take_index, transpose, uniform_init,
+    canonical_sum, concat, grad_check, matmul, mul, no_grad, one_hot,
+    reduce_sum, reshape, softmax, straight_through, take_index, uniform_init,
 )
 
 
@@ -20,26 +20,26 @@ def t(value, rg=True):
 
 def test_accumulation_x_plus_x():
     x = t(3.0)
-    (x + x).backward()
+    add(x, x).backward()
     assert x.grad == 2.0
     y = t(3.0)
-    (2.0 * y).backward()
+    mul(Tensor(2.0), y).backward()
     assert y.grad == 2.0
 
 
 def test_diamond_graph_visits_each_node_once():
     # z = (x*y) + (x*y) reusing the same intermediate node
     x, y = t(2.0), t(5.0)
-    p = x * y
-    (p + p).backward()
+    p = mul(x, y)
+    add(p, p).backward()
     assert x.grad == 10.0 and y.grad == 4.0
 
 
 def test_chained_reuse():
     x = t(1.5)
-    a = x * x
-    b = a + x
-    c = a * b       # c = x^2 (x^2 + x); dc/dx = 4x^3 + 3x^2
+    a = mul(x, x)
+    b = add(a, x)
+    c = mul(a, b)   # c = x^2 (x^2 + x); dc/dx = 4x^3 + 3x^2
     c.backward()
     assert np.isclose(x.grad, 4 * 1.5 ** 3 + 3 * 1.5 ** 2)
 
@@ -53,7 +53,7 @@ def test_backward_requires_grad():
 def test_no_grad_blocks_recording():
     x = t(2.0)
     with no_grad():
-        y = x * x
+        y = mul(x, x)
     assert not y.requires_grad and y._parents == ()
 
 
@@ -64,7 +64,7 @@ def test_shared_gradient_array_is_not_written_in_place():
     av, bv, g0, g1 = rng.standard_normal((4, 3, 5))
     a, b = t(av), t(bv)
     add(a, b).backward(g0)
-    (a * 3.0).backward(g1)
+    mul(a, Tensor(3.0)).backward(g1)
     assert b.grad.tobytes() == (np.zeros((3, 5)) + g0).tobytes()
     ref_a = np.zeros((3, 5)) + g0
     ref_a += g1 * 3.0
@@ -72,7 +72,8 @@ def test_shared_gradient_array_is_not_written_in_place():
     # one graph: reshape passes a view of its gradient down
     c, d = t(av), t(bv)
     s = add(c, d)
-    (s.reshape(15).sum() + (c * 2.0).sum()).backward()
+    add(reduce_sum(reshape(s, (15,))),
+        reduce_sum(mul(c, Tensor(2.0)))).backward()
     assert np.array_equal(d.grad, np.ones((3, 5)))
     assert np.array_equal(c.grad, np.full((3, 5), 3.0))
 
@@ -81,7 +82,7 @@ def test_deep_chain_no_recursion_error():
     x = t(1.0)
     y = x
     for _ in range(5000):
-        y = y + 1.0
+        y = add(y, Tensor(1.0))
     y.backward()
     assert x.grad == 1.0
 
@@ -93,7 +94,7 @@ def test_deep_chain_no_recursion_error():
 def test_leading_broadcast_ok():
     a = t(np.ones((3, 4)))
     b = t(np.ones(4))
-    (a + b).sum().backward()
+    reduce_sum(add(a, b)).backward()
     assert np.array_equal(b.grad, np.full(4, 3.0))
     assert np.array_equal(a.grad, np.ones((3, 4)))
 
@@ -101,7 +102,7 @@ def test_leading_broadcast_ok():
 def test_leading_axis_size1_broadcast_ok():
     a = t(np.ones((3, 4)))
     b = t(np.ones((1, 4)))
-    (a * b).sum().backward()
+    reduce_sum(mul(a, b)).backward()
     assert b.grad.shape == (1, 4)
     assert np.array_equal(b.grad, np.full((1, 4), 3.0))
 
@@ -110,44 +111,44 @@ def test_trailing_broadcast_rejected():
     a = t(np.ones((3, 4)))
     b = t(np.ones((3, 1)))
     with pytest.raises(ShapeError):
-        a + b
+        add(a, b)
 
 
 def test_interior_broadcast_rejected():
     a = t(np.ones((2, 3, 4)))
     b = t(np.ones((2, 1, 4)))
     with pytest.raises(ShapeError):
-        a * b
+        mul(a, b)
 
 
 def test_incompatible_shapes_rejected():
     with pytest.raises(ShapeError):
-        t(np.ones(3)) + t(np.ones(4))
+        add(t(np.ones(3)), t(np.ones(4)))
 
 
 # ---------------------------------------------------------------------------
 # elementwise ops vs finite differences
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("op, seed", [(ad.relu, 1), (ad.tanh, 2),
-                                      (ad.abs_, 3), (ad.neg, 4)],
-                         ids=["relu", "tanh", "abs", "neg"])
+@pytest.mark.parametrize("op, seed", [(ad.relu, 1), (ad.abs_, 3)],
+                         ids=["relu", "abs"])
 def test_unary_grad_matches_numeric(op, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((3, 4)) + 0.1  # keep away from relu/abs kinks
-    err = grad_check(lambda a: op(a).sum(), [x])
+    err = grad_check(lambda a: reduce_sum(op(a)), [x])
     assert err < 1e-6
 
 
 def test_binary_grad_matches_numeric():
     rng = np.random.default_rng(11)
     a, b = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
-    assert grad_check(lambda x, y: (x * y + x).sum(), [a, b]) < 1e-6
+    assert grad_check(lambda x, y: reduce_sum(add(mul(x, y), x)),
+                      [a, b]) < 1e-6
 
 
 def test_relu_subgradient_zero_at_zero():
     x = t(np.array([0.0, -1.0, 2.0]))
-    ad.relu(x).sum().backward()
+    reduce_sum(ad.relu(x)).backward()
     assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
 
 
@@ -158,14 +159,14 @@ def test_relu_subgradient_zero_at_zero():
 def test_matmul_grad():
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
-    assert grad_check(lambda x, y: (x @ y).sum(), [a, b]) < 1e-6
+    assert grad_check(lambda x, y: reduce_sum(matmul(x, y)), [a, b]) < 1e-6
 
 
 def test_matmul_shape_errors():
     with pytest.raises(ShapeError):
-        t(np.ones((2, 3))) @ t(np.ones((4, 2)))
+        matmul(t(np.ones((2, 3))), t(np.ones((4, 2))))
     with pytest.raises(ShapeError):
-        t(np.ones(3)) @ t(np.ones((3, 2)))
+        matmul(t(np.ones(3)), t(np.ones((3, 2))))
 
 
 def test_bmm_matches_loop_of_matmuls():
@@ -181,7 +182,7 @@ def test_bmm_grad():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((2, 2, 3))
     b = rng.standard_normal((2, 3, 2))
-    assert grad_check(lambda x, y: bmm(x, y).sum(), [a, b]) < 1e-6
+    assert grad_check(lambda x, y: reduce_sum(bmm(x, y)), [a, b]) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +191,14 @@ def test_bmm_grad():
 
 def test_sum_axis_and_none():
     x = np.arange(6.0).reshape(2, 3)
-    assert grad_check(lambda a: a.sum(), [x]) < 1e-6
-    assert grad_check(lambda a: a.sum(axis=0).sum(), [x]) < 1e-6
-    assert grad_check(lambda a: a.sum(axis=1).sum(), [x]) < 1e-6
+    assert grad_check(lambda a: reduce_sum(a), [x]) < 1e-6
+    assert grad_check(lambda a: reduce_sum(reduce_sum(a, axis=0)), [x]) < 1e-6
+    assert grad_check(lambda a: reduce_sum(reduce_sum(a, axis=1)), [x]) < 1e-6
 
 
 def test_reduce_sum_axis_error():
     with pytest.raises(ShapeError):
-        ad.reduce_sum(t(np.ones((2, 2))), axis=5)
+        reduce_sum(t(np.ones((2, 2))), axis=5)
 
 
 def test_canonical_sum_is_order_independent_bitwise():
@@ -243,7 +244,8 @@ def test_naive_sum_is_not_always_order_independent():
 
 def test_canonical_sum_grad_is_plain_sum_grad():
     x = np.random.default_rng(13).standard_normal((4, 3))
-    assert grad_check(lambda a: canonical_sum(a, axis=0).sum(), [x]) < 1e-6
+    assert grad_check(lambda a: reduce_sum(canonical_sum(a, axis=0)),
+                      [x]) < 1e-6
 
 
 @pytest.mark.parametrize("bias", [True, False])
@@ -265,7 +267,10 @@ def test_affine_is_matmul_then_add_bitwise(bias):
     if bias:
         assert b.grad.tobytes() == seed.sum(axis=(0,)).tobytes()
     inputs = [xv, wv] + ([bv] if bias else [])
-    assert grad_check(lambda *ts: ad.tanh(affine(*ts)).sum(), inputs) < 1e-6
+    def f(*ts):
+        out = affine(*ts)
+        return reduce_sum(mul(out, out))
+    assert grad_check(f, inputs) < 1e-6
 
 
 def test_affine_shape_errors():
@@ -305,25 +310,27 @@ def test_softmax_fully_masked_raises():
 def test_softmax_grad():
     x = np.random.default_rng(14).standard_normal((2, 4))
     w = np.random.default_rng(15).standard_normal((2, 4))
-    assert grad_check(lambda a: (softmax(a) * Tensor(w)).sum(), [x]) < 1e-6
+    assert grad_check(lambda a: reduce_sum(mul(softmax(a), Tensor(w))),
+                      [x]) < 1e-6
 
 
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
 
-def test_reshape_transpose_grad():
+def test_reshape_grad():
     x = np.arange(6.0).reshape(2, 3)
-    assert grad_check(lambda a: (a.reshape(3, 2) * Tensor(np.ones((3, 2)))).sum(), [x]) < 1e-6
-    assert grad_check(
-        lambda a: (transpose(a) * Tensor(np.arange(6.0).reshape(3, 2))).sum(), [x]) < 1e-6
+    w = Tensor(np.arange(6.0).reshape(3, 2))
+    assert grad_check(lambda a: reduce_sum(mul(reshape(a, (3, 2)), w)),
+                      [x]) < 1e-6
 
 
 def test_concat_grad_and_split():
     a, b = np.ones((2, 2)), 2 * np.ones((3, 2))
     w = np.random.default_rng(16).standard_normal((5, 2))
     assert grad_check(
-        lambda x, y: (concat([x, y], axis=0) * Tensor(w)).sum(), [a, b]) < 1e-6
+        lambda x, y: reduce_sum(mul(concat([x, y], axis=0), Tensor(w))),
+        [a, b]) < 1e-6
 
 
 def test_take_index_forward_and_grad():
@@ -331,7 +338,7 @@ def test_take_index_forward_and_grad():
     idx = np.array([2, 0])
     out = take_index(q, idx)
     assert np.array_equal(out.data, [3.0, 4.0])
-    out.sum().backward()
+    reduce_sum(out).backward()
     assert np.array_equal(q.grad, [[0, 0, 1], [1, 0, 0]])
 
 
@@ -355,13 +362,13 @@ def test_straight_through_grad_equals_soft_grad():
     x = t(np.array([0.3, 0.7, -0.2]))
     w = np.array([1.0, -2.0, 0.5])
     s1 = softmax(x)
-    (s1 * Tensor(w)).sum().backward()
+    reduce_sum(mul(s1, Tensor(w))).backward()
     g_soft = x.grad.copy()
 
     x2 = t(np.array([0.3, 0.7, -0.2]))
     s2 = softmax(x2)
     hard = one_hot(np.argmax(s2.data), 3)
-    (straight_through(s2, hard) * Tensor(w)).sum().backward()
+    reduce_sum(mul(straight_through(s2, hard), Tensor(w))).backward()
     assert np.array_equal(x2.grad, g_soft)  # exactly equal, same code path
 
 
@@ -386,7 +393,7 @@ def test_adam_quadratic_convergence():
     steps = 0
     while abs(float(x.data)) >= 1e-2:
         x.zero_grad()
-        (x * x).backward()
+        mul(x, x).backward()
         adam_step({"x": x}, state)
         steps += 1
         assert steps <= 9000
@@ -420,7 +427,7 @@ def test_adam_missing_grad_treated_as_zero():
 
 def test_grad_check_catches_wrong_gradient():
     def bad(x):
-        out = x.sum()
+        out = reduce_sum(x)
         # sabotage: double the recorded gradient
         inner = out._backward_rule
 
@@ -473,7 +480,8 @@ def test_mlp_like_composite_grad_property(seed):
     x = rng.standard_normal((2, 3))
     w = rng.standard_normal((3, 4)) * 0.5
     b = rng.standard_normal(4) * 0.1
+    probe = Tensor(rng.standard_normal((2, 4)))
 
     def f(xx, ww, bb):
-        return ad.tanh(xx @ ww + bb).sum()
+        return reduce_sum(mul(softmax(add(matmul(xx, ww), bb)), probe))
     assert grad_check(f, [x, w, b]) < 1e-5

@@ -51,6 +51,7 @@ def test_parse_config_fields():
     assert exp.train.total_env_steps == 400
     assert exp.seeds == (3, 4, 5)
     assert exp.tag == "concat_vdn_aug_shuffle_3v3"
+    assert parse_config_text(TINY + "tag = hpn-run.v2\n").tag == "hpn-run.v2"
 
 
 def test_parse_rejects_unknown_key():
@@ -109,7 +110,11 @@ def test_unknown_architecture_exits_2(tmp_path, capsys):
     ("total_env_steps", "0"), ("lr", "-0.5"), ("lr", "0"),
     ("epsilon_start", "1.5"), ("epsilon_finish", "-0.1"), ("seeds", ""),
     ("buffer_size", "1"), ("eval_interval", "401"), ("seed", "7"),
-    ("seeds", "-1"), ("seeds", "0 -2"),
+    ("seeds", "-1"), ("seeds", "0 -2"), ("seeds", "0 0"), ("seeds", "1, 2 1"),
+    # a tag of '../x' once wrote its CSVs beside --out, and an absolute
+    # tag ignored --out altogether
+    ("tag", "../x"), ("tag", "/tmp/x"), ("tag", "a/b"), ("tag", ".."),
+    ("tag", "."),
 ])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key,
                                                   value):
@@ -223,6 +228,17 @@ def test_bad_seed_lists_exit_2_naming_their_source(tmp_path, monkeypatch,
     assert "bad --seeds list: '0,-1'" in capsys.readouterr().err
     assert main(["--config", cfg, "--out", out]) == 2
     assert "bad PERMNET_SEED list: '-1'" in capsys.readouterr().err
+    # a repeated seed once trained in full and then exited 3 on its own
+    # CSV, or with --overwrite trained the same seed twice
+    bad_cfg = write_config(tmp_path, TINY.replace("seeds = 0", "seeds = 0 0"),
+                           name="repeat.cfg")
+    assert main(["--config", bad_cfg, "--out", out, "--overwrite"]) == 2
+    assert "config error: bad seed list '0 0'" in capsys.readouterr().err
+    monkeypatch.setenv("PERMNET_SEED", "2 2")
+    assert main(["--config", cfg, "--out", out, "--seeds", "1,0,1"]) == 2
+    assert "bad --seeds list: '1,0,1'" in capsys.readouterr().err
+    assert main(["--config", cfg, "--out", out]) == 2
+    assert "bad PERMNET_SEED list: '2 2'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -12,8 +12,10 @@ from permnet.autodiff import (
     ShapeError,
     Tensor,
     adam_step,
+    add,
     grad_check,
     matmul,
+    mul,
     reduce_sum,
 )
 from permnet.dpn import (
@@ -183,10 +185,10 @@ def test_gradients_reach_assignment_parameters():
                  gumbel=GumbelConfig(tau=0.5, hard=True))
     rng = np.random.default_rng(32)
     X = Tensor(rng.normal(size=(3, 4)))
-    target = Tensor(rng.normal(size=(3, 4)))
+    target = rng.normal(size=(3, 4))
     M = generate_permutation_matrix(net, X, rng)
-    diff = matmul(M, X) - target
-    loss = reduce_sum(diff * diff)
+    diff = add(matmul(M, X), Tensor(-target))
+    loss = reduce_sum(mul(diff, diff))
     loss.backward()
     params = net.named_parameters()
     grad_norm = sum(float(np.abs(p.grad).sum()) for p in params.values()
@@ -208,7 +210,7 @@ def test_grad_check_soft_assignment_path():
 
     def f(w):
         M = generate_permutation_matrix(net, X)
-        return reduce_sum(matmul(M, X) * C)
+        return reduce_sum(mul(matmul(M, X), C))
 
     err = grad_check(f, [net.assign_mlp.layers[0].weight])
     assert err < 1e-4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permnet.autodiff import Tensor
+from permnet.autodiff import Tensor, mul, reduce_sum
 from permnet.gumbel import GumbelConfig, gumbel_softmax, sample_gumbel
 
 
@@ -74,11 +74,11 @@ def test_straight_through_gradients_match_soft_exactly():
 
     soft_in = Tensor(logits_val, requires_grad=True)
     soft_out = gumbel_softmax(soft_in, GumbelConfig(tau=0.5), noise_rng())
-    (soft_out * w).sum().backward()
+    reduce_sum(mul(soft_out, w)).backward()
 
     hard_in = Tensor(logits_val, requires_grad=True)
     hard_out = gumbel_softmax(hard_in, GumbelConfig(tau=0.5, hard=True), noise_rng())
-    (hard_out * w).sum().backward()
+    reduce_sum(mul(hard_out, w)).backward()
 
     assert np.array_equal(soft_in.grad, hard_in.grad)
 

@@ -10,6 +10,7 @@ from permnet.autodiff import (
     Tensor,
     grad_check,
     matmul,
+    mul,
     reduce_sum,
     reshape,
 )
@@ -211,7 +212,7 @@ def test_grad_check_through_hypernetworks():
         size=N_MOVE_ACTIONS + 2))
 
     def f(*params):
-        return reduce_sum(agent.forward(obs) * probe)
+        return reduce_sum(mul(agent.forward(obs), probe))
 
     targets = [agent.attack_head.body.weight, agent.attack_head.b_head.weight,
                agent.ally_embed.w_head.weight, agent.enemy_embed.body.weight,

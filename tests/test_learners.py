@@ -10,6 +10,7 @@ from permnet.autodiff import (
     ShapeError,
     Tensor,
     adam_step,
+    add,
     grad_check,
     mul,
     no_grad,
@@ -44,6 +45,7 @@ from permnet.learners import (
     greedy_actions,
     relabel_episode,
     td_lambda_targets,
+    team_parameters,
     train_loop,
     vdn_mix,
 )
@@ -136,15 +138,15 @@ def test_train_config_validation():
 
 
 def test_vdn_mix_examples():
-    assert vdn_mix(Tensor(np.array([1.0, 2.0, 3.0]))).item() == 6.0
-    assert vdn_mix(Tensor(np.zeros(3))).item() == 0.0
+    assert float(vdn_mix(Tensor(np.array([1.0, 2.0, 3.0]))).data) == 6.0
+    assert float(vdn_mix(Tensor(np.zeros(3))).data) == 0.0
 
 
 def test_vdn_mix_permutation_invariant():
     rng = np.random.default_rng(0)
     values = rng.normal(size=5)
-    base = vdn_mix(Tensor(values)).item()
-    assert vdn_mix(Tensor(values[::-1].copy())).item() == pytest.approx(
+    base = float(vdn_mix(Tensor(values)).data)
+    assert float(vdn_mix(Tensor(values[::-1].copy())).data) == pytest.approx(
         base, abs=1e-12)
 
 
@@ -506,7 +508,8 @@ def test_target_network_hard_update_cadence():
     for step in range(1, 6):
         learner.train_step(episodes)
         online = learner.params[name].data
-        target = learner._target_params()[name].data
+        target = team_parameters(learner.target_net,
+                                 learner.target_mixer)[name].data
         if step < 5:
             assert not np.array_equal(online, target)
         else:
@@ -596,7 +599,7 @@ def three_forward_train_step(learner, episodes):
                                   rng=learner.forward_rng,
                                   deterministic=False)
     chosen = reshape(take_index(q, data["actions"].reshape(rows)), (steps, n))
-    diff = vdn_mix(chosen) - Tensor(targets)
+    diff = add(vdn_mix(chosen), Tensor(-targets))
     loss = mul(reduce_sum(mul(diff, diff)), Tensor(1.0 / steps))
     for p in learner.params.values():
         p.zero_grad()
@@ -681,7 +684,7 @@ def padded_train_step(learner, episodes):
                                 cfg.td_lambda)
     chosen = reshape(take_index(q, data["actions"].reshape(rows)),
                      (batch, horizon, n))
-    diff = mix(chosen, learner.mixer) - Tensor(targets)
+    diff = add(mix(chosen, learner.mixer), Tensor(-targets))
     loss = mul(reduce_sum(mul(mul(diff, diff), Tensor(mask))),
                Tensor(1.0 / float(mask.sum())))
     for p in learner.params.values():
