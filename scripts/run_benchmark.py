@@ -1,12 +1,20 @@
 #!/usr/bin/env python3
 """Train every benchmark curve (reusing complete CSVs) and print the
-per-method summary: final win rates and first-sustain step per seed."""
+per-method summary: final win rates and first-sustain step per seed.
+
+BLAS runs on one thread, pinned before numpy loads: a multi-threaded BLAS
+sums weight gradients in an order that depends on the thread count, so a
+curve's full-precision rows would depend on the host."""
 
 import argparse
 import math
+import os
 import time
 
-from permnet.benchmark import (
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from permnet.benchmark import (  # noqa: E402
     BENCHMARK_SEEDS,
     BENCHMARK_STEPS,
     EVAL_INTERVAL,

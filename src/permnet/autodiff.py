@@ -425,6 +425,53 @@ def take_index(t: Tensor, indices: np.ndarray) -> Tensor:
     return Tensor._from_op(out_val, (t,), rule)
 
 
+def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
+    """Rows ``t[indices]`` along the first axis; a non-negative index may
+    repeat.  Backward adds each output row's gradient into its source row,
+    in index order."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError(f"row indices must be 1-d, got shape {idx.shape}")
+    if idx.size and idx.min() < 0:
+        raise ShapeError("row indices must be non-negative")
+    out_val = t.data[idx]
+
+    def rule(g):
+        if t.requires_grad:
+            # round k adds the k-th occurrence of every index, so each
+            # round writes distinct rows; this is np.add.at's sum, several
+            # times faster
+            order = np.argsort(idx, kind="stable")
+            first = np.flatnonzero(np.diff(idx[order], prepend=-1))
+            rank = np.empty_like(idx)
+            rank[order] = np.arange(idx.size) - np.repeat(
+                first, np.diff(first, append=idx.size))
+            full = np.zeros_like(t.data)
+            for k in range(rank.max(initial=-1) + 1):
+                hit = rank == k
+                rows = idx[hit]
+                full[rows] = full[rows] + g[hit]
+            t._accumulate(full)
+
+    return Tensor._from_op(out_val, (t,), rule)
+
+
+def scatter_rows(t: Tensor, indices: np.ndarray, rows: int) -> Tensor:
+    """The inverse of ``gather_rows`` for distinct indices: ``rows`` rows
+    of zeros with row ``indices[i]`` set to ``t[i]``.  Backward gathers."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.shape != t.shape[:1]:
+        raise ShapeError(f"{idx.shape} row indices for {t.shape[:1]} rows")
+    out_val = np.zeros((rows,) + t.shape[1:])
+    out_val[idx] = t.data
+
+    def rule(g):
+        if t.requires_grad:
+            t._accumulate(g[idx])
+
+    return Tensor._from_op(out_val, (t,), rule)
+
+
 def straight_through(soft: Tensor, hard_value: np.ndarray) -> Tensor:
     """Forward the hard value verbatim; backward passes gradients to ``soft``.
 

@@ -26,7 +26,7 @@ from .autodiff import (
     reshape,
 )
 from .env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES
-from .hpn import HpnAgentNet, HyperLayer, hpn_attack_head
+from .hpn import HpnAgentNet, HyperLayer, hpn_output_layer
 from .layers import AgentNet, Linear, Mlp, count_parameters
 
 
@@ -128,4 +128,4 @@ class HpnSetAgentNet(AgentNet):
         pooled_e = canonical_sum(self.phi_enemy(enemies), axis=-2)
         h = relu(add(add(self.own_dense(own), pooled_a), pooled_e))
         return concat([self.move_head(h),
-                       hpn_attack_head(self.attack_head, h, enemies)], axis=1)
+                       hpn_output_layer(self.attack_head, h, enemies)], axis=1)

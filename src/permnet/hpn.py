@@ -8,6 +8,14 @@ hidden state with it, so attack Q-values follow their entities exactly
 under reordering.  Unlike canonicalization approaches, the same entity
 features always meet the same generated weights no matter what the rest
 of the group looks like.
+
+Weights are generated for live entity rows only.  A dead entity, and
+every row a dead observer sees, is all-zero, and an all-zero row x adds
+x @ W(x) = +-0 to the input pooling, which sums from +0.0: dropping it
+keeps the pooled bits.  A dead enemy's attack Q-value is never
+available, so it is written as exactly ``NEG_MASK``.  Gathering the live
+rows keeps every computed value bitwise, because each generated row's
+GEMM result does not depend on which other rows share the batch.
 """
 
 from __future__ import annotations
@@ -21,10 +29,12 @@ from .autodiff import (
     bmm,
     canonical_sum,
     concat,
+    gather_rows,
     mul,
     reduce_sum,
     relu,
     reshape,
+    scatter_rows,
     uniform_init,
 )
 from .env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES
@@ -74,14 +84,20 @@ class HyperLayer(Module):
 def hpn_input_layer(layer: HyperLayer, X: Tensor) -> Tensor:
     """Embed a set: each entity through its own generated (k, h) matrix,
     pooled by a sort-based sum so any input order gives bitwise-identical
-    output, plus the layer's shared bias.  (..., m, k) -> (..., h)."""
-    weights, _ = layer.generate(X)          # (..., m, k, h)
+    output, plus the layer's shared bias.  (..., m, k) -> (..., h).
+    Only rows with a non-zero feature get generated weights; an all-zero
+    row contributes +0.0 (see the module docstring)."""
     lead = X.shape[:-1]
-    flat = int(np.prod(lead)) if lead else 1
-    per_entity = bmm(reshape(X, (flat, 1, layer.feature_dim)),
-                     reshape(weights, (flat, layer.rows, layer.cols)))
-    per_entity = reshape(per_entity, lead + (layer.cols,))
-    pooled = canonical_sum(per_entity, axis=-2)
+    rows = int(np.prod(lead))
+    flat = reshape(X, (rows, layer.feature_dim))
+    live = np.flatnonzero(flat.data.any(axis=1))
+    x = gather_rows(flat, live)
+    weights, _ = layer.generate(x)          # (L, k, h)
+    per_entity = bmm(reshape(x, (len(live), 1, layer.feature_dim)), weights)
+    per_entity = scatter_rows(reshape(per_entity, (len(live), layer.cols)),
+                              live, rows)
+    pooled = canonical_sum(reshape(per_entity, lead + (layer.cols,)),
+                           axis=-2)
     if layer.shared_bias is None:
         return pooled
     return add(pooled, layer.shared_bias)
@@ -92,31 +108,32 @@ def hpn_output_layer(layer: HyperLayer, trunk_hidden: Tensor,
     """One Q-value per enemy: score the shared hidden state with that
     enemy's generated (h, 1) weights and scalar bias.  Row i of the output
     is computed from row i of the input alone, so reordering enemies
-    reorders the output exactly."""
+    reorders the output exactly.
+
+    An enemy whose alive flag is 0 gets no generated weights and exactly
+    ``NEG_MASK``: it is never an available action, so selection never
+    picks it and the loss never reads it."""
     if trunk_hidden.shape[-1] != layer.rows:
         raise ShapeError(
             f"trunk width {trunk_hidden.shape[-1]} != {layer.rows}")
-    weights, bias = layer.generate(X_enemy)     # (..., m, h, 1), (..., m)
     m = X_enemy.shape[-2]
     lead = X_enemy.shape[:-2]
     if m == 0:
         return Tensor(np.zeros(lead + (0,)))
-    w = reshape(weights, lead + (m, layer.rows))
+    batch = int(np.prod(lead))
+    flat = reshape(X_enemy, (batch * m, layer.feature_dim))
+    alive = flat.data[:, 3] != 0.0
+    live = np.flatnonzero(alive)
+    weights, bias = layer.generate(gather_rows(flat, live))  # (L, h, 1), (L,)
+    w = reshape(weights, (len(live), layer.rows))
     # score each row with an elementwise product and a per-row sum rather
     # than a width-1 matmul: BLAS matvec kernels are not bitwise row-stable
-    hr = reshape(trunk_hidden, lead + (1, layer.rows))
-    h = concat([hr] * m, axis=-2)
+    h = gather_rows(reshape(trunk_hidden, (batch, layer.rows)), live // m)
     scores = reduce_sum(mul(w, h), axis=-1)
-    return scores if bias is None else add(scores, bias)
-
-
-def hpn_attack_head(layer: HyperLayer, trunk_hidden: Tensor,
-                    enemies: Tensor) -> Tensor:
-    """Attack Q-values (B, m) from the generated output layer, with the
-    entries of dead enemies (alive flag 0) pushed to NEG_MASK so selection
-    never picks them."""
-    attack = hpn_output_layer(layer, trunk_hidden, enemies)
-    return add(attack, Tensor(NEG_MASK * (1.0 - enemies.data[..., 3])))
+    if bias is not None:
+        scores = add(scores, bias)
+    q = reshape(scatter_rows(scores, live, batch * m), lead + (m,))
+    return add(q, Tensor(np.where(alive, 0.0, NEG_MASK).reshape(lead + (m,))))
 
 
 class HpnAgentNet(AgentNet):
@@ -124,7 +141,7 @@ class HpnAgentNet(AgentNet):
 
     hidden = relu(own_dense(own) + set-embed(allies) + set-embed(enemies));
     move Q-values come from a plain head on hidden, attack Q-values from
-    per-enemy generated output weights (``hpn_attack_head``).
+    per-enemy generated output weights (``hpn_output_layer``).
     """
 
     def __init__(self, rng: np.random.Generator, n_allies: int,
@@ -150,4 +167,4 @@ class HpnAgentNet(AgentNet):
                          hpn_input_layer(self.ally_embed, allies)),
                      hpn_input_layer(self.enemy_embed, enemies)))
         return concat([self.move_head(h),
-                       hpn_attack_head(self.attack_head, h, enemies)], axis=1)
+                       hpn_output_layer(self.attack_head, h, enemies)], axis=1)

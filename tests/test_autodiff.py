@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from permnet import autodiff as ad
 from permnet.autodiff import (
     AdamState, ShapeError, Tensor, adam_step, add, affine, bmm,
-    canonical_sum, concat, grad_check, matmul, mul, no_grad, one_hot,
-    reduce_sum, reshape, softmax, straight_through, take_index, uniform_init,
+    canonical_sum, concat, gather_rows, grad_check, matmul, mul, no_grad,
+    one_hot, reduce_sum, reshape, scatter_rows, softmax, straight_through,
+    take_index, uniform_init,
 )
 
 
@@ -350,6 +351,61 @@ def test_take_index_shape_mismatch():
 # ---------------------------------------------------------------------------
 # straight-through
 # ---------------------------------------------------------------------------
+
+def test_gather_rows_forward_and_repeated_index_grad():
+    x = t(np.arange(12.0).reshape(4, 3))
+    idx = np.array([2, 0, 2, 2])
+    out = gather_rows(x, idx)
+    assert np.array_equal(out.data, x.data[idx])
+    reduce_sum(out).backward()
+    assert np.array_equal(x.grad, [[1, 1, 1], [0, 0, 0], [3, 3, 3],
+                                   [0, 0, 0]])
+
+
+def test_gather_rows_grad_check_with_repeats():
+    w = Tensor(np.random.default_rng(17).standard_normal((5, 2, 3)))
+    x = np.random.default_rng(18).standard_normal((4, 2, 3))
+    idx = np.array([3, 1, 3, 0, 3])
+    assert grad_check(
+        lambda a: reduce_sum(mul(ad.relu(gather_rows(a, idx)), w)), [x]) < 1e-6
+
+
+def test_gather_rows_rejects_nested_indices():
+    with pytest.raises(ShapeError, match="1-d"):
+        gather_rows(t(np.zeros((3, 2))), np.zeros((2, 1), dtype=int))
+
+
+def test_scatter_rows_forward_and_grad_check():
+    x = np.random.default_rng(19).standard_normal((3, 2))
+    idx = np.array([4, 0, 2])
+    out = scatter_rows(t(x), idx, 6)
+    expected = np.zeros((6, 2))
+    expected[idx] = x
+    assert np.array_equal(out.data, expected)
+    w = Tensor(np.random.default_rng(20).standard_normal((6, 2)))
+    assert grad_check(
+        lambda a: reduce_sum(mul(ad.relu(scatter_rows(a, idx, 6)), w)),
+        [x]) < 1e-6
+
+
+def test_scatter_rows_undoes_gather_rows():
+    x = t(np.random.default_rng(21).standard_normal((5, 3)))
+    idx = np.array([1, 3, 4])
+    out = scatter_rows(gather_rows(x, idx), idx, 5)
+    keep = np.zeros(5, dtype=bool)
+    keep[idx] = True
+    assert np.array_equal(out.data[keep], x.data[keep])
+    assert not out.data[~keep].any()
+    reduce_sum(out).backward()
+    assert np.array_equal(x.grad, np.broadcast_to(keep[:, None], (5, 3)))
+
+
+def test_scatter_rows_empty_and_shape_check():
+    out = scatter_rows(t(np.zeros((0, 4))), np.zeros(0, dtype=int), 3)
+    assert np.array_equal(out.data, np.zeros((3, 4)))
+    with pytest.raises(ShapeError, match="row indices"):
+        scatter_rows(t(np.zeros((2, 4))), np.array([0]), 3)
+
 
 def test_straight_through_forward_is_bitwise_hard():
     soft = softmax(t(np.array([0.3, 0.7])))

@@ -1,6 +1,11 @@
 """Benchmark driver: sustain statistic, curve memoization, summaries."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +79,29 @@ def test_summarize_method_reads_existing(tmp_path):
     s = summarize_method("concat_vdn_shuffle", out, seeds=(3,),
                          total_env_steps=400, eval_interval=200)
     assert len(s.final_win_rates) == 1
+
+
+# records the BLAS variables at the moment numpy is first imported, then
+# runs the script as a module (its main() does not run)
+_SPY = """
+import json, os, runpy, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append({v: os.environ.get(v) for v in sys.argv[2:]})
+sys.meta_path.insert(0, Spy())
+runpy.run_path(sys.argv[1])
+print(json.dumps(seen[0]))
+"""
+
+
+def test_benchmark_script_pins_blas_before_numpy_loads():
+    root = Path(__file__).resolve().parents[1]
+    names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               **{name: "2" for name in names})
+    out = subprocess.run(
+        [sys.executable, "-c", _SPY, str(root / "scripts" / "run_benchmark.py"),
+         *names], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == {name: "1" for name in names}

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hpn_reference import dense_input_layer, dense_output_layer, use_dense_layers
 from permnet.autodiff import (
     ShapeError,
     Tensor,
@@ -14,13 +15,22 @@ from permnet.autodiff import (
     reduce_sum,
     reshape,
 )
-from permnet.env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES, ObservationSet
+from permnet.baselines import HpnSetAgentNet
+from permnet.env import (
+    ENTITY_FEATURES,
+    N_MOVE_ACTIONS,
+    OWN_FEATURES,
+    PRESETS,
+    BattleBatch,
+    ObservationSet,
+)
 from permnet.hpn import (
     HpnAgentNet,
     HyperLayer,
     hpn_input_layer,
     hpn_output_layer,
 )
+from permnet.layers import NEG_MASK
 
 K = ENTITY_FEATURES
 
@@ -233,3 +243,169 @@ def test_input_layer_grad_check():
     err = grad_check(f, [layer.body.weight, layer.w_head.weight,
                          layer.shared_bias, X])
     assert err < 1e-4
+
+
+# -- live rows only, against the dense layers ----------------------------
+
+NETS = [HpnAgentNet, HpnSetAgentNet]
+
+
+def battle_observations(preset, seed, battles=8, ticks=24):
+    """Every observer's observation after each tick of random play in
+    ``battles`` battles (a finished battle restarts, so terminal steps are
+    in), each presented under random ally and enemy orders.  Before the
+    last tick's observations battle 0 loses every enemy, so the batch also
+    holds all-dead enemy groups seen by living observers."""
+    cfg = PRESETS[preset]
+    batch = BattleBatch(cfg, battles)
+    rng = np.random.default_rng(seed)
+
+    def reset(i):
+        batch.reset(i, int(rng.integers(2 ** 31)),
+                    rng.permutation(cfg.n_allies - 1),
+                    rng.permutation(cfg.n_enemies))
+
+    for i in range(battles):
+        reset(i)
+    own, allies, enemies = [], [], []
+    for t in range(ticks):
+        avail = batch.available_actions()
+        _, terminated, _ = batch.step(
+            np.argmax(rng.random(avail.shape) * avail, axis=-1))
+        if t == ticks - 1:
+            batch.enemy_hp[0] = 0
+        for out, rows in zip((own, allies, enemies), batch.observations()):
+            out.append(rows.reshape((-1,) + rows.shape[2:]))
+        for i in np.flatnonzero(terminated):
+            reset(i)
+    return tuple(np.concatenate(rows) for rows in (own, allies, enemies))
+
+
+def nobody_alive(preset):
+    """Observations of a battle in which every unit is dead: no live row."""
+    batch = BattleBatch(PRESETS[preset], 2)
+    for i in range(2):
+        batch.reset(i, i)
+    batch.ally_hp[:] = 0
+    batch.enemy_hp[:] = 0
+    return tuple(rows.reshape((-1,) + rows.shape[2:])
+                 for rows in batch.observations())
+
+
+def make_net(cls, preset, seed):
+    cfg = PRESETS[preset]
+    return cls(np.random.default_rng(seed), cfg.n_allies, cfg.n_enemies)
+
+
+def q_values(net, own, allies, enemies):
+    return net.forward_batch(Tensor(own), Tensor(allies), Tensor(enemies))
+
+
+@pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
+def test_battle_observations_hold_every_dead_case(preset):
+    own, allies, enemies = battle_observations(preset, 0)
+    dead_observer = ~own.any(axis=1)
+    assert dead_observer.any() and not dead_observer.all()
+    assert (~allies.any(axis=2)).any(axis=1)[~dead_observer].any()
+    dead_enemy = enemies[..., 3] == 0.0
+    assert dead_enemy[~dead_observer].any()
+    assert dead_enemy.all(axis=1)[~dead_observer].any()
+    assert not any(rows.any() for rows in nobody_alive(preset))
+
+
+@pytest.mark.parametrize("cls", NETS)
+@pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
+def test_forward_matches_dense_on_live_entries(cls, preset, monkeypatch):
+    for seed, obs in enumerate([battle_observations(preset, 1),
+                                nobody_alive(preset)]):
+        net = make_net(cls, preset, seed)
+        q = q_values(net, *obs).data
+        with monkeypatch.context() as patch:
+            use_dense_layers(patch)
+            dense = q_values(net, *obs).data
+        dead = obs[2][..., 3] == 0.0
+        assert np.array_equal(q[:, :N_MOVE_ACTIONS],
+                              dense[:, :N_MOVE_ACTIONS])
+        attack, dense_attack = q[:, N_MOVE_ACTIONS:], dense[:, N_MOVE_ACTIONS:]
+        assert np.array_equal(attack[~dead], dense_attack[~dead])
+        assert (attack[dead] == NEG_MASK).all()
+
+
+@pytest.mark.parametrize("cls", NETS)
+@pytest.mark.parametrize("preset", ["3v3", "8v9"])
+def test_gradients_match_dense(cls, preset, monkeypatch):
+    """A loss that reads only live entries, as the learner's does: every
+    parameter gradient agrees with the dense layers' within rtol 1e-12.
+    Fewer rows change the weight-gradient sums' rounding, so an entry
+    whose sum cancels to near zero gets an absolute floor of 1e-12 times
+    the largest entry of that parameter's gradient."""
+    own, allies, enemies = battle_observations(preset, 2)
+    net = make_net(cls, preset, 3)
+    probe = np.random.default_rng(4).normal(
+        size=(len(own), net.n_actions))
+    probe[:, N_MOVE_ACTIONS:][enemies[..., 3] == 0.0] = 0.0
+    params = net.named_parameters()
+
+    def grads():
+        for p in params.values():
+            p.zero_grad()
+        q = q_values(net, own, allies, enemies)
+        reduce_sum(mul(q, Tensor(probe))).backward()
+        return {name: p.grad for name, p in params.items()}
+
+    sparse = grads()
+    with monkeypatch.context() as patch:
+        use_dense_layers(patch)
+        dense = grads()
+    for name, g in dense.items():
+        np.testing.assert_allclose(sparse[name], g, rtol=1e-12,
+                                   atol=1e-12 * np.abs(g).max(),
+                                   err_msg=name)
+
+
+def test_input_layer_zero_rows_match_dense_bitwise():
+    layer = input_layer(51, h=8)
+    X = np.random.default_rng(52).normal(size=(6, 4, K))
+    X[0] = 0.0                      # a dead observer's group
+    X[1, 2] = 0.0
+    X[2, :3] = 0.0
+    X[3, 1] = -0.0
+    out = hpn_input_layer(layer, Tensor(X)).data
+    assert np.array_equal(out, dense_input_layer(layer, Tensor(X)).data)
+    assert np.array_equal(out[0], layer.shared_bias.data)
+
+
+def test_output_layer_dead_enemies_exactly_neg_mask():
+    layer = output_layer(53, h=8)
+    hidden = Tensor(np.random.default_rng(54).normal(size=(3, 8)))
+    X = np.random.default_rng(55).normal(size=(3, 4, K))
+    X[..., 3] = 1.0
+    X[0, 1] = 0.0
+    X[2] = 0.0
+    q = hpn_output_layer(layer, hidden, Tensor(X)).data
+    dense = dense_output_layer(layer, hidden, Tensor(X)).data
+    dead = X[..., 3] == 0.0
+    assert (q[dead] == NEG_MASK).all()
+    assert np.array_equal(q[~dead], dense[~dead])
+
+
+@pytest.mark.parametrize("cls", NETS)
+@pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
+def test_exact_order_freedom_on_battle_observations(cls, preset):
+    """Reordering the ally and enemy rows of observations with deaths
+    leaves move Q-values bitwise unchanged and permutes attack Q-values
+    bitwise, dead enemies' entries included."""
+    own, allies, enemies = battle_observations(preset, 5)
+    rng = np.random.default_rng(6)
+    ally_perm = np.stack([rng.permutation(allies.shape[1]) for _ in own])
+    enemy_perm = np.stack([rng.permutation(enemies.shape[1]) for _ in own])
+    net = make_net(cls, preset, 7)
+    q = q_values(net, own, allies, enemies).data
+    q_perm = q_values(net, own,
+                      np.take_along_axis(allies, ally_perm[..., None], 1),
+                      np.take_along_axis(enemies, enemy_perm[..., None],
+                                         1)).data
+    assert np.array_equal(q_perm[:, :N_MOVE_ACTIONS], q[:, :N_MOVE_ACTIONS])
+    assert np.array_equal(q_perm[:, N_MOVE_ACTIONS:],
+                          np.take_along_axis(q[:, N_MOVE_ACTIONS:],
+                                             enemy_perm, 1))
