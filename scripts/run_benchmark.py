@@ -2,19 +2,14 @@
 """Train every benchmark curve (reusing complete CSVs) and print the
 per-method summary: final win rates and first-sustain step per seed.
 
-BLAS runs on one thread, pinned before numpy loads: a multi-threaded BLAS
-sums weight gradients in an order that depends on the thread count, so a
-curve's full-precision rows would depend on the host."""
+Importing ``permnet`` pins BLAS to one thread before numpy loads, so a
+curve's full-precision rows do not depend on the host."""
 
 import argparse
 import math
-import os
 import time
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-from permnet.benchmark import (  # noqa: E402
+from permnet.benchmark import (
     BENCHMARK_SEEDS,
     BENCHMARK_STEPS,
     EVAL_INTERVAL,

@@ -25,6 +25,8 @@ ACTION_NOOP, ACTION_STOP = 0, 1
 ACTION_NORTH, ACTION_SOUTH, ACTION_EAST, ACTION_WEST = 2, 3, 4, 5
 ENTITY_FEATURES = 4   # rel-x, rel-y, health fraction, alive flag
 OWN_FEATURES = 3      # normalized x, y, health fraction
+# a battle's units, each as (n,) or (m,) ints in true order
+UNIT_FIELDS = ("ally_x", "ally_y", "ally_hp", "enemy_x", "enemy_y", "enemy_hp")
 
 # x-axis moves before y-axis moves, negative direction first within an axis;
 # this is the scripted-enemy move preference order
@@ -105,11 +107,12 @@ class BattleBatch:
     """R battles of one config, stepped together with array ops.
 
     This is the one implementation of the battle rules.  Row r holds
-    battle r as (R, n) and (R, m) int arrays plus the ally-row and enemy
-    permutations it is presented under (a ``ShuffleWrapper``'s draws, or
-    the identity).  ``available_actions``, ``observations`` and ``step``
-    speak that presented indexing; positions, health and ``state`` keep
-    the true entity order.
+    battle r as (R, n) and (R, m) int arrays (``UNIT_FIELDS``) plus its
+    presentation: ``ally_rows[r, p, k]``, the true ally observer p sees in
+    slot k, and ``enemy_perm[r, j]``, the true enemy presented as j (a
+    ``ShuffleWrapper``'s draws, or the identity).  ``available_actions``,
+    ``observations`` and ``step`` speak that presented indexing;
+    positions, health and ``state`` keep the true entity order.
 
     ``reset(i, seed, ...)`` starts a fresh battle in row i.  Rows start
     finished, and every row must hold a running battle when ``step`` is
@@ -128,12 +131,7 @@ class BattleBatch:
         self.enemy_hp = np.zeros((size, m), dtype=np.int64)
         self.t = np.zeros(size, dtype=np.int64)
         self.enemy_perm = np.zeros((size, m), dtype=np.int64)
-        # ally group rows as true ally indices: row (r, p, k) is the ally
-        # that observer p sees in presented slot k
-        self._ally_rows = np.zeros((size, n, n - 1), dtype=np.int64)
-        # presented action -> true action, per battle
-        self._true_action = np.zeros((size, cfg.n_actions), dtype=np.int64)
-        self._true_action[:, :N_MOVE_ACTIONS] = np.arange(N_MOVE_ACTIONS)
+        self.ally_rows = np.zeros((size, n, n - 1), dtype=np.int64)
         self._done = np.ones(size, dtype=bool)
         self._rows = np.arange(size)[:, None]
         # occupancy grids: battle r's cell (x, y) is flat cell
@@ -192,8 +190,7 @@ class BattleBatch:
         if enemy_perm is None:
             enemy_perm = np.arange(cfg.n_enemies)
         self.enemy_perm[i] = enemy_perm
-        self._ally_rows[i] = self._others[:, ally_perm]
-        self._true_action[i, N_MOVE_ACTIONS:] = N_MOVE_ACTIONS + enemy_perm
+        self.ally_rows[i] = self._others[:, ally_perm]
 
     # -- views ---------------------------------------------------------
     def _presented_enemies(self):
@@ -230,9 +227,9 @@ class BattleBatch:
         own[live, 2] = self.ally_hp[live] / cfg.max_health
         rows = self._rows[:, :, None]
         allies = self._relative_rows(
-            live, self.ally_x[rows, self._ally_rows],
-            self.ally_y[rows, self._ally_rows],
-            self.ally_hp[rows, self._ally_rows])
+            live, self.ally_x[rows, self.ally_rows],
+            self.ally_y[rows, self.ally_rows],
+            self.ally_hp[rows, self.ally_rows])
         ex, ey, ehp = self._presented_enemies()
         enemies = self._relative_rows(live, ex[:, None], ey[:, None],
                                       ehp[:, None])
@@ -243,13 +240,12 @@ class BattleBatch:
         broadcast to (R, n, k)) as seen by every ally; all-zero for a dead
         entity or observer."""
         seen = observer_live[:, :, None] & (hps > 0)
-        rows = np.zeros(seen.shape + (ENTITY_FEATURES,))
+        rows = np.empty(seen.shape + (ENTITY_FEATURES,))
         rows[..., 0] = (xs - self.ally_x[:, :, None]) / self._norm
         rows[..., 1] = (ys - self.ally_y[:, :, None]) / self._norm
         rows[..., 2] = hps / self.cfg.max_health
         rows[..., 3] = 1.0
-        rows[~seen] = 0.0
-        return rows
+        return np.where(seen[..., None], rows, 0.0)
 
     def available_actions(self) -> np.ndarray:
         """(R, n, n_actions) boolean masks, attack columns presented.
@@ -322,7 +318,6 @@ class BattleBatch:
             raise RuntimeError(
                 f"step() on a finished episode in battle "
                 f"{np.flatnonzero(self._done)[0]}; reset it first")
-        actions = self._true_action[self._rows, actions]
         live = self.ally_hp > 0
 
         # phase 1: ally moves, agent-index order
@@ -333,7 +328,9 @@ class BattleBatch:
 
         # phase 2: simultaneous ally attacks
         attacking = live & (actions >= N_MOVE_ACTIONS)
-        targets = actions - N_MOVE_ACTIONS
+        # presented attack j targets true enemy enemy_perm[j]
+        targets = self.enemy_perm[self._rows,
+                                  np.maximum(actions - N_MOVE_ACTIONS, 0)]
         hits = attacking[:, :, None] & (
             targets[:, :, None] == np.arange(cfg.n_enemies))
         before = self.enemy_hp

@@ -90,7 +90,8 @@ def hpn_input_layer(layer: HyperLayer, X: Tensor) -> Tensor:
     lead = X.shape[:-1]
     rows = int(np.prod(lead))
     flat = reshape(X, (rows, layer.feature_dim))
-    live = np.flatnonzero(flat.data.any(axis=1))
+    # non-zero rows, ORed by column: any(axis=1) is slow on short rows
+    live = np.flatnonzero(np.logical_or.reduce(list(flat.data.T != 0.0)))
     x = gather_rows(flat, live)
     weights, _ = layer.generate(x)          # (L, k, h)
     per_entity = bmm(reshape(x, (len(live), 1, layer.feature_dim)), weights)

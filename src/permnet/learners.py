@@ -5,14 +5,13 @@ values are mixed into a team value either by plain summation (VDN) or by a
 state-conditioned monotonic mixing network (QMIX).  Targets are TD(lambda)
 returns computed backward over whole episodes with double-Q bootstrapping:
 the online network picks the argmax action, the hard-updated target copy
-evaluates it.  Replay stores whole episodes, each one ``Episode`` of
-time-major arrays, and samples them uniformly.
+evaluates it.  Replay stores whole episodes of battle states, which the
+env's ``BattleBatch`` presents to the learner, and samples them uniformly.
 
-``augment_experience`` is a pure data transform: it relabels stored
-episodes under random ally/enemy permutations (observation rows, the state
-entity blocks, availability masks, and attack-action indices all move
-together) so a step keeps describing the same event under a different
-entity naming.
+``augment_experience`` is a pure data transform: it renames the units of
+stored episodes under random ally/enemy permutations (unit axes,
+presentation and attack-action indices move together) so a step keeps
+describing the same event under a different entity naming.
 
 Rollouts run as lockstep batched environments: every runner's battle lives
 in one ``BattleBatch`` and all of them step once per tick with one set of
@@ -44,8 +43,7 @@ from .autodiff import (
     reshape,
     take_index,
 )
-from .env import (ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES, BattleBatch,
-                  other_ally_index)
+from .env import N_MOVE_ACTIONS, UNIT_FIELDS, BattleBatch, BattleConfig
 from .layers import NEG_MASK, Linear, Mlp, Module
 
 
@@ -55,20 +53,22 @@ from .layers import NEG_MASK, Linear, Mlp, Module
 
 @dataclass
 class Episode:
-    """One finished episode as time-major arrays; step T - 1 is terminal.
+    """One finished battle as time-major int arrays; step T - 1 is terminal.
 
-    Step t holds what the team saw (observations of every ally, global
-    state, availability masks) and did (actions) at t, and the shared
-    reward that followed.
-    """
+    Step t holds the units (true order), the presented actions and the
+    reward that followed; ``ally_rows`` and ``enemy_perm`` are the
+    presentation of the battle's ``BattleBatch`` row."""
 
-    own: np.ndarray       # (T, n, OWN_FEATURES)
-    allies: np.ndarray    # (T, n, n - 1, ENTITY_FEATURES)
-    enemies: np.ndarray   # (T, n, m, ENTITY_FEATURES)
-    state: np.ndarray     # (T, state_dim)
-    actions: np.ndarray   # (T, n) int64
-    avail: np.ndarray     # (T, n, n_actions) bool
-    rewards: np.ndarray   # (T,)
+    ally_x: np.ndarray      # (T, n)
+    ally_y: np.ndarray      # (T, n)
+    ally_hp: np.ndarray     # (T, n)
+    enemy_x: np.ndarray     # (T, m)
+    enemy_y: np.ndarray     # (T, m)
+    enemy_hp: np.ndarray    # (T, m)
+    actions: np.ndarray     # (T, n)
+    rewards: np.ndarray     # (T,) float
+    ally_rows: np.ndarray   # (n, n - 1)
+    enemy_perm: np.ndarray  # (m,)
 
     def __len__(self) -> int:
         return len(self.rewards)
@@ -229,35 +229,24 @@ class ReplayBuffer:
 
 def relabel_episode(episode: Episode, ally_perm: np.ndarray,
                     enemy_perm: np.ndarray) -> Episode:
-    """Rename the team and enemy indices of every step of an episode.
-
-    New agent p is old agent ally_perm[p]; new enemy row j is old enemy
-    enemy_perm[j].  Observation rows, state entity blocks, availability
-    masks, and attack-action indices all move together, so each step
-    still records the same event.
-    """
-    ally_perm = np.asarray(ally_perm, dtype=np.int64)
-    enemy_perm = np.asarray(enemy_perm, dtype=np.int64)
-    n = len(ally_perm)
-    moves = np.arange(N_MOVE_ACTIONS)
-    # ally rows list the *other* allies in index order; renaming the team
-    # changes both which rows appear and how they sort
-    others = ally_perm[other_ally_index(n)]
-    ally_rows = others - (others > ally_perm[:, None])
-    columns = np.concatenate([moves, N_MOVE_ACTIONS + enemy_perm])
+    """Rename the units of every step of an episode: new ally p is old
+    ally ally_perm[p]; new enemy j, true and presented, is old enemy
+    enemy_perm[j].  New observer p's slot k holds old observer
+    ally_perm[p]'s slot c, where c is the index-order place of p's k-th
+    ally (by new index): identity-presented rows stay in index order."""
+    ally_inv, enemy_inv = np.argsort(ally_perm), np.argsort(enemy_perm)
+    old_rows = episode.ally_rows[ally_perm]
+    slots = np.argsort(ally_inv[np.sort(old_rows, axis=1)], axis=1)
     action_map = np.concatenate(
-        [moves, N_MOVE_ACTIONS + np.argsort(enemy_perm)])
-    entities = np.concatenate([ally_perm, n + enemy_perm])
-    steps = len(episode)
+        [np.arange(N_MOVE_ACTIONS), N_MOVE_ACTIONS + enemy_inv])
+    units = {name: getattr(episode, name)[
+        :, ally_perm if name.startswith("ally") else enemy_perm]
+        for name in UNIT_FIELDS}
     return Episode(
-        own=episode.own[:, ally_perm],
-        allies=episode.allies[:, ally_perm[:, None], ally_rows],
-        enemies=episode.enemies[:, ally_perm[:, None], enemy_perm],
-        state=episode.state.reshape(steps, len(entities), ENTITY_FEATURES)[
-            :, entities].reshape(steps, -1),
-        actions=action_map[episode.actions[:, ally_perm]],
-        avail=episode.avail[:, ally_perm[:, None], columns],
-        rewards=episode.rewards)
+        **units, actions=action_map[episode.actions[:, ally_perm]],
+        rewards=episode.rewards,
+        ally_rows=np.take_along_axis(ally_inv[old_rows], slots, axis=1),
+        enemy_perm=enemy_inv[episode.enemy_perm[enemy_perm]])
 
 
 def augment_experience(episodes: list, num_permutations: int,
@@ -271,7 +260,7 @@ def augment_experience(episodes: list, num_permutations: int,
     for episode in episodes:
         if not episode:
             raise ValueError("cannot augment an empty episode")
-        _, n, m, _ = episode.enemies.shape
+        n, m = len(episode.ally_rows), len(episode.enemy_perm)
         for _ in range(num_permutations):
             out.append(relabel_episode(episode, rng.permutation(n),
                                        rng.permutation(m)))
@@ -314,24 +303,33 @@ def greedy_actions(q: np.ndarray, avail: np.ndarray) -> np.ndarray:
     return np.where(avail, q, NEG_MASK).argmax(axis=-1)
 
 
-def _stack_episodes(episodes: list) -> dict[str, np.ndarray]:
-    """Join the episodes' steps along time, field by field.
+def _agent_rows(battles: BattleBatch) -> list[Tensor]:
+    """Observations as one row per agent: own, allies, enemies Tensors."""
+    return [Tensor(x.reshape((-1,) + x.shape[2:]))
+            for x in battles.observations()]
 
-    Every per-step field becomes one (S, ...) array over the S real steps,
-    episode after episode, so no padded step reaches a network.  Only the
-    TD(lambda) recursion runs on a (B, T_max) grid: ``rewards`` is
-    zero-padded to it and the boolean ``mask`` flags its real steps, in
-    the same order as the joined rows.
+
+def _stack_episodes(episodes: list, cfg: BattleConfig
+                    ) -> tuple[BattleBatch, dict[str, np.ndarray]]:
+    """Join the episodes' steps along time: the S real steps, episode
+    after episode, become the rows of one ``BattleBatch`` under their
+    episodes' presentations (no padded step reaches a network), and
+    ``actions`` joins their actions.  Only the TD(lambda) recursion runs
+    on a (B, T_max) grid: ``rewards`` is zero-padded to it and the boolean
+    ``mask`` flags its real steps, in the same order as the rows.
     """
-    data = {name: np.concatenate([getattr(e, name) for e in episodes])
-            for name in ("own", "allies", "enemies", "state", "actions",
-                         "avail")}
     lengths = np.array([len(e) for e in episodes])
-    data["mask"] = np.arange(lengths.max()) < lengths[:, None]
+    battles = BattleBatch(cfg, int(lengths.sum()))
+    for name in UNIT_FIELDS + ("ally_rows", "enemy_perm"):
+        columns = [getattr(e, name) for e in episodes]
+        setattr(battles, name, np.concatenate(columns) if name in UNIT_FIELDS
+                else np.repeat(np.stack(columns), lengths, axis=0))
+    data = {"actions": np.concatenate([e.actions for e in episodes]),
+            "mask": np.arange(lengths.max()) < lengths[:, None]}
     data["rewards"] = np.zeros(data["mask"].shape)
     data["rewards"][data["mask"]] = np.concatenate(
         [e.rewards for e in episodes])
-    return data
+    return battles, data
 
 
 class Learner:
@@ -348,6 +346,7 @@ class Learner:
         if mixer not in ("vdn", "qmix"):
             raise ValueError(f"unknown mixer {mixer!r}")
         self.cfg = cfg
+        self.env_cfg = env_cfg
         # online and target copies start from the same draws
         self.net, self.target_net = (
             net_factory(np.random.default_rng([cfg.seed, 1]))
@@ -368,7 +367,7 @@ class Learner:
         copy_parameters(self.params,
                         team_parameters(self.target_net, self.target_mixer))
 
-    def _mix(self, chosen: Tensor, state: np.ndarray, mixer) -> Tensor:
+    def _mix(self, chosen: Tensor, state: np.ndarray | None, mixer) -> Tensor:
         """(S, n) chosen values -> (S,) team values."""
         if mixer is None:
             return vdn_mix(chosen)
@@ -382,13 +381,12 @@ class Learner:
         """
         if not episodes:
             raise ValueError("empty training batch")
-        data = _stack_episodes(episodes)
+        battles, data = _stack_episodes(episodes, self.env_cfg)
+        own, allies, enemies = _agent_rows(battles)
+        avail = battles.available_actions()
+        state = None if self.mixer is None else battles.state()
         steps, n = data["actions"].shape
         rows = steps * n
-        own = Tensor(data["own"].reshape(rows, OWN_FEATURES))
-        allies = Tensor(data["allies"].reshape(rows, n - 1, ENTITY_FEATURES))
-        enemies = Tensor(data["enemies"].reshape(
-            rows, data["enemies"].shape[-2], ENTITY_FEATURES))
 
         with no_grad():
             q_target = _net_forward(self.target_net, own, allies, enemies,
@@ -402,13 +400,13 @@ class Learner:
         else:
             # same ops and values as a greedy forward: reuse them
             q_online = q.data
-        q_online = q_online.reshape(data["avail"].shape)
-        q_target = q_target.reshape(data["avail"].shape)
-        best = greedy_actions(q_online, data["avail"])
+        q_online = q_online.reshape(avail.shape)
+        q_target = q_target.reshape(avail.shape)
+        best = greedy_actions(q_online, avail)
         chosen_target = np.take_along_axis(
             q_target, best[..., None], axis=-1)[..., 0]
         with no_grad():
-            values = self._mix(Tensor(chosen_target), data["state"],
+            values = self._mix(Tensor(chosen_target), state,
                                self.target_mixer).data
         # scatter onto the padded grid for the recursion, which then reads
         # V(s_{t+1}) = 0 past each episode's last step; gather back after
@@ -422,7 +420,7 @@ class Learner:
 
         chosen = reshape(take_index(q, data["actions"].reshape(rows)),
                          (steps, n))
-        q_tot = self._mix(chosen, data["state"], self.mixer)
+        q_tot = self._mix(chosen, state, self.mixer)
         diff = add(q_tot, Tensor(-targets))
         loss = mul(reduce_sum(mul(diff, diff)), Tensor(1.0 / float(steps)))
         loss_value = float(loss.data)
@@ -476,16 +474,10 @@ class ParallelRunner:
         """Advance every environment one step; return finished episodes."""
         batch = self.batch
         avail = batch.available_actions()
-        own, allies, enemies = batch.observations()
-        state = batch.state()
-        runners, n, _ = avail.shape
-        rows = runners * n
+        runners = len(avail)
         with no_grad():
-            q = _net_forward(
-                self.net, Tensor(own.reshape(rows, OWN_FEATURES)),
-                Tensor(allies.reshape(rows, n - 1, ENTITY_FEATURES)),
-                Tensor(enemies.reshape(rows, -1, ENTITY_FEATURES)),
-                deterministic=True).data
+            q = _net_forward(self.net, *_agent_rows(batch),
+                             deterministic=True).data
         actions = greedy_actions(q.reshape(avail.shape), avail)
         eps = anneal_epsilon(self.env_steps, self.cfg.epsilon_start,
                              self.cfg.epsilon_finish,
@@ -502,10 +494,10 @@ class ParallelRunner:
                 # the explorer's (k + 1)-th available action
                 actions[i, j] = (avail[i, j].cumsum(axis=-1)
                                  <= k[:, None]).sum(axis=-1)
+        step = {name: getattr(batch, name).copy() for name in UNIT_FIELDS}
         rewards, terminated, _ = batch.step(actions)
         self.env_steps += runners
-        step = dict(own=own, allies=allies, enemies=enemies, state=state,
-                    actions=actions, avail=avail, rewards=rewards)
+        step.update(actions=actions, rewards=rewards)
         if not self._log:
             shape = (runners, batch.cfg.episode_limit)
             self._log = {name: np.zeros(shape + a.shape[1:], a.dtype)
@@ -514,7 +506,9 @@ class ParallelRunner:
             self._log[name][np.arange(runners), batch.t - 1] = a
         completed = []
         for i in np.flatnonzero(terminated):
-            completed.append(Episode(**{name: log[i, :batch.t[i]].copy()
+            completed.append(Episode(ally_rows=batch.ally_rows[i].copy(),
+                                     enemy_perm=batch.enemy_perm[i].copy(),
+                                     **{name: log[i, :batch.t[i]].copy()
                                         for name, log in self._log.items()}))
             self.envs[i].reset_into(
                 batch, i, int(self.streams[i].integers(2 ** 31)))

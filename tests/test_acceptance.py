@@ -32,19 +32,19 @@ from permnet.env import (
     N_MOVE_ACTIONS,
     OWN_FEATURES,
     PRESETS,
-    MicroBattleEnv,
     ObservationSet,
 )
 from permnet.gumbel import GumbelConfig, gumbel_softmax
 from permnet.hpn import HpnAgentNet
 from permnet.layers import count_parameters
 from permnet.learners import (
-    Episode,
     QmixMixer,
     TrainConfig,
     relabel_episode,
     td_lambda_targets,
 )
+
+from replay_reference import learner_views, rollout_episode, step_obs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK_DIR = REPO_ROOT / "results" / "benchmark"
@@ -59,29 +59,6 @@ def live_obs(rng, n_allies, n_enemies):
     enemies[:, 3] = 1.0
     return ObservationSet(own=rng.normal(size=OWN_FEATURES),
                           allies=allies, enemies=enemies)
-
-
-def rollout_episode(seed, cfg=PRESETS["3v3"]):
-    env = MicroBattleEnv(cfg)
-    obs, state = env.reset(seed)
-    rng = np.random.default_rng(seed + 1)
-    steps, terminated = [], False
-    while not terminated:
-        avail = env.available_actions()
-        actions = np.array([rng.choice(np.flatnonzero(avail[i]))
-                            for i in range(cfg.n_allies)])
-        next_obs, next_state, reward, terminated, _ = env.step(actions)
-        steps.append((np.stack([o.own for o in obs]),
-                      np.stack([o.allies for o in obs]),
-                      np.stack([o.enemies for o in obs]),
-                      state, actions, avail, reward))
-        obs, state = next_obs, next_state
-    return Episode(*map(np.stack, zip(*steps)))
-
-
-def step_obs(episode, t, i):
-    return ObservationSet(episode.own[t, i], episode.allies[t, i],
-                          episode.enemies[t, i])
 
 
 def test_c01_hpn_move_invariance_and_attack_equivariance():
@@ -309,9 +286,10 @@ def test_c06_td_lambda_backward_equals_forward_view():
 
 
 def test_c07_augmented_transitions_match_permuted_q_values():
-    """On 100 relabeled transitions an HPN net returns exactly the
-    enemy-permuted attack Q-values, and the chosen-action Q scalar is
-    unchanged."""
+    """On 100 relabeled transitions, observed as the learner rebuilds
+    them, an HPN net returns exactly the enemy-permuted attack Q-values,
+    and the chosen-action Q scalar is unchanged."""
+    cfg = PRESETS["3v3"]
     net = HpnAgentNet(np.random.default_rng(90), 3, 3)
     rng = np.random.default_rng(91)
     checked, seed = 0, 400
@@ -321,10 +299,11 @@ def test_c07_augmented_transitions_match_permuted_q_values():
         ally_perm = rng.permutation(3)
         enemy_perm = rng.permutation(3)
         relabeled = relabel_episode(episode, ally_perm, enemy_perm)
+        old, new = (learner_views(e, cfg) for e in (episode, relabeled))
         for t in range(len(episode)):
             for p in range(3):
-                q_src = net.forward(step_obs(episode, t, ally_perm[p])).data
-                q_aug = net.forward(step_obs(relabeled, t, p)).data
+                q_src = net.forward(step_obs(old, t, ally_perm[p])).data
+                q_aug = net.forward(step_obs(new, t, p)).data
                 assert np.array_equal(q_aug[N_MOVE_ACTIONS:],
                                       q_src[N_MOVE_ACTIONS:][enemy_perm])
                 assert q_aug[relabeled.actions[t, p]] \

@@ -105,3 +105,28 @@ def test_benchmark_script_pins_blas_before_numpy_loads():
         [sys.executable, "-c", _SPY, str(root / "scripts" / "run_benchmark.py"),
          *names], env=env, capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == {name: "1" for name in names}
+
+
+# a weight-gradient product over a long batch axis: a multi-threaded BLAS
+# splits its sum by thread, so its bytes follow the thread count
+_GEMM = """
+import hashlib
+import permnet
+import numpy as np
+rng = np.random.default_rng(0)
+a, g = rng.normal(size=(5000, 64)), rng.normal(size=(5000, 256))
+print(hashlib.sha256((a.T @ g).tobytes()).hexdigest())
+"""
+
+
+def test_package_import_pins_blas_threads():
+    root = Path(__file__).resolve().parents[1]
+    digests = set()
+    for threads in ("2", "1"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _GEMM], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout)
+    assert len(digests) == 1

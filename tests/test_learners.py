@@ -26,14 +26,14 @@ from permnet.env import (
     ENTITY_FEATURES,
     N_MOVE_ACTIONS,
     PRESETS,
+    UNIT_FIELDS,
     BattleBatch,
     MicroBattleEnv,
-    ObservationSet,
+    other_ally_index,
 )
 from permnet.hpn import HpnAgentNet
 from permnet.layers import NEG_MASK
 from permnet.learners import (
-    Episode,
     Learner,
     ParallelRunner,
     QmixMixer,
@@ -51,26 +51,20 @@ from permnet.learners import (
 )
 
 import battle_reference as ref
+from replay_reference import (
+    VIEW_FIELDS,
+    batch_views,
+    episode_of,
+    episode_views,
+    learner_views,
+    relabel_views,
+    rollout_episode,
+    step_obs,
+)
 from scripted_policies import always_lose_policy, evaluate, focus_fire_policy
 
 K = ENTITY_FEATURES
-
-
-def step_columns(obs, state, actions, avail, reward):
-    """One step as the per-field values an Episode stacks over time."""
-    return (np.stack([o.own for o in obs]), np.stack([o.allies for o in obs]),
-            np.stack([o.enemies for o in obs]), state,
-            np.asarray(actions, dtype=np.int64), avail, reward)
-
-
-def episode_of(steps):
-    return Episode(*map(np.stack, zip(*steps)))
-
-
-def step_obs(episode, t, i):
-    """Agent i's observation at step t of an episode."""
-    return ObservationSet(episode.own[t, i], episode.allies[t, i],
-                          episode.enemies[t, i])
+STEP_FIELDS = UNIT_FIELDS + ("actions", "rewards")
 
 
 def assert_same_arrays(got: dict, want: dict):
@@ -79,26 +73,6 @@ def assert_same_arrays(got: dict, want: dict):
         assert got[name].dtype == want[name].dtype, name
         assert got[name].shape == want[name].shape, name
         assert got[name].tobytes() == want[name].tobytes(), name
-
-
-def rollout_episode(seed, policy=None, cfg=PRESETS["3v3"]):
-    """Collect one full episode from the battle env."""
-    env = MicroBattleEnv(cfg)
-    obs, state = env.reset(seed)
-    rng = np.random.default_rng(seed + 1)
-    steps = []
-    terminated = False
-    while not terminated:
-        avail = env.available_actions()
-        if policy is None:
-            actions = np.array([rng.choice(np.flatnonzero(avail[i]))
-                                for i in range(cfg.n_allies)])
-        else:
-            actions = policy(env, avail)
-        next_obs, next_state, reward, terminated, _ = env.step(actions)
-        steps.append(step_columns(obs, state, actions, avail, reward))
-        obs, state = next_obs, next_state
-    return episode_of(steps)
 
 
 # -- containers --------------------------------------------------------
@@ -324,49 +298,54 @@ def test_relabel_identity_is_noop():
 
 
 def test_relabel_translates_attack_actions():
-    env = MicroBattleEnv(PRESETS["3v3"])
-    obs, state = env.reset(101)
-    avail = env.available_actions()
-    avail = avail.copy()
-    avail[:, N_MOVE_ACTIONS:] = True     # open all attacks for the check
-    actions = np.array([N_MOVE_ACTIONS + 0, ACTION_STOP, ACTION_STOP])
-    episode = episode_of([step_columns(obs, state, actions, avail, 0.0)])
+    episode = rollout_episode(101)
+    episode.actions[0] = [N_MOVE_ACTIONS + 0, ACTION_STOP, ACTION_STOP]
     out = relabel_episode(episode, np.arange(3), np.array([1, 0, 2]))
     assert out.actions[0, 0] == N_MOVE_ACTIONS + 1
     assert out.actions[0, 1] == ACTION_STOP
 
 
-def reference_relabel(episode, ally_perm, enemy_perm):
-    """The per-step, per-agent relabeling loop that relabel_episode's
-    fancy indexing replaces."""
+def reference_relabel(views, actions, ally_perm, enemy_perm):
+    """The per-step, per-agent relabeling loop that the float oracle's
+    fancy indexing replaced, on an episode's views and actions."""
     n, m = len(ally_perm), len(enemy_perm)
     inv_enemy = np.argsort(enemy_perm)
-    steps = []
-    for t in range(len(episode)):
-        obs = []
+    out = {name: [] for name in VIEW_FIELDS}
+    new_actions = np.empty_like(actions)
+    for t in range(len(actions)):
         for p in range(n):
-            src = step_obs(episode, t, ally_perm[p])
+            src = step_obs(views, t, ally_perm[p])
             rows = [int(ally_perm[q]) - int(ally_perm[q] > ally_perm[p])
                     for q in range(n) if q != p]
-            obs.append(ObservationSet(src.own, src.allies[rows],
-                                      src.enemies[enemy_perm]))
-        actions = np.empty(n, dtype=np.int64)
-        avail = np.empty_like(episode.avail[t])
-        for p in range(n):
-            a = int(episode.actions[t, ally_perm[p]])
+            out["own"].append(src.own)
+            out["allies"].append(src.allies[rows])
+            out["enemies"].append(src.enemies[enemy_perm])
+            a = int(actions[t, ally_perm[p]])
             if a >= N_MOVE_ACTIONS:
                 a = N_MOVE_ACTIONS + int(inv_enemy[a - N_MOVE_ACTIONS])
-            actions[p] = a
-            row = episode.avail[t, ally_perm[p]].copy()
-            row[N_MOVE_ACTIONS:] = episode.avail[t, ally_perm[p],
-                                                 N_MOVE_ACTIONS + enemy_perm]
-            avail[p] = row
-        entity = episode.state[t].reshape(n + m, K)
-        state = np.concatenate([entity[:n][ally_perm],
-                                entity[n:][enemy_perm]]).reshape(-1)
-        steps.append(step_columns(obs, state, actions, avail,
-                                  episode.rewards[t]))
-    return episode_of(steps)
+            new_actions[t, p] = a
+            row = views["avail"][t, ally_perm[p]].copy()
+            row[N_MOVE_ACTIONS:] = views["avail"][t, ally_perm[p],
+                                                  N_MOVE_ACTIONS + enemy_perm]
+            out["avail"].append(row)
+        entity = views["state"][t].reshape(n + m, K)
+        out["state"].append(np.concatenate(
+            [entity[:n][ally_perm], entity[n:][enemy_perm]]).reshape(-1))
+    shapes = {name: views[name].shape for name in VIEW_FIELDS}
+    return {name: np.stack(rows).reshape(shapes[name])
+            for name, rows in out.items()}, new_actions
+
+
+def assert_relabel_matches_float_oracle(cfg, episode, relabeled, ally_perm,
+                                        enemy_perm):
+    """The views the learner rebuilds for ``relabeled`` are the float
+    relabelling of ``episode``'s views, bit for bit, and so are the
+    actions."""
+    views, actions = relabel_views(learner_views(episode, cfg),
+                                   episode.actions, ally_perm, enemy_perm)
+    assert_same_arrays(learner_views(relabeled, cfg), views)
+    assert relabeled.actions.tobytes() == actions.tobytes()
+    assert relabeled.rewards is episode.rewards
 
 
 @pytest.mark.parametrize("preset", ["3v3", "5v6"])
@@ -374,16 +353,49 @@ def test_relabel_matches_per_step_reference_bitwise(preset):
     cfg = PRESETS[preset]
     rng = np.random.default_rng(19)
     for seed in range(150, 160):
-        episode = rollout_episode(seed, cfg=cfg)
+        episode = rollout_episode(seed, cfg)
         ally_perm = rng.permutation(cfg.n_allies)
         enemy_perm = rng.permutation(cfg.n_enemies)
         relabeled = relabel_episode(episode, ally_perm, enemy_perm)
-        assert_same_arrays(vars(relabeled),
-                           vars(reference_relabel(episode, ally_perm,
-                                                  enemy_perm)))
+        assert_relabel_matches_float_oracle(cfg, episode, relabeled,
+                                            ally_perm, enemy_perm)
+        # the float oracle is the per-step loop, vectorized
+        views = episode_views(episode, cfg)
+        oracle, oracle_actions = relabel_views(views, episode.actions,
+                                               ally_perm, enemy_perm)
+        loop, loop_actions = reference_relabel(views, episode.actions,
+                                               ally_perm, enemy_perm)
+        assert_same_arrays(oracle, loop)
+        assert oracle_actions.tobytes() == loop_actions.tobytes()
         restored = relabel_episode(relabeled, np.argsort(ally_perm),
                                    np.argsort(enemy_perm))
         assert_same_arrays(vars(restored), vars(episode))
+
+
+@pytest.mark.parametrize("preset, shuffle", [
+    ("3v3", True), ("5v6", False), ("5v6", True)])
+def test_augmented_runner_episodes_match_float_oracle(preset, shuffle):
+    # runner episodes carry the wrapper's presentation; each augmented copy
+    # composes it with the drawn renaming
+    cfg = PRESETS[preset]
+    episodes = collect_episodes(preset, shuffle, 6)
+    identity = other_ally_index(cfg.n_allies)
+    presented = sum(not np.array_equal(e.ally_rows, identity)
+                    for e in episodes)
+    assert (presented > 0) == shuffle
+    copies = 2
+    grown = augment_experience(episodes, copies, np.random.default_rng(8))
+    # the replay holds integer battle states, originals and copies alike
+    assert all(getattr(e, name).dtype.kind == "i"
+               for e in grown for name in vars(e) if name != "rewards")
+    draws = np.random.default_rng(8)
+    for b, episode in enumerate(episodes):
+        for c in range(copies):
+            ally_perm = draws.permutation(cfg.n_allies)
+            enemy_perm = draws.permutation(cfg.n_enemies)
+            relabeled = grown[len(episodes) + b * copies + c]
+            assert_relabel_matches_float_oracle(cfg, episode, relabeled,
+                                                ally_perm, enemy_perm)
 
 
 def test_relabel_matches_equivariant_network_exactly():
@@ -391,6 +403,7 @@ def test_relabel_matches_equivariant_network_exactly():
     original with rows renamed: move Q rows permuted by the ally renaming,
     attack Q entries additionally permuted by the enemy renaming, and the
     chosen-action scalar unchanged."""
+    cfg = PRESETS["3v3"]
     net = HpnAgentNet(np.random.default_rng(13), 3, 3)
     rng = np.random.default_rng(14)
     checked = 0
@@ -401,11 +414,10 @@ def test_relabel_matches_equivariant_network_exactly():
         ally_perm = rng.permutation(3)
         enemy_perm = rng.permutation(3)
         relabeled = relabel_episode(episode, ally_perm, enemy_perm)
+        old, new = (learner_views(e, cfg) for e in (episode, relabeled))
         for t in range(len(episode)):
-            q_old = [net.forward(step_obs(episode, t, i)).data
-                     for i in range(3)]
-            q_new = [net.forward(step_obs(relabeled, t, i)).data
-                     for i in range(3)]
+            q_old = [net.forward(step_obs(old, t, i)).data for i in range(3)]
+            q_new = [net.forward(step_obs(new, t, i)).data for i in range(3)]
             for p in range(3):
                 src = q_old[ally_perm[p]]
                 assert np.array_equal(q_new[p][:N_MOVE_ACTIONS],
@@ -450,14 +462,12 @@ def plain_env_factory(tag):
 
 
 def test_learner_overfits_single_transition():
-    env = MicroBattleEnv(PRESETS["3v3"])
-    obs, state = env.reset(400)
-    avail = env.available_actions()
-    actions = focus_fire_policy(env, avail)
-    _, _, reward, _, _ = env.step(actions)
-    episode = episode_of([step_columns(obs, state, actions, avail, reward)])
+    cfg = PRESETS["3v3"]
+    played = rollout_episode(400, cfg, focus_fire_policy)
+    episode = dataclasses.replace(
+        played, **{name: getattr(played, name)[:1] for name in STEP_FIELDS})
     learner = Learner(small_cfg(target_update_interval=10**9),
-                      concat_factory, env.cfg, mixer="vdn")
+                      concat_factory, cfg, mixer="vdn")
     loss = np.inf
     for _ in range(2000):
         loss = learner.train_step([episode])
@@ -528,25 +538,21 @@ def test_qmix_learner_updates_mixer_parameters():
     assert moved
 
 
-def reference_stack(episodes):
-    """The step x agent loop that _stack_episodes' one concatenation per
-    field replaces: real steps only, episode after episode, plus rewards
-    on the zero-padded (B, T_max) grid and its real-step mask."""
-    _, n, m, _ = episodes[0].enemies.shape
-    fields = {name: [] for name in ("own", "allies", "enemies", "state",
-                                    "actions", "avail")}
+def reference_stack(episodes, cfg):
+    """What _stack_episodes and its batch's ``state`` give, built one step
+    at a time through the per-step facade: real steps only, episode after
+    episode, plus rewards on the zero-padded (B, T_max) grid and its
+    real-step mask."""
+    fields = {name: [] for name in VIEW_FIELDS + ("actions",)}
     horizon = max(len(e) for e in episodes)
     rewards = np.zeros((len(episodes), horizon))
     mask = np.zeros((len(episodes), horizon), dtype=bool)
     for b, episode in enumerate(episodes):
+        views = episode_views(episode, cfg)
         for t in range(len(episode)):
-            obs = [step_obs(episode, t, i) for i in range(n)]
-            fields["own"].append(np.stack([o.own for o in obs]))
-            fields["allies"].append(np.stack([o.allies for o in obs]))
-            fields["enemies"].append(np.stack([o.enemies for o in obs]))
-            fields["state"].append(episode.state[t])
+            for name in VIEW_FIELDS:
+                fields[name].append(views[name][t])
             fields["actions"].append(episode.actions[t])
-            fields["avail"].append(episode.avail[t])
             rewards[b, t] = episode.rewards[t]
             mask[b, t] = True
     out = {name: np.stack(rows) for name, rows in fields.items()}
@@ -567,27 +573,43 @@ def collect_episodes(preset, shuffle, count, seed=21):
 
 @pytest.mark.parametrize("preset, shuffle", [("3v3", True), ("5v6", False)])
 def test_stack_episodes_matches_per_step_reference_bitwise(preset, shuffle):
+    cfg = PRESETS[preset]
     episodes = collect_episodes(preset, shuffle, 6)
     assert len({len(e) for e in episodes}) > 1    # the grid has padding
-    assert_same_arrays(learners._stack_episodes(episodes),
-                       reference_stack(episodes))
+    battles, data = learners._stack_episodes(episodes, cfg)
+    assert_same_arrays(dict(data, **batch_views(battles)),
+                       reference_stack(episodes, cfg))
+
+
+def test_replay_stores_battle_states_only():
+    # the integer fields an 8v9 battle-step costs, against the 4952 bytes
+    # of observations, masks and state that it derives
+    cfg = PRESETS["8v9"]
+    episode = rollout_episode(31, cfg)
+    assert all(column.dtype.kind == "i" for name, column in
+               vars(episode).items() if name != "rewards")
+    per_step = sum(getattr(episode, name)[0].nbytes for name in STEP_FIELDS)
+    derived = sum(column[0].nbytes
+                  for column in episode_views(episode, cfg).values())
+    assert (per_step, derived) == (480, 4952)
 
 
 def three_forward_train_step(learner, episodes):
     """Reference VDN update with its own greedy online forward: online,
     target and grad forwards, in that order, for any agent net."""
     cfg = learner.cfg
-    data = learners._stack_episodes(episodes)
+    battles, data = learners._stack_episodes(episodes, learner.env_cfg)
+    views = batch_views(battles)
     steps, n = data["actions"].shape
     rows = steps * n
-    own = Tensor(data["own"].reshape(rows, -1))
-    allies = Tensor(data["allies"].reshape(rows, n - 1, K))
-    enemies = Tensor(data["enemies"].reshape(rows, -1, K))
+    own = Tensor(views["own"].reshape(rows, -1))
+    allies = Tensor(views["allies"].reshape(rows, n - 1, K))
+    enemies = Tensor(views["enemies"].reshape(rows, -1, K))
     with no_grad():
         q_online, q_target = [
             net.forward_batch(own, allies, enemies).data.reshape(steps, n, -1)
             for net in (learner.net, learner.target_net)]
-    best = np.where(data["avail"], q_online, NEG_MASK).argmax(axis=-1)
+    best = np.where(views["avail"], q_online, NEG_MASK).argmax(axis=-1)
     values = np.take_along_axis(q_target, best[..., None], axis=-1)[..., 0]
     grid = np.zeros(data["mask"].shape)
     grid[data["mask"]] = values.sum(axis=-1)
@@ -647,14 +669,16 @@ def padded_train_step(learner, episodes):
     (B, T_max) grid.  Only for nets whose grad forward is greedy."""
     cfg = learner.cfg
     batch, horizon = len(episodes), max(len(e) for e in episodes)
+    columns = [dict(episode_views(e, learner.env_cfg), actions=e.actions,
+                    rewards=e.rewards) for e in episodes]
     data = {name: np.zeros((batch, horizon) + column.shape[1:], column.dtype)
-            for name, column in vars(episodes[0]).items()}
+            for name, column in columns[0].items()}
     data["avail"][..., 0] = True
     mask = np.zeros((batch, horizon))
-    for b, episode in enumerate(episodes):
-        for name, column in vars(episode).items():
-            data[name][b, :len(episode)] = column
-        mask[b, :len(episode)] = 1.0
+    for b, episode in enumerate(columns):
+        for name, column in episode.items():
+            data[name][b, :len(column)] = column
+        mask[b, :len(column)] = 1.0
     n = data["actions"].shape[-1]
     rows = batch * horizon * n
     own = Tensor(data["own"].reshape(rows, -1))
@@ -769,20 +793,30 @@ class SeedLoggingEnv(MicroBattleEnv):
         super().reset_into(batch, i, seed)
 
 
-def assert_replays(cfg, seed, episode):
-    """Stepping a fresh frozen reference env with the recorded actions
-    reproduces every recorded field bitwise and ends exactly at the last
-    recorded step."""
-    env = ref.MicroBattleEnv(cfg)
-    obs, state = env.reset(seed)
-    for t in range(len(episode)):
-        recorded = {name: column[t] for name, column in vars(episode).items()
-                    if name not in ("actions", "rewards")}
-        assert_same_arrays(recorded, {
-            "own": np.stack([o.own for o in obs]),
+def reference_views(obs, state, avail):
+    """One step's views from a frozen reference env, in the fields of
+    ``episode_views``."""
+    return {"own": np.stack([o.own for o in obs]),
             "allies": np.stack([o.allies for o in obs]),
             "enemies": np.stack([o.enemies for o in obs]),
-            "state": state, "avail": env.available_actions()})
+            "state": state, "avail": avail}
+
+
+def assert_replays(cfg, seed, episode):
+    """Stepping a fresh frozen reference env with the recorded actions
+    reproduces every recorded unit array, and the views the learner
+    rebuilds from them, bitwise, and ends exactly at the last recorded
+    step."""
+    env = ref.MicroBattleEnv(cfg)
+    obs, state = env.reset(seed)
+    views = learner_views(episode, cfg)
+    for t in range(len(episode)):
+        assert_same_arrays(
+            {name: getattr(episode, name)[t] for name in UNIT_FIELDS},
+            {name: getattr(env, name) for name in UNIT_FIELDS})
+        assert_same_arrays(
+            {name: column[t] for name, column in views.items()},
+            reference_views(obs, state, env.available_actions()))
         obs, state, reward, terminated, _ = env.step(episode.actions[t])
         assert reward == episode.rewards[t]
         assert terminated == (t == len(episode) - 1)
@@ -937,7 +971,9 @@ class PerBattleRunner:
     """The runner as it was before the battle batch: one env.step per
     battle and one epsilon-greedy choice per agent, each from its own
     ``ObservationSet``.  The reference for ``ParallelRunner``'s streams;
-    run it on ``reference_env_factory`` envs."""
+    run it on ``reference_env_factory`` envs.  It records each episode's
+    unit arrays and presentation, and keeps the views it acted on in
+    ``views``, one dict per finished episode."""
 
     def __init__(self, cfg, env_factory, net):
         self.cfg = cfg
@@ -948,6 +984,7 @@ class PerBattleRunner:
         self.select_rng = np.random.default_rng([cfg.seed, 4])
         self.env_steps = 0
         self._partial = [[] for _ in self.envs]
+        self.views = []
         self._obs, self._state = [], []
         for i, env in enumerate(self.envs):
             obs, state = env.reset(int(self.streams[i].integers(2 ** 31)))
@@ -980,15 +1017,26 @@ class PerBattleRunner:
             actions = np.array(
                 [self.select(q[i * n + j], avail[i][j], eps, self.select_rng)
                  for j in range(n)], dtype=np.int64)
+            battle = getattr(env, "env", env)
+            units = {name: getattr(battle, name).copy()
+                     for name in UNIT_FIELDS}
             obs, state, reward, terminated, _ = env.step(actions)
             rows = slice(i * n, (i + 1) * n)
-            self._partial[i].append((own[rows], allies[rows], enemies[rows],
-                                     self._state[i], actions, avail[i],
-                                     reward))
+            self._partial[i].append((
+                dict(units, actions=actions, rewards=reward),
+                {"own": own[rows], "allies": allies[rows],
+                 "enemies": enemies[rows], "state": self._state[i],
+                 "avail": avail[i]}))
             self.env_steps += 1
             if terminated:
-                completed.append(Episode(*map(np.stack,
-                                              zip(*self._partial[i]))))
+                steps, views = zip(*self._partial[i])
+                ally_perm = getattr(env, "ally_perm", np.arange(n - 1))
+                enemy_perm = getattr(env, "enemy_perm",
+                                     np.arange(env.cfg.n_enemies))
+                completed.append(episode_of(
+                    steps, other_ally_index(n)[:, ally_perm], enemy_perm))
+                self.views.append({name: np.stack([v[name] for v in views])
+                                   for name in VIEW_FIELDS})
                 self._partial[i] = []
                 obs, state = env.reset(
                     int(self.streams[i].integers(2 ** 31)))
@@ -1025,8 +1073,11 @@ def test_tick_matches_per_battle_runner_bitwise(preset, shuffle, limit, eps,
     for _ in range(150):
         got, want = (runner.tick() for runner in runners)
         assert len(got) == len(want)
-        for ep_got, ep_want in zip(got, want):
+        # the learner's views of each episode are what the reference acted on
+        for ep_got, ep_want, seen in zip(got, want,
+                                         runners[1].views[-len(want):]):
             assert_same_arrays(vars(ep_got), vars(ep_want))
+            assert_same_arrays(learner_views(ep_got, PRESETS[preset]), seen)
         finished += len(got)
         limited += sum(len(e) == limit for e in got)
     assert finished >= 10
