@@ -6,9 +6,13 @@ matrix M, one slot row at a time.  Feeding any downstream network M·X
 instead of X makes it invariant to the input ordering, and mapping a
 per-entity output slice back through Mᵀ makes that slice equivariant.
 
-Selection is stochastic-hard during training (straight-through gradients)
-and pure argmax at evaluation time, where canonicalization is exact: the
-same entity set in any order yields bitwise-identical M·X.
+Selection is stochastic-hard in the training forward (straight-through
+gradients).  Greedy selection (hard and deterministic: acting, evaluation,
+the learner's target and double-Q forwards) is a plain masked argmax per
+slot that returns M as a constant.  Without score ties it is exact: the
+same entity set in any order yields bitwise-identical M·X.  The argmax
+takes the first maximum, so a tie between distinct entities picks by input
+position.
 """
 
 from __future__ import annotations
@@ -67,11 +71,14 @@ def generate_permutation_matrix(net: DpnNet, X: Tensor,
     """Build M row by row: slot d picks among still-unassigned entities.
 
     ``X`` is (m, k) or batched (..., m, k).  Each slot row adds a -1e10
-    penalty on already-taken entities, samples a hard one-hot over the
-    rest, and adds that row's forward value (the exact one-hot) to the
-    next row's penalty mask; a soft config penalizes by the soft row
-    instead.  The mask is accumulated outside the graph; gradients reach
-    the assignment parameters through each row's straight-through softmax.
+    penalty on already-taken entities and picks among the rest.  A hard
+    deterministic config picks the first maximum of the masked scores and
+    returns M as a constant: no gradient reaches the assignment network.
+    Otherwise each row samples a hard one-hot through ``gumbel_softmax``
+    and adds that row's forward value (the exact one-hot) to the next
+    row's penalty mask; a soft config penalizes by the soft row instead.
+    The mask is accumulated outside the graph; gradients reach the
+    assignment parameters through each row's straight-through softmax.
 
     ``deterministic`` overrides the net's GumbelConfig flag (argmax
     selection, no noise) without mutating it.
@@ -89,6 +96,13 @@ def generate_permutation_matrix(net: DpnNet, X: Tensor,
         return Tensor(np.zeros(lead + (0, 0)))
     scores = net.assign_mlp(X)              # (..., m entities, m slots)
     taken = np.zeros(lead + (m,))
+    if cfg.hard and cfg.deterministic:
+        M = np.zeros(lead + (m, m))
+        for d in range(m):
+            pick = (scores.data[..., d] + NEG_MASK * taken).argmax(-1)
+            np.put_along_axis(M[..., d, :], pick[..., None], 1.0, axis=-1)
+            np.put_along_axis(taken, pick[..., None], 1.0, axis=-1)
+        return Tensor(M)
     rows = []
     for d in range(m):
         slot = np.full(lead + (m,), d, dtype=np.intp)

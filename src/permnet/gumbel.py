@@ -19,7 +19,9 @@ class GumbelConfig:
 
     deterministic=True drops the noise entirely (g == 0); combined with
     hard=True that is pure argmax selection with first-max tie-breaking,
-    the mode used at evaluation time so selection is exactly repeatable.
+    exactly repeatable.  DPN's greedy forwards (acting, evaluation, the
+    learner's target and double-Q) select that way without calling
+    ``gumbel_softmax``.
     """
 
     tau: float = 0.5

@@ -1,5 +1,6 @@
 """Benchmark driver: sustain statistic, curve memoization, summaries."""
 
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from permnet.benchmark import (
@@ -130,3 +132,18 @@ def test_package_import_pins_blas_threads():
                              capture_output=True, text=True, check=True)
         digests.add(out.stdout)
     assert len(digests) == 1
+
+
+def test_suite_runs_on_one_blas_thread():
+    """The suite's own process gives the 1-thread GEMM bytes, whatever
+    thread count the host would default to."""
+    rng = np.random.default_rng(0)
+    a, g = rng.normal(size=(5000, 64)), rng.normal(size=(5000, 256))
+    here = hashlib.sha256((a.T @ g).tobytes()).hexdigest()
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _GEMM], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == here

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permnet.dpn
+from dpn_reference import softmax_permutation_matrix, use_softmax_loop
 from permnet.autodiff import (
     AdamState,
     ShapeError,
@@ -16,6 +18,7 @@ from permnet.autodiff import (
     grad_check,
     matmul,
     mul,
+    no_grad,
     reduce_sum,
 )
 from permnet.dpn import (
@@ -24,9 +27,16 @@ from permnet.dpn import (
     generate_permutation_matrix,
     is_permutation_matrix,
 )
-from permnet.env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES, ObservationSet
+from permnet.env import (
+    ENTITY_FEATURES,
+    N_MOVE_ACTIONS,
+    OWN_FEATURES,
+    PRESETS,
+    ObservationSet,
+)
 from permnet.gumbel import GumbelConfig
 from permnet.layers import Mlp
+from test_hpn import battle_observations, make_net, q_values
 
 DET = GumbelConfig(tau=0.5, hard=True, deterministic=True)
 
@@ -267,3 +277,123 @@ def test_single_agent_team_empty_ally_group():
     q = agent.forward(obs, deterministic=True)
     assert q.shape == (N_MOVE_ACTIONS + 2,)
     assert np.isfinite(q.data).all()
+
+
+# -- greedy selection against the softmax loop -------------------------
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_greedy_matrix_matches_softmax_loop_on_random_inputs(m):
+    rng = np.random.default_rng([21, m])
+    for seed in range(5):
+        net = det_net([22, m, seed], m=m)
+        X = rng.normal(size=(64, m, 4))
+        X[:8, :2] = X[:8, :1]               # identical rows tie exactly
+        for x in (X, X[0]):
+            assert same_bits(generate_permutation_matrix(net, Tensor(x)).data,
+                             softmax_permutation_matrix(net, Tensor(x)).data)
+
+
+@pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
+def test_greedy_forward_matches_softmax_loop_on_battle_observations(
+        preset, monkeypatch):
+    obs = battle_observations(preset, 8)
+    agent = make_net(DpnAgentNet, preset, 9)
+    for net, group in ((agent.ally_net, obs[1]), (agent.enemy_net, obs[2])):
+        assert same_bits(generate_permutation_matrix(net, Tensor(group),
+                                                     deterministic=True).data,
+                         softmax_permutation_matrix(net, Tensor(group),
+                                                    deterministic=True).data)
+    q = q_values(agent, *obs).data
+    with monkeypatch.context() as patch:
+        use_softmax_loop(patch)
+        assert same_bits(q, q_values(agent, *obs).data)
+
+
+@pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
+def test_greedy_forward_matches_softmax_loop_when_every_slot_ties(
+        preset, monkeypatch):
+    """With zero output weights every entity scores the slot's bias, so
+    each slot takes the first entity left and M is the identity."""
+    obs = battle_observations(preset, 10)
+    agent = make_net(DpnAgentNet, preset, 11)
+    for net, group in ((agent.ally_net, obs[1]), (agent.enemy_net, obs[2])):
+        net.assign_mlp.layers[-1].weight.data[:] = 0.0
+        M = generate_permutation_matrix(net, Tensor(group), deterministic=True)
+        assert np.array_equal(M.data, np.broadcast_to(
+            np.eye(net.group_size), M.shape))
+    q = q_values(agent, *obs).data
+    with monkeypatch.context() as patch:
+        use_softmax_loop(patch)
+        assert same_bits(q, q_values(agent, *obs).data)
+
+
+# -- gradient semantics of greedy selection ----------------------------
+
+
+def test_greedy_matrix_is_a_constant_under_grad_mode():
+    net = det_net(12)
+    X = Tensor(np.random.default_rng(13).normal(size=(5, 3, 4)),
+               requires_grad=True)
+    assert not generate_permutation_matrix(net, X).requires_grad
+    agent = make_net(DpnAgentNet, "3v3", 14)
+    loss = reduce_sum(q_values(agent, *battle_observations("3v3", 15)))
+    assert loss.requires_grad
+    loss.backward()
+    for name, p in agent.named_parameters().items():
+        assert (p.grad is None) == name.startswith(("ally_net.",
+                                                     "enemy_net.")), name
+
+
+def test_greedy_forwards_never_sample(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("greedy selection called gumbel_softmax")
+
+    monkeypatch.setattr(permnet.dpn, "gumbel_softmax", refuse)
+    X = Tensor(np.random.default_rng(16).normal(size=(7, 3, 4)))
+    generate_permutation_matrix(det_net(17), X)
+    generate_permutation_matrix(det_net(17), Tensor(X.data[0]))
+    agent = make_net(DpnAgentNet, "5v6", 18)
+    obs = battle_observations("5v6", 19)
+    q_values(agent, *obs)
+    with no_grad():
+        q_values(agent, *obs)
+
+
+@pytest.mark.parametrize("preset", ["3v3", "5v6"])
+def test_greedy_trunk_gradients_match_softmax_loop(preset, monkeypatch):
+    obs = battle_observations(preset, 20)
+    weight = np.random.default_rng(21).normal(
+        size=(len(obs[0]), N_MOVE_ACTIONS + PRESETS[preset].n_enemies))
+
+    def trunk_grads():
+        agent = make_net(DpnAgentNet, preset, 22)
+        q = q_values(agent, *obs)
+        reduce_sum(mul(q, Tensor(weight))).backward()
+        return {name: p.grad for name, p in agent.named_parameters().items()
+                if not name.startswith(("ally_net.", "enemy_net."))}
+
+    greedy = trunk_grads()
+    with monkeypatch.context() as patch:
+        use_softmax_loop(patch)
+        loop = trunk_grads()
+    assert greedy.keys() == loop.keys()
+    for name, g in greedy.items():
+        assert same_bits(g, loop[name]), name
+
+
+def test_noisy_forward_reaches_assignment_parameters():
+    agent = make_net(DpnAgentNet, "3v3", 23)
+    obs = battle_observations("3v3", 24)
+    q = q_values(agent, *obs, rng=np.random.default_rng(25),
+                 deterministic=False)
+    weight = np.random.default_rng(26).normal(size=q.shape)
+    reduce_sum(mul(q, Tensor(weight))).backward()
+    for group in (agent.ally_net, agent.enemy_net):
+        grads = [p.grad for p in group.named_parameters().values()]
+        assert all(g is not None for g in grads)
+        assert sum(float(np.abs(g).sum()) for g in grads) > 0.0

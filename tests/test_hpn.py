@@ -297,8 +297,9 @@ def make_net(cls, preset, seed):
     return cls(np.random.default_rng(seed), cfg.n_allies, cfg.n_enemies)
 
 
-def q_values(net, own, allies, enemies):
-    return net.forward_batch(Tensor(own), Tensor(allies), Tensor(enemies))
+def q_values(net, own, allies, enemies, **kwargs):
+    return net.forward_batch(Tensor(own), Tensor(allies), Tensor(enemies),
+                             **kwargs)
 
 
 @pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
