@@ -1,6 +1,6 @@
 """Minimal dense-tensor reverse-mode autodiff engine.
 
-Everything is float64. Tensors wrap a numpy array plus an optional gradient
+Tensors wrap a float32 or float64 numpy array plus an optional gradient
 array; non-leaf tensors record their parents and a backward rule, and
 ``Tensor.backward`` replays the rules in reverse topological order, visiting
 each node exactly once and *accumulating* (never overwriting) gradients.
@@ -13,6 +13,12 @@ Elementwise ops support leading-axis broadcasting only: after left-padding
 the shorter shape with 1s, an operand may be expanded along a contiguous
 leading block of axes where it has size 1.  Trailing or interior broadcasts
 are rejected so backward unbroadcasting stays trivial to reason about.
+
+Every op keeps the dtype of its inputs.  The networks' parameters and the
+battle's observations and states are float32, so the whole training graph
+runs in single precision; a constant joins a graph through ``constant``,
+which gives it the dtype of the tensor it meets.  Float64 inputs (the
+finite-difference checks) run the same ops in double precision.
 """
 
 from __future__ import annotations
@@ -44,11 +50,18 @@ class ShapeError(ValueError):
 
 
 def _as_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
+    value = np.asarray(value)
+    if value.dtype in (np.float32, np.float64):
+        return value
+    return value.astype(np.float64)
 
 
 class Tensor:
-    """A dense float64 array participating in the gradient graph."""
+    """A dense array participating in the gradient graph.
+
+    A float32 or float64 array is kept as given (no copy); ints, bools
+    and Python scalars become float64.
+    """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_rule")
 
@@ -104,6 +117,11 @@ class Tensor:
         for node in reversed(order):
             if node._backward_rule is not None:
                 node._backward_rule(node.grad)
+
+
+def constant(value, like: Tensor) -> Tensor:
+    """``value`` as a graph constant in ``like``'s dtype, rounded once."""
+    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -462,7 +480,7 @@ def scatter_rows(t: Tensor, indices: np.ndarray, rows: int) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.shape != t.shape[:1]:
         raise ShapeError(f"{idx.shape} row indices for {t.shape[:1]} rows")
-    out_val = np.zeros((rows,) + t.shape[1:])
+    out_val = np.zeros((rows,) + t.shape[1:], t.data.dtype)
     out_val[idx] = t.data
 
     def rule(g):
@@ -489,9 +507,9 @@ def straight_through(soft: Tensor, hard_value: np.ndarray) -> Tensor:
     return Tensor._from_op(hard_value, (soft,), rule)
 
 
-def one_hot(indices: np.ndarray, depth: int) -> np.ndarray:
+def one_hot(indices: np.ndarray, depth: int, dtype=np.float64) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.intp)
-    out = np.zeros(idx.shape + (depth,))
+    out = np.zeros(idx.shape + (depth,), dtype)
     np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
     return out
 
@@ -554,10 +572,13 @@ def grad_check(f, inputs, h: float = 1e-5) -> float:
     ``f`` maps the given tensors to a scalar Tensor and is re-evaluated for
     each perturbed component, so it must be deterministic.  The error metric
     is |analytic - numeric| / max(1, |analytic|), maximized over all input
-    components.
+    components.  Inputs must be float64: float32 rounding alone puts the
+    error near 1e-3 at ``h`` = 1e-5.
     """
     inputs = [t if isinstance(t, Tensor) else Tensor(t, requires_grad=True)
               for t in inputs]
+    if any(t.data.dtype != np.float64 for t in inputs):
+        raise TypeError("grad_check needs float64 inputs")
     for t in inputs:
         t.requires_grad = True
         t.zero_grad()
@@ -589,6 +610,7 @@ def grad_check(f, inputs, h: float = 1e-5) -> float:
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
-    """Dense-layer initialization: uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
+    """Dense-layer initialization: uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)),
+    drawn in float64 and rounded once to float32."""
     bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)

@@ -93,11 +93,11 @@ def generate_permutation_matrix(net: DpnNet, X: Tensor,
         cfg = replace(cfg, deterministic=deterministic)
     lead = X.shape[:-2]
     if m == 0:
-        return Tensor(np.zeros(lead + (0, 0)))
+        return Tensor(np.zeros(lead + (0, 0), X.data.dtype))
     scores = net.assign_mlp(X)              # (..., m entities, m slots)
-    taken = np.zeros(lead + (m,))
+    taken = np.zeros(lead + (m,), scores.data.dtype)
     if cfg.hard and cfg.deterministic:
-        M = np.zeros(lead + (m, m))
+        M = np.zeros(lead + (m, m), scores.data.dtype)
         for d in range(m):
             pick = (scores.data[..., d] + NEG_MASK * taken).argmax(-1)
             np.put_along_axis(M[..., d, :], pick[..., None], 1.0, axis=-1)

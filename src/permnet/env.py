@@ -203,13 +203,13 @@ class BattleBatch:
         """(R, state_dim) global states: one (x, y, health, alive) block
         per entity, allies first, normalized like observations, dead rows
         all-zero; in true entity order (a wrapper does not permute the
-        state)."""
+        state).  float32, like the observations."""
         cfg = self.cfg
         xs = np.concatenate([self.ally_x, self.enemy_x], axis=1)
         ys = np.concatenate([self.ally_y, self.enemy_y], axis=1)
         hps = np.concatenate([self.ally_hp, self.enemy_hp], axis=1)
         live = hps > 0
-        block = np.zeros(hps.shape + (ENTITY_FEATURES,))
+        block = np.zeros(hps.shape + (ENTITY_FEATURES,), np.float32)
         block[live, 0] = xs[live] / self._norm
         block[live, 1] = ys[live] / self._norm
         block[live, 2] = hps[live] / cfg.max_health
@@ -218,10 +218,13 @@ class BattleBatch:
 
     def observations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """own (R, n, OWN_FEATURES), allies (R, n, n - 1, ENTITY_FEATURES)
-        and enemies (R, n, m, ENTITY_FEATURES), group rows presented."""
+        and enemies (R, n, m, ENTITY_FEATURES), group rows presented.
+
+        float32: each value is computed in float64 and rounded once as it
+        is stored."""
         cfg = self.cfg
         live = self.ally_hp > 0
-        own = np.zeros(live.shape + (OWN_FEATURES,))
+        own = np.zeros(live.shape + (OWN_FEATURES,), np.float32)
         own[live, 0] = self.ally_x[live] / self._norm
         own[live, 1] = self.ally_y[live] / self._norm
         own[live, 2] = self.ally_hp[live] / cfg.max_health
@@ -240,7 +243,7 @@ class BattleBatch:
         broadcast to (R, n, k)) as seen by every ally; all-zero for a dead
         entity or observer."""
         seen = observer_live[:, :, None] & (hps > 0)
-        rows = np.empty(seen.shape + (ENTITY_FEATURES,))
+        rows = np.empty(seen.shape + (ENTITY_FEATURES,), np.float32)
         rows[..., 0] = (xs - self.ally_x[:, :, None]) / self._norm
         rows[..., 1] = (ys - self.ally_y[:, :, None]) / self._norm
         rows[..., 2] = hps / self.cfg.max_health

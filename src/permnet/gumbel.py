@@ -10,7 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, mul, one_hot, softmax, straight_through
+from .autodiff import (
+    Tensor,
+    add,
+    constant,
+    mul,
+    one_hot,
+    softmax,
+    straight_through,
+)
 
 
 @dataclass
@@ -34,7 +42,8 @@ class GumbelConfig:
 
 
 def sample_gumbel(rng: np.random.Generator, shape) -> np.ndarray:
-    """g = -log(-log(u)) with u away from {0, 1} for stability."""
+    """g = -log(-log(u)) with u away from {0, 1} for stability, in float64
+    (``gumbel_softmax`` rounds it once to the logits' dtype)."""
     u = rng.uniform(1e-10, 1.0 - 1e-10, size=shape)
     return -np.log(-np.log(u))
 
@@ -53,10 +62,12 @@ def gumbel_softmax(logits: Tensor, cfg: GumbelConfig,
     else:
         if rng is None:
             raise ValueError("stochastic sampling needs an rng")
-        noise = sample_gumbel(rng, logits.shape)
-        perturbed = add(logits, Tensor(noise))
-    soft = softmax(mul(perturbed, Tensor(1.0 / cfg.tau)), axis=-1)
+        perturbed = add(logits, constant(sample_gumbel(rng, logits.shape),
+                                         logits))
+    soft = softmax(mul(perturbed, constant(1.0 / cfg.tau, perturbed)),
+                   axis=-1)
     if not cfg.hard:
         return soft
-    hard = one_hot(np.argmax(soft.data, axis=-1), soft.shape[-1])
+    hard = one_hot(np.argmax(soft.data, axis=-1), soft.shape[-1],
+                   soft.data.dtype)
     return straight_through(soft, hard)

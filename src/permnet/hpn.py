@@ -13,9 +13,14 @@ Weights are generated for live entity rows only.  A dead entity, and
 every row a dead observer sees, is all-zero, and an all-zero row x adds
 x @ W(x) = +-0 to the input pooling, which sums from +0.0: dropping it
 keeps the pooled bits.  A dead enemy's attack Q-value is never
-available, so it is written as exactly ``NEG_MASK``.  Gathering the live
-rows keeps every computed value bitwise, because each generated row's
-GEMM result does not depend on which other rows share the batch.
+available, so it is written as exactly ``NEG_MASK``.  Reordering entities
+moves rows within these GEMMs but keeps their count, and from two rows up
+a row's result does not depend on which other rows share the batch, so
+order-freedom stays exact.  A one-row product is the exception: BLAS runs
+it as a matrix-vector product, and a (1, 64) @ (64, 256) row differs in
+its last bits from the same row inside a larger batch, in float32 and
+float64 alike.  So a lone live row may differ from what the dense layers
+would give it, but never between two orders of the same entities.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .autodiff import (
     bmm,
     canonical_sum,
     concat,
+    constant,
     gather_rows,
     mul,
     reduce_sum,
@@ -120,7 +126,7 @@ def hpn_output_layer(layer: HyperLayer, trunk_hidden: Tensor,
     m = X_enemy.shape[-2]
     lead = X_enemy.shape[:-2]
     if m == 0:
-        return Tensor(np.zeros(lead + (0,)))
+        return Tensor(np.zeros(lead + (0,), trunk_hidden.data.dtype))
     batch = int(np.prod(lead))
     flat = reshape(X_enemy, (batch * m, layer.feature_dim))
     alive = flat.data[:, 3] != 0.0
@@ -134,7 +140,8 @@ def hpn_output_layer(layer: HyperLayer, trunk_hidden: Tensor,
     if bias is not None:
         scores = add(scores, bias)
     q = reshape(scatter_rows(scores, live, batch * m), lead + (m,))
-    return add(q, Tensor(np.where(alive, 0.0, NEG_MASK).reshape(lead + (m,))))
+    return add(q, constant(np.where(alive, 0.0, NEG_MASK).reshape(lead + (m,)),
+                           q))
 
 
 class HpnAgentNet(AgentNet):

@@ -4,7 +4,8 @@ Parameters are exposed through ``named_parameters()`` as a flat dict of
 dotted names to Tensors, which is the interface the optimizer and the
 target-network sync consume.  Names follow attribute paths (``body.weight``,
 ``layers.0.bias``).  Initialization is uniform(-1/sqrt(fan_in), ..) from an
-explicit numpy Generator so construction is reproducible.
+explicit numpy Generator so construction is reproducible; parameters are
+float32.
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ values are mixed into a team value either by plain summation (VDN) or by a
 state-conditioned monotonic mixing network (QMIX).  Targets are TD(lambda)
 returns computed backward over whole episodes with double-Q bootstrapping:
 the online network picks the argmax action, the hard-updated target copy
-evaluates it.  Replay stores whole episodes of battle states, which the
-env's ``BattleBatch`` presents to the learner, and samples them uniformly.
+evaluates it.  The recursion runs on float64 rewards; the targets are
+rounded once to the network's float32 where they enter the loss.  Replay
+stores whole episodes of battle states, which the env's ``BattleBatch``
+presents to the learner, and samples them uniformly.
 
 ``augment_experience`` is a pure data transform: it renames the units of
 stored episodes under random ally/enemy permutations (unit axes,
@@ -36,6 +38,7 @@ from .autodiff import (
     adam_step,
     add,
     bmm,
+    constant,
     mul,
     no_grad,
     reduce_sum,
@@ -421,8 +424,8 @@ class Learner:
         chosen = reshape(take_index(q, data["actions"].reshape(rows)),
                          (steps, n))
         q_tot = self._mix(chosen, state, self.mixer)
-        diff = add(q_tot, Tensor(-targets))
-        loss = mul(reduce_sum(mul(diff, diff)), Tensor(1.0 / float(steps)))
+        diff = add(q_tot, constant(-targets, q_tot))
+        loss = mul(reduce_sum(mul(diff, diff)), constant(1.0 / steps, q_tot))
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise FloatingPointError(

@@ -26,9 +26,9 @@ def softmax_permutation_matrix(net, X, rng=None, deterministic=None):
     m = X.shape[-2]
     lead = X.shape[:-2]
     if m == 0:
-        return Tensor(np.zeros(lead + (0, 0)))
+        return Tensor(np.zeros(lead + (0, 0), X.data.dtype))
     scores = net.assign_mlp(X)
-    taken = np.zeros(lead + (m,))
+    taken = np.zeros(lead + (m,), scores.data.dtype)
     rows = []
     for d in range(m):
         logits = take_index(scores, np.full(lead + (m,), d, dtype=np.intp))

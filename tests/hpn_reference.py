@@ -42,7 +42,7 @@ def dense_output_layer(layer, trunk_hidden, X_enemy):
     m = X_enemy.shape[-2]
     lead = X_enemy.shape[:-2]
     if m == 0:
-        return Tensor(np.zeros(lead + (0,)))
+        return Tensor(np.zeros(lead + (0,), trunk_hidden.data.dtype))
     w = reshape(weights, lead + (m, layer.rows))
     hr = reshape(trunk_hidden, lead + (1, layer.rows))
     h = concat([hr] * m, axis=-2)

@@ -44,6 +44,7 @@ from permnet.learners import (
     td_lambda_targets,
 )
 
+from float64_params import in_float64
 from replay_reference import learner_views, rollout_episode, step_obs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -53,17 +54,20 @@ K = ENTITY_FEATURES
 
 
 def live_obs(rng, n_allies, n_enemies):
-    allies = rng.normal(size=(n_allies - 1, K))
-    enemies = rng.normal(size=(n_enemies, K))
+    """A float32 observation, as the battle presents it, every entity
+    alive."""
+    allies = rng.normal(size=(n_allies - 1, K)).astype(np.float32)
+    enemies = rng.normal(size=(n_enemies, K)).astype(np.float32)
     allies[:, 3] = 1.0
     enemies[:, 3] = 1.0
-    return ObservationSet(own=rng.normal(size=OWN_FEATURES),
-                          allies=allies, enemies=enemies)
+    own = rng.normal(size=OWN_FEATURES).astype(np.float32)
+    return ObservationSet(own=own, allies=allies, enemies=enemies)
 
 
 def test_c01_hpn_move_invariance_and_attack_equivariance():
-    """100 nets, 3 allies / 3 enemies, all 12 joint permutations: move
-    Q-values within 1e-9, attack Q-values permuted bitwise, under 10 s."""
+    """100 float32 nets on float32 observations, 3 allies / 3 enemies, all
+    12 joint permutations: move Q-values within 1e-9, attack Q-values
+    permuted bitwise, under 10 s."""
     t0 = time.perf_counter()
     worst = 0.0
     for i in range(100):
@@ -88,14 +92,16 @@ def test_c01_hpn_move_invariance_and_attack_equivariance():
 
 def test_c02_dpn_canonicalization_and_matrix_validity():
     """Deterministic assignment is order-free bitwise across all 4!
-    orderings for 100 nets; 10k sampled matrices (noisy and deterministic)
-    are valid permutation matrices; under 30 s."""
+    orderings for 100 float32 nets on float32 inputs; 10k sampled matrices
+    (noisy and deterministic) are valid permutation matrices; under
+    30 s."""
     t0 = time.perf_counter()
     for i in range(100):
         net = DpnNet(np.random.default_rng([63, i]), K, 4,
                      gumbel=GumbelConfig(tau=0.5, hard=True,
                                          deterministic=True))
-        X = np.random.default_rng([64, i]).normal(size=(4, K))
+        X = np.random.default_rng([64, i]).normal(size=(4, K)).astype(
+            np.float32)
         canon = set()
         for p in itertools.permutations(range(4)):
             Xp = Tensor(X[list(p)])
@@ -107,7 +113,7 @@ def test_c02_dpn_canonicalization_and_matrix_validity():
     for i in range(10):
         net = DpnNet(np.random.default_rng([66, i]), K, 4,
                      gumbel=GumbelConfig(tau=0.5, hard=True))
-        X = Tensor(rng.normal(size=(500, 4, K)))
+        X = Tensor(rng.normal(size=(500, 4, K)).astype(np.float32))
         noisy = generate_permutation_matrix(net, X, rng=rng)
         det = generate_permutation_matrix(net, X, deterministic=True)
         for M in noisy.data:
@@ -125,8 +131,8 @@ def test_c02_dpn_canonicalization_and_matrix_validity():
 def _hpn_grad_case(j):
     sizes = [(2, 2), (3, 3), (2, 3), (3, 2), (4, 2), (2, 4), (3, 4)]
     n, m = sizes[j]
-    agent = HpnAgentNet(np.random.default_rng([71, j]), n, m,
-                        hidden=8, hyper_hidden=8)
+    agent = in_float64(HpnAgentNet(np.random.default_rng([71, j]), n, m,
+                                   hidden=8, hyper_hidden=8))
     obs = live_obs(np.random.default_rng([72, j]), n, m)
     probe = Tensor(np.random.default_rng([73, j]).normal(
         size=N_MOVE_ACTIONS + m))
@@ -142,8 +148,9 @@ def _hpn_grad_case(j):
 
 def _dpn_soft_grad_case(j):
     m = 2 + j % 2
-    net = DpnNet(np.random.default_rng([74, j]), K, m,
-                 gumbel=GumbelConfig(tau=1.0, hard=False, deterministic=True))
+    net = in_float64(DpnNet(np.random.default_rng([74, j]), K, m,
+                            gumbel=GumbelConfig(tau=1.0, hard=False,
+                                                deterministic=True)))
     rng = np.random.default_rng([75, j])
     X = Tensor(rng.normal(size=(m, K)))
     C = Tensor(rng.normal(size=(m, K)))
@@ -156,8 +163,8 @@ def _dpn_soft_grad_case(j):
 
 
 def _dpn_trunk_grad_case(j):
-    agent = DpnAgentNet(np.random.default_rng([76, j]), 2 + j % 2, 2,
-                        hidden=6)
+    agent = in_float64(DpnAgentNet(np.random.default_rng([76, j]), 2 + j % 2,
+                                   2, hidden=6))
     obs = live_obs(np.random.default_rng([77, j]), 2 + j % 2, 2)
 
     def f(*params):
@@ -168,8 +175,8 @@ def _dpn_trunk_grad_case(j):
 
 
 def _qmix_grad_case(j):
-    mixer = QmixMixer(np.random.default_rng([78, j]), 3, 8,
-                      embed=4, hypernet_embed=8)
+    mixer = in_float64(QmixMixer(np.random.default_rng([78, j]), 3, 8,
+                                 embed=4, hypernet_embed=8))
     rng = np.random.default_rng([79, j])
     qs = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     states = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
@@ -182,8 +189,8 @@ def _qmix_grad_case(j):
 
 def test_c03_straight_through_and_full_model_gradients():
     """Hard-sample backward equals the soft-path backward bitwise; 20
-    finite-difference checks across HPN, DPN, and mixing paths stay under
-    relative error 1e-4."""
+    finite-difference checks across HPN, DPN, and mixing paths, on float64
+    copies of the nets, stay under relative error 1e-4."""
     values = np.random.default_rng(68).normal(size=(4, 5))
     weight = Tensor(np.random.default_rng(69).normal(size=(4, 5)))
     hard_in = Tensor(values.copy(), requires_grad=True)

@@ -499,11 +499,19 @@ def test_grad_check_rejects_nonscalar():
         grad_check(lambda a: a, [np.ones(3)])
 
 
+def test_grad_check_rejects_float32_inputs():
+    with pytest.raises(TypeError, match="float64"):
+        grad_check(lambda a: reduce_sum(a), [np.ones(3, np.float32)])
+
+
 def test_uniform_init_bounds_and_determinism():
     w1 = uniform_init(np.random.default_rng(42), 16, (16, 8))
     w2 = uniform_init(np.random.default_rng(42), 16, (16, 8))
     assert np.array_equal(w1, w2)
     assert np.all(np.abs(w1) <= 0.25)
+    # the float64 draws, each rounded once to float32
+    drawn = np.random.default_rng(42).uniform(-0.25, 0.25, size=(16, 8))
+    assert w1.tobytes() == drawn.astype(np.float32).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,10 @@ def test_concat_is_permutation_sensitive():
 
 def test_concat_zero_input_gives_composed_biases():
     net = ConcatAgentNet(np.random.default_rng(4), 3, 3)
-    zero = ObservationSet(own=np.zeros(OWN_FEATURES),
-                          allies=np.zeros((2, K)), enemies=np.zeros((3, K)))
+    # float32 zeros, as the battle presents a dead observer
+    zero = ObservationSet(own=np.zeros(OWN_FEATURES, np.float32),
+                          allies=np.zeros((2, K), np.float32),
+                          enemies=np.zeros((3, K), np.float32))
     q = net.forward(zero).data
     l0, l1 = net.net.layers
     expected = np.maximum(l0.bias.data, 0.0) @ l1.weight.data + l1.bias.data

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import permnet.dpn
 from dpn_reference import softmax_permutation_matrix, use_softmax_loop
+from float64_params import in_float64
 from permnet.autodiff import (
     AdamState,
     ShapeError,
@@ -212,8 +213,9 @@ def test_gradients_reach_assignment_parameters():
 def test_grad_check_soft_assignment_path():
     # soft rows keep the whole pipeline differentiable, so finite
     # differences must agree with backprop through the masked softmax loop
-    net = DpnNet(np.random.default_rng(41), 3, 3,
-                 gumbel=GumbelConfig(tau=1.0, hard=False, deterministic=True))
+    net = in_float64(DpnNet(np.random.default_rng(41), 3, 3,
+                            gumbel=GumbelConfig(tau=1.0, hard=False,
+                                                deterministic=True)))
     rng = np.random.default_rng(42)
     X = Tensor(rng.normal(size=(3, 3)))
     C = Tensor(rng.normal(size=(3, 3)))
@@ -229,8 +231,8 @@ def test_grad_check_soft_assignment_path():
 def test_grad_check_trunk_through_hard_canonicalization():
     # hard M is locally constant, so trunk gradients are exactly the
     # gradients of downstream(M·X) and finite differences apply
-    agent = DpnAgentNet(np.random.default_rng(51), n_allies=2, n_enemies=2,
-                        hidden=6)
+    agent = in_float64(DpnAgentNet(np.random.default_rng(51), n_allies=2,
+                                   n_enemies=2, hidden=6))
     obs = random_obs(np.random.default_rng(52), n_allies=2, n_enemies=2)
 
     def f(w):

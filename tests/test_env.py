@@ -220,9 +220,7 @@ def test_observations_match_per_entity_reference_bitwise(preset):
             for o, (own, allies, enemies) in zip(obs, expected):
                 for got, want in ((o.own, own), (o.allies, allies),
                                   (o.enemies, enemies)):
-                    assert got.shape == want.shape
-                    assert got.dtype == want.dtype
-                    assert got.tobytes() == want.tobytes()
+                    assert_same_bytes(got, stored(want))
             if done:
                 break
             mask = env.available_actions()
@@ -740,6 +738,12 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def stored(view):
+    """A frozen reference view (float64) as the battle batch stores it:
+    each value rounded once to float32."""
+    return view.astype(np.float32)
+
+
 def battles(cfg, shuffle, count, stream):
     """``count`` production battles and as many frozen reference ones; the
     i-th pair's wrappers draw from equal streams."""
@@ -768,9 +772,9 @@ def assert_row_matches(batch, i, want):
     assert_same_bytes(batch.available_actions()[i], want.available_actions())
     for field, column in zip(("own", "allies", "enemies"),
                              batch.observations()):
-        assert_same_bytes(column[i], np.stack(
-            [getattr(o, field) for o in want.observations()]))
-    assert_same_bytes(batch.state()[i], want.state())
+        assert_same_bytes(column[i], stored(np.stack(
+            [getattr(o, field) for o in want.observations()])))
+    assert_same_bytes(batch.state()[i], stored(want.state()))
 
 
 @pytest.mark.parametrize("shuffle", [False, True], ids=["plain", "shuffle"])
@@ -797,10 +801,11 @@ def test_battle_batch_reset_matches_reference_bitwise(cfg, shuffle):
         assert_row_matches(batch, i, refs[i])
         obs, state = single.reset(seed)
         want_obs, want_state = refs[3].reset(seed)
-        assert_same_bytes(state, want_state)
+        assert_same_bytes(state, stored(want_state))
         for got, want in zip(obs, want_obs, strict=True):
             for field in ("own", "allies", "enemies"):
-                assert_same_bytes(getattr(got, field), getattr(want, field))
+                assert_same_bytes(getattr(got, field),
+                                  stored(getattr(want, field)))
         columns.add(frozenset(battle.ally_x.tolist()))
         assert_same_draws(envs + [single], refs)
     assert columns == ({frozenset({0, 1})} if cfg.n_allies > cfg.grid_size

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from float64_params import in_float64
 from hpn_reference import dense_input_layer, dense_output_layer, use_dense_layers
 from permnet.autodiff import (
     ShapeError,
@@ -46,13 +47,14 @@ def output_layer(seed, h=8):
 
 
 def live_obs(rng, n_allies=3, n_enemies=3):
-    """Random observation with alive flags pinned to 1 (no dead masking)."""
-    allies = rng.normal(size=(n_allies - 1, K))
-    enemies = rng.normal(size=(n_enemies, K))
+    """Random float32 observation, as the battle presents it, with alive
+    flags pinned to 1 (no dead masking)."""
+    allies = rng.normal(size=(n_allies - 1, K)).astype(np.float32)
+    enemies = rng.normal(size=(n_enemies, K)).astype(np.float32)
     allies[:, 3] = 1.0
     enemies[:, 3] = 1.0
-    return ObservationSet(own=rng.normal(size=OWN_FEATURES),
-                          allies=allies, enemies=enemies)
+    own = rng.normal(size=OWN_FEATURES).astype(np.float32)
+    return ObservationSet(own=own, allies=allies, enemies=enemies)
 
 
 # -- HyperLayer --------------------------------------------------------
@@ -215,8 +217,8 @@ def test_agent_parameter_names():
 
 
 def test_grad_check_through_hypernetworks():
-    agent = HpnAgentNet(np.random.default_rng(43), n_allies=2, n_enemies=2,
-                        hidden=8, hyper_hidden=8)
+    agent = in_float64(HpnAgentNet(np.random.default_rng(43), n_allies=2,
+                                   n_enemies=2, hidden=8, hyper_hidden=8))
     obs = live_obs(np.random.default_rng(44), n_allies=2, n_enemies=2)
     probe = Tensor(np.random.default_rng(45).normal(
         size=N_MOVE_ACTIONS + 2))
@@ -232,7 +234,7 @@ def test_grad_check_through_hypernetworks():
 
 
 def test_input_layer_grad_check():
-    layer = input_layer(47, h=6)
+    layer = in_float64(input_layer(47, h=6))
     X = Tensor(np.random.default_rng(48).normal(size=(3, K)))
     w = Tensor(np.random.default_rng(49).normal(size=(6, 1)))
 
@@ -336,12 +338,13 @@ def test_forward_matches_dense_on_live_entries(cls, preset, monkeypatch):
 @pytest.mark.parametrize("preset", ["3v3", "8v9"])
 def test_gradients_match_dense(cls, preset, monkeypatch):
     """A loss that reads only live entries, as the learner's does: every
-    parameter gradient agrees with the dense layers' within rtol 1e-12.
+    parameter gradient of a float64 copy of the net agrees with the dense
+    layers' within rtol 1e-12.
     Fewer rows change the weight-gradient sums' rounding, so an entry
     whose sum cancels to near zero gets an absolute floor of 1e-12 times
     the largest entry of that parameter's gradient."""
     own, allies, enemies = battle_observations(preset, 2)
-    net = make_net(cls, preset, 3)
+    net = in_float64(make_net(cls, preset, 3))
     probe = np.random.default_rng(4).normal(
         size=(len(own), net.n_actions))
     probe[:, N_MOVE_ACTIONS:][enemies[..., 3] == 0.0] = 0.0

@@ -29,6 +29,7 @@ from permnet.env import (
     UNIT_FIELDS,
     BattleBatch,
     MicroBattleEnv,
+    ObservationSet,
     other_ally_index,
 )
 from permnet.hpn import HpnAgentNet
@@ -51,6 +52,7 @@ from permnet.learners import (
 )
 
 import battle_reference as ref
+from float64_params import in_float64, learner_in_float64
 from replay_reference import (
     VIEW_FIELDS,
     batch_views,
@@ -65,6 +67,19 @@ from scripted_policies import always_lose_policy, evaluate, focus_fire_policy
 
 K = ENTITY_FEATURES
 STEP_FIELDS = UNIT_FIELDS + ("actions", "rewards")
+
+
+class Float32ViewsEnv(ref.MicroBattleEnv):
+    """The frozen reference env presenting its float64 views as the
+    battle batch stores them: each value rounded once to float32."""
+
+    def observations(self):
+        return [ObservationSet(*(x.astype(np.float32)
+                                 for x in (o.own, o.allies, o.enemies)))
+                for o in super().observations()]
+
+    def state(self):
+        return super().state().astype(np.float32)
 
 
 def assert_same_arrays(got: dict, want: dict):
@@ -176,7 +191,7 @@ def test_qmix_shape_errors():
 
 
 def test_qmix_grad_check():
-    mixer = make_mixer(6)
+    mixer = in_float64(make_mixer(6))
     rng = np.random.default_rng(7)
     qs = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     states = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
@@ -582,8 +597,8 @@ def test_stack_episodes_matches_per_step_reference_bitwise(preset, shuffle):
 
 
 def test_replay_stores_battle_states_only():
-    # the integer fields an 8v9 battle-step costs, against the 4952 bytes
-    # of observations, masks and state that it derives
+    # the integer fields an 8v9 battle-step costs, against the 2536 bytes
+    # of float32 observations and state plus boolean masks that it derives
     cfg = PRESETS["8v9"]
     episode = rollout_episode(31, cfg)
     assert all(column.dtype.kind == "i" for name, column in
@@ -591,7 +606,7 @@ def test_replay_stores_battle_states_only():
     per_step = sum(getattr(episode, name)[0].nbytes for name in STEP_FIELDS)
     derived = sum(column[0].nbytes
                   for column in episode_views(episode, cfg).values())
-    assert (per_step, derived) == (480, 4952)
+    assert (per_step, derived) == (480, 2536)
 
 
 def three_forward_train_step(learner, episodes):
@@ -621,8 +636,9 @@ def three_forward_train_step(learner, episodes):
                                   rng=learner.forward_rng,
                                   deterministic=False)
     chosen = reshape(take_index(q, data["actions"].reshape(rows)), (steps, n))
-    diff = add(vdn_mix(chosen), Tensor(-targets))
-    loss = mul(reduce_sum(mul(diff, diff)), Tensor(1.0 / steps))
+    # the constants in the float32 loss graph are float32 too
+    diff = add(vdn_mix(chosen), Tensor(-targets.astype(np.float32)))
+    loss = mul(reduce_sum(mul(diff, diff)), Tensor(np.float32(1.0 / steps)))
     for p in learner.params.values():
         p.zero_grad()
     loss.backward()
@@ -724,12 +740,15 @@ def padded_train_step(learner, episodes):
 @pytest.mark.parametrize("arch, mixer", [("hpn", "vdn"), ("concat", "qmix")])
 def test_train_step_matches_padded_reference(arch, mixer):
     # dropping the padded rows changes summation order only: the loss and
-    # every post-Adam parameter agree with the padded update to rounding
+    # every post-Adam parameter agree with the padded update to float64
+    # rounding, on float64 copies of the nets
     episodes = collect_episodes("3v3", False, 5)
     assert len({len(e) for e in episodes}) > 1
     factory = net_factory_for(arch, PRESETS["3v3"])
-    learner = Learner(small_cfg(), factory, PRESETS["3v3"], mixer)
-    reference = Learner(small_cfg(), factory, PRESETS["3v3"], mixer)
+    learner, reference = (
+        learner_in_float64(Learner(small_cfg(), factory, PRESETS["3v3"],
+                                   mixer))
+        for _ in range(2))
     for _ in range(6):  # crosses the target sync at step 5
         loss = learner.train_step(episodes)
         assert loss == pytest.approx(padded_train_step(reference, episodes),
@@ -807,7 +826,7 @@ def assert_replays(cfg, seed, episode):
     reproduces every recorded unit array, and the views the learner
     rebuilds from them, bitwise, and ends exactly at the last recorded
     step."""
-    env = ref.MicroBattleEnv(cfg)
+    env = Float32ViewsEnv(cfg)
     obs, state = env.reset(seed)
     views = learner_views(episode, cfg)
     for t in range(len(episode)):
@@ -958,13 +977,13 @@ def test_greedy_actions_ties_and_all_masked_fallback():
 
 
 def reference_env_factory(preset, shuffle, run_seed):
-    """``cli.env_factory_for`` over the frozen reference env and wrapper:
-    same configs, same wrapper streams."""
+    """``cli.env_factory_for`` over the frozen reference env (with float32
+    views) and wrapper: same configs, same wrapper streams."""
     cfg = PRESETS[preset]
     if not shuffle:
-        return lambda tag: ref.MicroBattleEnv(cfg)
+        return lambda tag: Float32ViewsEnv(cfg)
     return lambda tag: ref.ShuffleWrapper(
-        ref.MicroBattleEnv(cfg), np.random.default_rng([run_seed, 17, tag]))
+        Float32ViewsEnv(cfg), np.random.default_rng([run_seed, 17, tag]))
 
 
 class PerBattleRunner:
