@@ -15,6 +15,7 @@ from permnet.benchmark import (
     EVAL_INTERVAL,
     run_benchmark,
 )
+from permnet.cli import check_seeds
 
 
 def fmt_sustain(value: float) -> str:
@@ -29,6 +30,10 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=BENCHMARK_STEPS)
     parser.add_argument("--eval-interval", type=int, default=EVAL_INTERVAL)
     args = parser.parse_args()
+    try:
+        check_seeds(args.seeds)
+    except ValueError as err:
+        parser.error(f"--seeds: {err}")      # exits 2
 
     t0 = time.time()
 

@@ -9,10 +9,12 @@ place.  The module-level op functions (``add``, ``mul``, ``reduce_sum``,
 ``reshape``, ...) are the only way to build a graph node: ``Tensor`` has no
 operator overloads or op methods.
 
-Elementwise ops support leading-axis broadcasting only: after left-padding
-the shorter shape with 1s, an operand may be expanded along a contiguous
-leading block of axes where it has size 1.  Trailing or interior broadcasts
-are rejected so backward unbroadcasting stays trivial to reason about.
+Only the right operand of ``add`` and ``mul`` broadcasts: its shape, less
+leading 1s, must end the left operand's shape, and its gradient is summed
+over the leading axes.  Same-shape operands pass gradients through as is.
+``gather_rows`` and ``scatter_rows`` take 1-d, non-negative, sorted row
+indices: non-decreasing for a gather, which may repeat a row, strictly
+increasing for its inverse, the scatter.
 
 Every op keeps the dtype of its inputs.  The networks' parameters and the
 battle's observations and states are float32, so the whole training graph
@@ -145,45 +147,26 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 # ---------------------------------------------------------------------------
-# broadcasting helpers (leading-axis only)
+# broadcasting helpers (right operand, leading axes only)
 # ---------------------------------------------------------------------------
 
-def _check_leading_broadcast(sa: tuple[int, ...], sb: tuple[int, ...]):
-    rank = max(len(sa), len(sb))
-    pa = (1,) * (rank - len(sa)) + sa
-    pb = (1,) * (rank - len(sb)) + sb
-    seen_match_a = seen_match_b = False
-    for da, db in zip(pa, pb):
-        if da != db and 1 not in (da, db):
-            raise ShapeError(f"shapes {sa} and {sb} do not broadcast")
-        if da == 1 and db == 1:
-            continue        # aligned singleton axes are broadcast-neutral
-        # a broadcast axis after a matched axis would be an interior broadcast
-        if da == 1 and db > 1:
-            if seen_match_a:
-                raise ShapeError(
-                    f"only leading-axis broadcasting is supported: {sa} vs {sb}")
-        else:
-            seen_match_a = True
-        if db == 1 and da > 1:
-            if seen_match_b:
-                raise ShapeError(
-                    f"only leading-axis broadcasting is supported: {sa} vs {sb}")
-        else:
-            seen_match_b = True
+def _broadcast_axes(sa: tuple, sb: tuple) -> tuple:
+    """The leading axes of ``sa`` that a right operand of shape ``sb`` is
+    broadcast along; () when the shapes are equal."""
+    if sa == sb:
+        return ()
+    core = sb
+    while core[:1] == (1,):
+        core = core[1:]
+    if len(sb) > len(sa) or sa[len(sa) - len(core):] != core:
+        raise ShapeError(
+            f"{sb} does not broadcast over the leading axes of {sa}")
+    return tuple(range(len(sa) - len(core)))
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` (inverse of broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] > 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+def _unbroadcast(g: np.ndarray, axes: tuple, shape: tuple) -> np.ndarray:
+    """Sum ``g`` over the broadcast ``axes`` down to ``shape``."""
+    return g.sum(axis=axes).reshape(shape) if axes else g
 
 
 # ---------------------------------------------------------------------------
@@ -191,27 +174,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_leading_broadcast(a.shape, b.shape)
+    axes = _broadcast_axes(a.shape, b.shape)
     out_val = a.data + b.data
 
     def rule(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
+            a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+            b._accumulate(_unbroadcast(g, axes, b.shape))
 
     return Tensor._from_op(out_val, (a, b), rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_leading_broadcast(a.shape, b.shape)
+    axes = _broadcast_axes(a.shape, b.shape)
     out_val = a.data * b.data
 
     def rule(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            a._accumulate(g * b.data)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            b._accumulate(_unbroadcast(g * a.data, axes, b.shape))
 
     return Tensor._from_op(out_val, (a, b), rule)
 
@@ -443,27 +426,31 @@ def take_index(t: Tensor, indices: np.ndarray) -> Tensor:
     return Tensor._from_op(out_val, (t,), rule)
 
 
-def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
-    """Rows ``t[indices]`` along the first axis; a non-negative index may
-    repeat.  Backward adds each output row's gradient into its source row,
-    in index order."""
+def _row_indices(indices: np.ndarray, strict: bool) -> np.ndarray:
+    """``indices`` as 1-d, non-negative row indices, strictly increasing
+    if ``strict`` and non-decreasing otherwise."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"row indices must be 1-d, got shape {idx.shape}")
-    if idx.size and idx.min() < 0:
-        raise ShapeError("row indices must be non-negative")
+    if idx.size and (idx[0] < 0 or np.any(np.diff(idx) < int(strict))):
+        order = "increasing" if strict else "non-decreasing"
+        raise ShapeError(f"row indices must be non-negative and {order}")
+    return idx
+
+
+def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
+    """Rows ``t[indices]`` along the first axis, for non-decreasing
+    indices.  Backward adds each output row's gradient into its source
+    row, repeats in index order."""
+    idx = _row_indices(indices, strict=False)
     out_val = t.data[idx]
 
     def rule(g):
         if t.requires_grad:
-            # round k adds the k-th occurrence of every index, so each
-            # round writes distinct rows; this is np.add.at's sum, several
-            # times faster
-            order = np.argsort(idx, kind="stable")
-            first = np.flatnonzero(np.diff(idx[order], prepend=-1))
-            rank = np.empty_like(idx)
-            rank[order] = np.arange(idx.size) - np.repeat(
-                first, np.diff(first, append=idx.size))
+            # round k adds the k-th copy of every index, so each round
+            # writes distinct rows; this is np.add.at's sum, several times
+            # faster.  A copy's rank is its distance from its run's start.
+            rank = np.arange(idx.size) - np.searchsorted(idx, idx)
             full = np.zeros_like(t.data)
             for k in range(rank.max(initial=-1) + 1):
                 hit = rank == k
@@ -475,9 +462,10 @@ def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
 
 
 def scatter_rows(t: Tensor, indices: np.ndarray, rows: int) -> Tensor:
-    """The inverse of ``gather_rows`` for distinct indices: ``rows`` rows
-    of zeros with row ``indices[i]`` set to ``t[i]``.  Backward gathers."""
-    idx = np.asarray(indices, dtype=np.intp)
+    """The inverse of ``gather_rows`` for increasing indices: ``rows``
+    rows of zeros with row ``indices[i]`` set to ``t[i]``.  Backward
+    gathers."""
+    idx = _row_indices(indices, strict=True)
     if idx.shape != t.shape[:1]:
         raise ShapeError(f"{idx.shape} row indices for {t.shape[:1]} rows")
     out_val = np.zeros((rows,) + t.shape[1:], t.data.dtype)

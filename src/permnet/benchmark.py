@@ -23,7 +23,8 @@ import os
 
 import numpy as np
 
-from .cli import ExperimentConfig, read_curve, run_seed, seed_csv_path
+from .cli import (ExperimentConfig, check_seeds, read_curve, run_seed,
+                  seed_csv_path)
 from .learners import TrainConfig
 
 BENCHMARK_SEEDS = (0, 1, 2, 3, 4)
@@ -127,7 +128,9 @@ def run_benchmark(out_dir: str, seeds=BENCHMARK_SEEDS,
                   total_env_steps: int = BENCHMARK_STEPS,
                   eval_interval: int = EVAL_INTERVAL,
                   progress=None) -> dict[str, MethodSummary]:
-    """Train (or reuse) every (method, seed) curve and summarize each method."""
+    """Train (or reuse) every (method, seed) curve and summarize each
+    method; a repeated seed would count its curve once per repeat."""
+    seeds = check_seeds(seeds)
     for method in METHODS:
         for seed in seeds:
             path = ensure_curve(method, seed, out_dir, total_env_steps,

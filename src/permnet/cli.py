@@ -9,9 +9,9 @@ Each seed trains independently and streams one CSV curve
 percentile columns.
 
 Exit codes: 0 all seeds complete, 2 unknown architecture/mixer/config
-name, invalid config value (a repeated seed, or a ``tag`` that is not a
-plain file name) or ``--jobs`` below 1, 3 unwritable or already-occupied
-output, 4 mismatched aggregation grids.
+name, a repeated config key, invalid config value (a repeated seed, or a
+``tag`` that is not a plain file name) or ``--jobs`` below 1, 3
+unwritable or already-occupied output, 4 mismatched aggregation grids.
 """
 
 from __future__ import annotations
@@ -97,13 +97,19 @@ class ExperimentConfig:
             self.tag = "_".join(parts)
 
 
+def check_seeds(seeds) -> tuple:
+    """``seeds`` as a tuple; ValueError if there are none, one is negative
+    or one repeats."""
+    seeds = tuple(seeds)
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValueError(f"no seeds, a negative one or a repeat in {seeds}")
+    return seeds
+
+
 def _parse_seeds(text: str) -> tuple:
     """Seeds separated by commas and/or whitespace; ValueError if one is
-    not a non-negative integer, one repeats or there are none."""
-    seeds = tuple(int(tok) for tok in text.replace(",", " ").split())
-    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
-        raise ValueError(f"no seeds, a negative one or a repeat in {text!r}")
-    return seeds
+    not an integer or ``check_seeds`` refuses them."""
+    return check_seeds(int(tok) for tok in text.replace(",", " ").split())
 
 
 def _parse_value(key: str, value: str, kind: type):
@@ -139,6 +145,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
                "tuple": tuple}
     exp_kwargs: dict = {}
     train_kwargs: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -149,6 +156,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in first_line:   # the last value would silently win
+            raise ConfigError(f"line {lineno}: repeated config key {key!r} "
+                              f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         if key in exp_fields:
             exp_kwargs[key] = _parse_value(key, value,
                                            type_of.get(exp_fields[key], str))

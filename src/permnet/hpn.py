@@ -51,23 +51,23 @@ class HyperLayer(Module):
     """Two-layer hypernetwork emitting one weight block per entity.
 
     ``generate(X)`` maps entity features (..., m, k) to weight blocks
-    (..., m, rows, cols), plus a per-entity bias (..., m) when configured.
-    The final layer is split into parallel weight/bias heads over a shared
-    hidden layer, which is the same arithmetic as one wide output layer.
-    ``shared_bias`` adds a single learned (cols,) bias for sum-pooled use.
+    (..., m, rows, cols) and, with ``per_entity_bias``, a generated bias
+    (..., m); the final layer is split into parallel weight/bias heads over
+    a shared hidden layer, which is the same arithmetic as one wide output
+    layer.  Without it the layer owns one learned (cols,) ``shared_bias``
+    for sum-pooled use instead, and ``generate`` returns no bias.
     """
 
     def __init__(self, rng: np.random.Generator, feature_dim: int, rows: int,
-                 cols: int, hidden: int = 64, per_entity_bias: bool = False,
-                 shared_bias: bool = False):
+                 cols: int, hidden: int = 64, per_entity_bias: bool = False):
         self.feature_dim = feature_dim
         self.rows = rows
         self.cols = cols
         self.body = Linear(rng, feature_dim, hidden)
         self.w_head = Linear(rng, hidden, rows * cols)
         self.b_head = Linear(rng, hidden, 1) if per_entity_bias else None
-        self.shared_bias = (Tensor(uniform_init(rng, feature_dim, (cols,)),
-                                   requires_grad=True) if shared_bias else None)
+        self.shared_bias = (None if per_entity_bias else Tensor(
+            uniform_init(rng, feature_dim, (cols,)), requires_grad=True))
 
     def generate(self, X: Tensor):
         if X.shape[-1] != self.feature_dim:
@@ -105,8 +105,6 @@ def hpn_input_layer(layer: HyperLayer, X: Tensor) -> Tensor:
                               live, rows)
     pooled = canonical_sum(reshape(per_entity, lead + (layer.cols,)),
                            axis=-2)
-    if layer.shared_bias is None:
-        return pooled
     return add(pooled, layer.shared_bias)
 
 
@@ -125,8 +123,6 @@ def hpn_output_layer(layer: HyperLayer, trunk_hidden: Tensor,
             f"trunk width {trunk_hidden.shape[-1]} != {layer.rows}")
     m = X_enemy.shape[-2]
     lead = X_enemy.shape[:-2]
-    if m == 0:
-        return Tensor(np.zeros(lead + (0,), trunk_hidden.data.dtype))
     batch = int(np.prod(lead))
     flat = reshape(X_enemy, (batch * m, layer.feature_dim))
     alive = flat.data[:, 3] != 0.0
@@ -136,9 +132,7 @@ def hpn_output_layer(layer: HyperLayer, trunk_hidden: Tensor,
     # score each row with an elementwise product and a per-row sum rather
     # than a width-1 matmul: BLAS matvec kernels are not bitwise row-stable
     h = gather_rows(reshape(trunk_hidden, (batch, layer.rows)), live // m)
-    scores = reduce_sum(mul(w, h), axis=-1)
-    if bias is not None:
-        scores = add(scores, bias)
+    scores = add(reduce_sum(mul(w, h), axis=-1), bias)
     q = reshape(scatter_rows(scores, live, batch * m), lead + (m,))
     return add(q, constant(np.where(alive, 0.0, NEG_MASK).reshape(lead + (m,)),
                            q))
@@ -159,10 +153,8 @@ class HpnAgentNet(AgentNet):
         self.hidden = hidden
         k = ENTITY_FEATURES
         self.own_dense = Linear(rng, OWN_FEATURES, hidden)
-        self.ally_embed = HyperLayer(rng, k, k, hidden, hyper_hidden,
-                                     shared_bias=True)
-        self.enemy_embed = HyperLayer(rng, k, k, hidden, hyper_hidden,
-                                      shared_bias=True)
+        self.ally_embed = HyperLayer(rng, k, k, hidden, hyper_hidden)
+        self.enemy_embed = HyperLayer(rng, k, k, hidden, hyper_hidden)
         self.move_head = Linear(rng, hidden, N_MOVE_ACTIONS)
         self.attack_head = HyperLayer(rng, k, hidden, 1, hyper_hidden,
                                       per_entity_bias=True)

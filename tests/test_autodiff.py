@@ -111,20 +111,47 @@ def test_leading_axis_size1_broadcast_ok():
 def test_trailing_broadcast_rejected():
     a = t(np.ones((3, 4)))
     b = t(np.ones((3, 1)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="leading axes"):
         add(a, b)
 
 
 def test_interior_broadcast_rejected():
     a = t(np.ones((2, 3, 4)))
     b = t(np.ones((2, 1, 4)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="leading axes"):
         mul(a, b)
 
 
 def test_incompatible_shapes_rejected():
     with pytest.raises(ShapeError):
         add(t(np.ones(3)), t(np.ones(4)))
+
+
+@pytest.mark.parametrize("op", [add, mul], ids=["add", "mul"])
+@pytest.mark.parametrize("left, right", [
+    ((4,), (3, 4)),         # a bias on the left: only the right broadcasts
+    ((4,), (1, 4)),         # the right operand would widen the left
+], ids=["left", "widening"])
+def test_only_right_operand_broadcasts_over_leading_axes(op, left, right):
+    with pytest.raises(ShapeError, match="leading axes"):
+        op(t(np.ones(left)), t(np.ones(right)))
+
+
+@pytest.mark.parametrize("left, right", [
+    ((5,), (1,)), ((5, 3), (1, 3)), ((0,), (1,)), ((2, 5, 3), (1, 3))])
+def test_broadcast_gradient_sums_over_leading_axes(left, right):
+    rng = np.random.default_rng(22)
+    av, bv, seed = (rng.standard_normal(left), rng.standard_normal(right),
+                    rng.standard_normal(left))
+    for op, partner in ((add, np.ones(left)), (mul, av)):
+        a, b = t(av), t(bv)
+        op(a, b).backward(seed)
+        lead = tuple(range(len(left) - len(right) + 1))
+        assert b.grad.shape == right
+        assert b.grad.tobytes() == (
+            (seed * partner).sum(axis=lead).reshape(right).tobytes())
+        assert a.grad.tobytes() == (
+            seed if op is add else seed * bv).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +381,7 @@ def test_take_index_shape_mismatch():
 
 def test_gather_rows_forward_and_repeated_index_grad():
     x = t(np.arange(12.0).reshape(4, 3))
-    idx = np.array([2, 0, 2, 2])
+    idx = np.array([0, 2, 2, 2])
     out = gather_rows(x, idx)
     assert np.array_equal(out.data, x.data[idx])
     reduce_sum(out).backward()
@@ -365,7 +392,7 @@ def test_gather_rows_forward_and_repeated_index_grad():
 def test_gather_rows_grad_check_with_repeats():
     w = Tensor(np.random.default_rng(17).standard_normal((5, 2, 3)))
     x = np.random.default_rng(18).standard_normal((4, 2, 3))
-    idx = np.array([3, 1, 3, 0, 3])
+    idx = np.array([0, 1, 3, 3, 3])
     assert grad_check(
         lambda a: reduce_sum(mul(ad.relu(gather_rows(a, idx)), w)), [x]) < 1e-6
 
@@ -377,7 +404,7 @@ def test_gather_rows_rejects_nested_indices():
 
 def test_scatter_rows_forward_and_grad_check():
     x = np.random.default_rng(19).standard_normal((3, 2))
-    idx = np.array([4, 0, 2])
+    idx = np.array([0, 2, 4])
     out = scatter_rows(t(x), idx, 6)
     expected = np.zeros((6, 2))
     expected[idx] = x
@@ -386,6 +413,22 @@ def test_scatter_rows_forward_and_grad_check():
     assert grad_check(
         lambda a: reduce_sum(mul(ad.relu(scatter_rows(a, idx, 6)), w)),
         [x]) < 1e-6
+
+
+@pytest.mark.parametrize("op", [
+    gather_rows, lambda x, idx: scatter_rows(x, idx, 6)],
+    ids=["gather", "scatter"])
+@pytest.mark.parametrize("idx, why", [
+    ([2, 0, 1], "non-decreasing|increasing"), ([-1, 0, 1], "non-negative"),
+    ([[0], [1], [2]], "1-d")], ids=["unsorted", "negative", "2-d"])
+def test_row_ops_reject_unsorted_negative_or_nested_indices(op, idx, why):
+    with pytest.raises(ShapeError, match=why):
+        op(t(np.zeros((3, 2))), np.array(idx))
+
+
+def test_scatter_rows_rejects_a_repeated_index():
+    with pytest.raises(ShapeError, match="increasing"):
+        scatter_rows(t(np.zeros((3, 2))), np.array([0, 2, 2]), 4)
 
 
 def test_scatter_rows_undoes_gather_rows():

@@ -66,6 +66,30 @@ def test_run_benchmark_summary_statistics(tmp_path):
         assert all(v == math.inf or v in (200, 400) for v in s.sustain_steps)
 
 
+@pytest.mark.parametrize("seeds", [(2, 2, 2, 0, 1), (0, -1), ()])
+def test_run_benchmark_rejects_repeated_or_negative_seeds(tmp_path, seeds):
+    # (2, 2, 2, 0, 1) once counted seed 2's curve three times in each median
+    out = tmp_path / "bench"
+    with pytest.raises(ValueError, match="a negative one or a repeat"):
+        run_benchmark(str(out), seeds=seeds, total_env_steps=400,
+                      eval_interval=200)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", [["0", "0"], ["1", "-2"]])
+def test_benchmark_script_exits_2_on_bad_seeds(tmp_path, seeds):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "bench"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_benchmark.py"),
+         "--out", str(out), "--seeds", *seeds],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "--seeds" in proc.stderr
+    assert not out.exists()
+
+
 def test_summary_medians():
     s = MethodSummary("m", (0.9, 0.8, 1.0), (100, math.inf, 300))
     assert s.median_final == 0.9

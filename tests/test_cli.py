@@ -42,8 +42,9 @@ def write_config(tmp_path, text=TINY, name="exp.cfg"):
 
 
 def test_parse_config_fields():
-    exp = parse_config_text(TINY + "augment = true\nshuffle = on\n"
-                            "td_lambda = 0.4\nseeds = 3, 4 5\n")
+    exp = parse_config_text(TINY.replace("seeds = 0", "seeds = 3, 4 5")
+                            + "augment = true\nshuffle = on\n"
+                            "td_lambda = 0.4\n")
     assert exp.architecture == "concat"
     assert exp.mixer == "vdn"
     assert exp.augment is True and exp.shuffle is True
@@ -61,6 +62,26 @@ def test_parse_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown config key 'seed'; list "
                                           "run seeds under 'seeds'"):
         parse_config_text("seed = 7\n")
+
+
+@pytest.mark.parametrize("key, first, second", [
+    ("lr", "0.5", "0.001"), ("architecture", "dpn", "hpn"),
+    ("seeds", "0", "0")])
+def test_parse_rejects_a_repeated_key_naming_both_lines(key, first, second):
+    # the last value once won without a word
+    text = f"{key} = {first}\n# a comment\n\n{key} = {second}\n"
+    with pytest.raises(ConfigError, match=rf"^line 4: repeated config key "
+                                          rf"'{key}' \(first set on line 1\)$"):
+        parse_config_text(text)
+
+
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, TINY + "lr = 0.5\nlr = 0.001\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'lr'" in err
+    assert not out.exists()
 
 
 def test_parse_rejects_bad_values():

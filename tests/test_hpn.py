@@ -37,8 +37,7 @@ K = ENTITY_FEATURES
 
 
 def input_layer(seed, h=8):
-    return HyperLayer(np.random.default_rng(seed), K, K, h, hidden=16,
-                      shared_bias=True)
+    return HyperLayer(np.random.default_rng(seed), K, K, h, hidden=16)
 
 
 def output_layer(seed, h=8):
@@ -391,6 +390,23 @@ def test_output_layer_dead_enemies_exactly_neg_mask():
     dead = X[..., 3] == 0.0
     assert (q[dead] == NEG_MASK).all()
     assert np.array_equal(q[~dead], dense[~dead])
+
+
+def test_output_layer_all_dead_backward_gives_zero_gradients():
+    layer = output_layer(56, h=8)
+    hidden = Tensor(np.random.default_rng(57).normal(size=(2, 8)),
+                    requires_grad=True)
+    X = Tensor(np.zeros((2, 3, K)), requires_grad=True)
+    q = hpn_output_layer(layer, hidden, X)
+    assert (q.data == NEG_MASK).all()
+    reduce_sum(q).backward()
+    params = layer.named_parameters()
+    assert set(params) == {"body.weight", "body.bias", "w_head.weight",
+                           "w_head.bias", "b_head.weight", "b_head.bias"}
+    for name, p in params.items():
+        assert p.grad.shape == p.shape, name
+        assert not p.grad.any(), name
+    assert not hidden.grad.any() and not X.grad.any()
 
 
 @pytest.mark.parametrize("cls", NETS)
