@@ -16,6 +16,7 @@ draws each episode's permutations, which the batch row then presents.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +112,9 @@ class BattleBatch:
     presentation: ``ally_rows[r, p, k]``, the true ally observer p sees in
     slot k, and ``enemy_perm[r, j]``, the true enemy presented as j (a
     ``ShuffleWrapper``'s draws, or the identity).  ``available_actions``,
-    ``observations`` and ``step`` speak that presented indexing;
-    positions, health and ``state`` keep the true entity order.
+    ``observations`` (both at once: ``views``) and ``step`` speak that
+    presented indexing; positions, health and ``state`` keep the true
+    entity order.
 
     ``reset(i, seed, ...)`` starts a fresh battle in row i.  Rows start
     finished, and every row must hold a running battle when ``step`` is
@@ -133,22 +135,25 @@ class BattleBatch:
         self.enemy_perm = np.zeros((size, m), dtype=np.int64)
         self.ally_rows = np.zeros((size, n, n - 1), dtype=np.int64)
         self._done = np.ones(size, dtype=bool)
-        self._rows = np.arange(size)[:, None]
+        rows = np.arange(size)[:, None]
+        # flat indices: row r's entry j of an (R, k) array is r * k + j, and
+        # its pair (e, a) of (R, m, n) enemy-ally pairs pair_base[r, e] + a
+        self._ally_base, self._enemy_base = rows * n, rows * m
+        self._pair_base = (self._enemy_base + np.arange(m)) * n
         # occupancy grids: battle r's cell (x, y) is flat cell
-        # r * w * w + (x + 1) * w + y + 1 of a (g + 2) x (g + 2) grid whose
-        # border cells (x or y in {-1, g}) are walls, always occupied
-        self._width = g + 2
-        self._cell_base = self._rows * self._width ** 2
-        walls = np.ones((size, self._width, self._width), dtype=bool)
-        walls[:, 1:-1, 1:-1] = False
-        self._walls = walls.reshape(-1)
+        # origin[r] + x * w + y of a w x w grid, w = g + 2, whose border
+        # cells (x or y in {-1, g}) are walls, never free
+        w = self._width = g + 2
+        self._origin = rows * w * w + w + 1
         self._norm = float(g - 1)
         self._others = other_ally_index(n)
-        # (dx, dy) of every true action index; zero for non-moves
-        self._dx = np.zeros(cfg.n_actions, dtype=np.int64)
-        self._dy = np.zeros(cfg.n_actions, dtype=np.int64)
+        # per true action index: the move's cell offset (zero for
+        # non-moves) and the presented enemy slot an attack aims at
+        self._offset = np.zeros(cfg.n_actions, dtype=np.int64)
         for a, (dx, dy) in _MOVE_DELTAS.items():
-            self._dx[a], self._dy[a] = dx, dy
+            self._offset[a] = dx * w + dy
+        self._slot = np.maximum(np.arange(cfg.n_actions) - N_MOVE_ACTIONS, 0)
+        self._pursuit_offset = _PURSUIT_DX * w + _PURSUIT_DY
         # the ally line's cells relative to its first row: one column on
         # the left wall, or two (filled row by row) when one would not fit
         if n <= g:
@@ -181,124 +186,108 @@ class BattleBatch:
         cells = rng.choice(4 * g, size=cfg.n_enemies, replace=False)
         self.enemy_x[i] = g - 4 + cells // g
         self.enemy_y[i] = cells % g
-        self.ally_hp[i] = cfg.max_health
-        self.enemy_hp[i] = cfg.max_health
+        self.ally_hp[i] = self.enemy_hp[i] = cfg.max_health
         self.t[i] = 0
         self._done[i] = False
-        if ally_perm is None:
-            ally_perm = np.arange(cfg.n_allies - 1)
-        if enemy_perm is None:
-            enemy_perm = np.arange(cfg.n_enemies)
-        self.enemy_perm[i] = enemy_perm
-        self.ally_rows[i] = self._others[:, ally_perm]
+        self.ally_rows[i] = (self._others if ally_perm is None
+                             else self._others[:, ally_perm])
+        self.enemy_perm[i] = (np.arange(cfg.n_enemies) if enemy_perm is None
+                              else enemy_perm)
 
     # -- views ---------------------------------------------------------
-    def _presented_enemies(self):
-        """Enemy x, y, hp as (R, m) arrays in each battle's presented order."""
-        rows, perm = self._rows, self.enemy_perm
-        return (self.enemy_x[rows, perm], self.enemy_y[rows, perm],
-                self.enemy_hp[rows, perm])
-
     def state(self) -> np.ndarray:
         """(R, state_dim) global states: one (x, y, health, alive) block
         per entity, allies first, normalized like observations, dead rows
         all-zero; in true entity order (a wrapper does not permute the
         state).  float32, like the observations."""
-        cfg = self.cfg
-        xs = np.concatenate([self.ally_x, self.enemy_x], axis=1)
-        ys = np.concatenate([self.ally_y, self.enemy_y], axis=1)
         hps = np.concatenate([self.ally_hp, self.enemy_hp], axis=1)
-        live = hps > 0
-        block = np.zeros(hps.shape + (ENTITY_FEATURES,), np.float32)
-        block[live, 0] = xs[live] / self._norm
-        block[live, 1] = ys[live] / self._norm
-        block[live, 2] = hps[live] / cfg.max_health
-        block[live, 3] = 1.0
-        return block.reshape(len(hps), -1)
+        return self._feature_rows(
+            np.concatenate([self.ally_x, self.enemy_x], axis=1),
+            np.concatenate([self.ally_y, self.enemy_y], axis=1),
+            hps, hps > 0).reshape(len(hps), -1)
 
-    def observations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """own (R, n, OWN_FEATURES), allies (R, n, n - 1, ENTITY_FEATURES)
-        and enemies (R, n, m, ENTITY_FEATURES), group rows presented.
-
-        float32: each value is computed in float64 and rounded once as it
-        is stored."""
-        cfg = self.cfg
-        live = self.ally_hp > 0
-        own = np.zeros(live.shape + (OWN_FEATURES,), np.float32)
-        own[live, 0] = self.ally_x[live] / self._norm
-        own[live, 1] = self.ally_y[live] / self._norm
-        own[live, 2] = self.ally_hp[live] / cfg.max_health
-        rows = self._rows[:, :, None]
-        allies = self._relative_rows(
-            live, self.ally_x[rows, self.ally_rows],
-            self.ally_y[rows, self.ally_rows],
-            self.ally_hp[rows, self.ally_rows])
-        ex, ey, ehp = self._presented_enemies()
-        enemies = self._relative_rows(live, ex[:, None], ey[:, None],
-                                      ehp[:, None])
-        return own, allies, enemies
-
-    def _relative_rows(self, observer_live, xs, ys, hps) -> np.ndarray:
-        """(R, n, k, ENTITY_FEATURES) rows of entities (xs, ys, hps
-        broadcast to (R, n, k)) as seen by every ally; all-zero for a dead
-        entity or observer."""
-        seen = observer_live[:, :, None] & (hps > 0)
-        rows = np.empty(seen.shape + (ENTITY_FEATURES,), np.float32)
-        rows[..., 0] = (xs - self.ally_x[:, :, None]) / self._norm
-        rows[..., 1] = (ys - self.ally_y[:, :, None]) / self._norm
-        rows[..., 2] = hps / self.cfg.max_health
-        rows[..., 3] = 1.0
-        return np.where(seen[..., None], rows, 0.0)
+    def views(self) -> tuple[np.ndarray, tuple]:
+        """``(available_actions(), observations())`` from one shared pass."""
+        sight = self._sight()
+        return self._mask(*sight), self._observe(*sight)
 
     def available_actions(self) -> np.ndarray:
         """(R, n, n_actions) boolean masks, attack columns presented.
         Dead agents may only noop; living agents may stop, move to any
         in-bounds cell, and attack any living enemy within attack range."""
-        cfg = self.cfg
-        g = cfg.grid_size
-        x, y = self.ally_x, self.ally_y
+        return self._mask(*self._sight())
+
+    def observations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """own (R, n, OWN_FEATURES), allies (R, n, n - 1, ENTITY_FEATURES)
+        and enemies (R, n, m, ENTITY_FEATURES), group rows presented: an
+        entity's position is relative to the observer's.  Rows of a dead
+        entity, and every row of a dead observer, are all-zero."""
+        return self._observe(*self._sight())
+
+    def _sight(self):
+        """The (R, n) living allies and, of the presented enemies, the
+        (R, n, m) x, y offsets, (R, 1, m) health and living pairs."""
         live = self.ally_hp > 0
+        flat = self._enemy_base + self.enemy_perm
+        ex, ey, ehp = (a.take(flat)[:, None]
+                       for a in (self.enemy_x, self.enemy_y, self.enemy_hp))
+        x, y = self.ally_x[:, :, None], self.ally_y[:, :, None]
+        return live, ex - x, ey - y, ehp, live[:, :, None] & (ehp > 0)
+
+    def _mask(self, live, dx, dy, ehp, seen) -> np.ndarray:
+        cfg, x, y = self.cfg, self.ally_x, self.ally_y
+        g = cfg.grid_size
         mask = np.empty(live.shape + (cfg.n_actions,), dtype=bool)
         mask[..., ACTION_NOOP] = ~live
         mask[..., ACTION_STOP] = live
-        mask[..., ACTION_NORTH] = live & (y + 1 < g)
-        mask[..., ACTION_SOUTH] = live & (y - 1 >= 0)
-        mask[..., ACTION_EAST] = live & (x + 1 < g)
-        mask[..., ACTION_WEST] = live & (x - 1 >= 0)
-        ex, ey, ehp = self._presented_enemies()
-        dist = np.maximum(np.abs(ex[:, None, :] - x[:, :, None]),
-                          np.abs(ey[:, None, :] - y[:, :, None]))
-        mask[..., N_MOVE_ACTIONS:] = (live[:, :, None] & (ehp > 0)[:, None, :]
-                                      & (dist <= cfg.attack_range))
+        mask[..., ACTION_NORTH] = live & (y < g - 1)
+        mask[..., ACTION_SOUTH] = live & (y > 0)
+        mask[..., ACTION_EAST] = live & (x < g - 1)
+        mask[..., ACTION_WEST] = live & (x > 0)
+        mask[..., N_MOVE_ACTIONS:] = seen & (
+            np.maximum(np.abs(dx), np.abs(dy)) <= cfg.attack_range)
         return mask
 
-    def _cells(self, xs, ys) -> np.ndarray:
-        """Flat occupancy-grid cells of (R, ...) positions."""
-        return self._cell_base + (xs + 1) * self._width + ys + 1
+    def _observe(self, live, dx, dy, ehp, seen):
+        x, y, hp = self.ally_x, self.ally_y, self.ally_hp
+        flat = self._ally_base[:, :, None] + self.ally_rows
+        ax, ay, ahp = x.take(flat), y.take(flat), hp.take(flat)
+        return (self._feature_rows(x, y, hp, live, OWN_FEATURES),
+                self._feature_rows(ax - x[:, :, None], ay - y[:, :, None],
+                                   ahp, live[:, :, None] & (ahp > 0)),
+                self._feature_rows(dx, dy, ehp, seen))
 
-    def _occupancy(self) -> np.ndarray:
-        """Flat occupancy grids: the walls plus the cells living units
-        stand on."""
-        grid = self._walls.copy()
-        grid[self._cells(self.ally_x, self.ally_y)[self.ally_hp > 0]] = True
-        grid[self._cells(self.enemy_x, self.enemy_y)[self.enemy_hp > 0]] = True
-        return grid
+    def _feature_rows(self, xs, ys, hps, seen, features=ENTITY_FEATURES):
+        """float32 (x, y, health, alive) rows of units (xs, ys, hps broadcast
+        to ``seen``), all-zero where not ``seen``; 3 features drop alive.
+        Each value is computed in float64 and rounded once as stored."""
+        rows = np.empty(seen.shape + (features,), np.float32)
+        rows[..., 0] = xs / self._norm
+        rows[..., 1] = ys / self._norm
+        rows[..., 2] = hps / self.cfg.max_health
+        rows[..., 3:] = 1.0
+        return np.where(seen[..., None], rows, np.float32(0.0))
 
-    def _move_in_order(self, grid, xs, ys, dx, dy, go):
-        """Move unit after unit, in index order, by (R, k) steps (dx, dy)
-        where ``go`` holds and the destination cell is free at that
-        moment; updates positions and the grid."""
-        # (k, R): one contiguous row per unit
-        src = self._cells(xs, ys).T
-        dst = src + (dx * self._width + dy).T
-        moved = np.zeros(src.shape, dtype=bool)
-        for unit in np.flatnonzero(go.any(axis=0)):
-            moves = go[:, unit] & ~grid[dst[unit]]
-            grid[src[unit, moves]] = False
-            grid[dst[unit, moves]] = True
-            moved[unit] = moves
-        xs += dx * moved.T
-        ys += dy * moved.T
+    @functools.cached_property
+    def _floor(self) -> np.ndarray:
+        """Flat free-cell grids of empty battles: all but the walls.  Built
+        on the first ``step``; a batch that only presents views skips it."""
+        floor = np.zeros((len(self.t), self._width, self._width), dtype=bool)
+        floor[:, 1:-1, 1:-1] = True
+        return floor.reshape(-1)
+
+    def _move_in_order(self, free, cells, offset, go):
+        """Move unit after unit, in index order, from (R, k) ``cells`` by
+        ``offset`` where ``go`` holds and the destination is free at that
+        moment; updates the free-cell grid, returns the cells after it."""
+        dst = cells + offset
+        moved = go.copy()
+        for unit in go.any(axis=0).nonzero()[0].tolist():
+            moves, to = moved[:, unit], dst[:, unit]
+            moves &= free[to]
+            free[cells[:, unit][moves]] = True
+            free[to[moves]] = False
+        return np.where(moved, dst, cells)
 
     # -- dynamics ------------------------------------------------------
     def step(self, actions):
@@ -321,34 +310,40 @@ class BattleBatch:
             raise RuntimeError(
                 f"step() on a finished episode in battle "
                 f"{np.flatnonzero(self._done)[0]}; reset it first")
-        live = self.ally_hp > 0
+        w = self._width
+        live, enemy_live = self.ally_hp > 0, self.enemy_hp > 0
+        # each team's cells, once, for the grid, the moves and the pursuit
+        ally_cells = self._origin + self.ally_x * w + self.ally_y
+        enemy_cells = self._origin + self.enemy_x * w + self.enemy_y
+        free = self._floor.copy()
+        free[ally_cells[live]] = False
+        free[enemy_cells[enemy_live]] = False
 
         # phase 1: ally moves, agent-index order
-        grid = self._occupancy()
-        dx, dy = self._dx[actions], self._dy[actions]
-        self._move_in_order(grid, self.ally_x, self.ally_y, dx, dy,
-                            live & ((dx != 0) | (dy != 0)))
+        offset = self._offset[actions]
+        cells = self._move_in_order(free, ally_cells, offset,
+                                    live & (offset != 0))
+        self.ally_x, self.ally_y = np.divmod(cells - self._origin, w)
 
-        # phase 2: simultaneous ally attacks
+        # phase 2: simultaneous ally attacks, attack j on enemy enemy_perm[j]
+        base = self._enemy_base
+        targets = base + self.enemy_perm.take(base + self._slot[actions])
         attacking = live & (actions >= N_MOVE_ACTIONS)
-        # presented attack j targets true enemy enemy_perm[j]
-        targets = self.enemy_perm[self._rows,
-                                  np.maximum(actions - N_MOVE_ACTIONS, 0)]
-        hits = attacking[:, :, None] & (
-            targets[:, :, None] == np.arange(cfg.n_enemies))
+        hits = np.bincount(targets[attacking], minlength=enemy_live.size)
         before = self.enemy_hp
         self.enemy_hp = np.maximum(
-            0, before - cfg.attack_damage * hits.sum(axis=1))
+            0, before - cfg.attack_damage * hits.reshape(before.shape))
         damage_dealt = (before - self.enemy_hp).sum(axis=1)
-        killed = (before > 0) & (self.enemy_hp == 0)
+        survivors = self.enemy_hp > 0
+        killed = enemy_live & ~survivors
         kills = killed.sum(axis=1)
         reward = cfg.damage_scale * damage_dealt + cfg.kill_bonus * kills
-        win = ~(self.enemy_hp > 0).any(axis=1)
+        win = ~survivors.any(axis=1)
 
         # phase 3: scripted enemies (a won battle has none left to act);
         # the units just killed free their cells
-        grid[self._cells(self.enemy_x, self.enemy_y)[killed]] = False
-        self._enemy_turn(grid)
+        free[enemy_cells[killed]] = True
+        self._enemy_turn(free, enemy_cells, live, survivors)
 
         self.t += 1
         terminated = win | ~(self.ally_hp > 0).any(axis=1) \
@@ -357,7 +352,7 @@ class BattleBatch:
         self._done = terminated
         return reward, terminated, win
 
-    def _enemy_turn(self, grid):
+    def _enemy_turn(self, free, cells, ally_live, enemy_live):
         """The scripted enemy rule for every enemy of every battle.
 
         Each living enemy attacks the lowest-index living ally in attack
@@ -366,44 +361,43 @@ class BattleBatch:
         Chebyshev distance, skipping occupied or out-of-bounds cells; move
         ties prefer the x-axis and then the negative direction, and staying
         put is the last resort.  Intents are judged against one snapshot
-        (the occupancy grid as the ally phase left it); then enemies move
+        (the free-cell grid as the ally phase left it); then enemies move
         in index order, under the allies' collision rule, and attack
-        simultaneously."""
+        simultaneously.  ``cells``: the enemies'; masks: who is alive."""
         cfg = self.cfg
         g = cfg.grid_size
-        ax, ay, ex, ey = self.ally_x, self.ally_y, self.enemy_x, self.enemy_y
-        ally_live = self.ally_hp > 0
-        enemy_live = self.enemy_hp > 0
-        # (R, m, n) distances from every enemy to every ally
-        dist = np.maximum(np.abs(ex[:, :, None] - ax[:, None, :]),
-                          np.abs(ey[:, :, None] - ay[:, None, :]))
+        # (R, m, n) offsets and distances from every ally to every enemy
+        off_x = self.enemy_x[:, :, None] - self.ally_x[:, None, :]
+        off_y = self.enemy_y[:, :, None] - self.ally_y[:, None, :]
+        dist = np.maximum(np.abs(off_x), np.abs(off_y))
         pair = enemy_live[:, :, None] & ally_live[:, None, :]
         in_range = pair & (dist <= cfg.attack_range)
-        attacks = in_range.any(axis=2)
         victim = in_range.argmax(axis=2)          # lowest index in range
-        pursuing = enemy_live & ~attacks & ally_live.any(axis=1)[:, None]
+        attacks = in_range.take(self._pair_base + victim)
         far = np.where(pair, dist, 2 * g)
-        target = far.argmin(axis=2)               # nearest, lowest index
-        best_d = far.min(axis=2)
-        tx, ty = ax[self._rows, target], ay[self._rows, target]
+        # the pair of each enemy and its target, the nearest living ally
+        # (lowest index on ties); 2g when the enemy or every ally is dead
+        target = self._pair_base + far.argmin(axis=2)
+        best_d = far.take(target)
+        pursuing = (best_d < 2 * g) & ~attacks
         # pursue: of the free cells one step away (walls are never free),
         # the one closest to the target (first in preference order on
         # ties), if no farther than now (a diagonal offset cannot be
         # strictly reduced by a single axis step); (4, R, m) candidates in
-        # preference order
-        nx = ex + _PURSUIT_DX[:, None, None]
-        ny = ey + _PURSUIT_DY[:, None, None]
-        free = ~grid[self._cells(nx, ny)]
-        score = np.where(free, np.maximum(np.abs(nx - tx), np.abs(ny - ty)),
-                         2 * g)
-        choice = score.argmin(axis=0)
-        go = pursuing & (score.min(axis=0) <= best_d)
-        self._move_in_order(grid, ex, ey, _PURSUIT_DX[choice] * go,
-                            _PURSUIT_DY[choice] * go, go)
-        hits = attacks[:, :, None] & (
-            victim[:, :, None] == np.arange(cfg.n_allies))
-        self.ally_hp = np.maximum(
-            0, self.ally_hp - cfg.attack_damage * hits.sum(axis=1))
+        # preference order, (dx, dy) off the target
+        dx = off_x.take(target) + _PURSUIT_DX[:, None, None]
+        dy = off_y.take(target) + _PURSUIT_DY[:, None, None]
+        score = np.where(free[cells + self._pursuit_offset[:, None, None]],
+                         np.maximum(np.abs(dx), np.abs(dy)), 2 * g)
+        cells = self._move_in_order(
+            free, cells, self._pursuit_offset[score.argmin(axis=0)],
+            pursuing & (score.min(axis=0) <= best_d))
+        self.enemy_x, self.enemy_y = np.divmod(cells - self._origin,
+                                               self._width)
+        hits = np.bincount((self._ally_base + victim)[attacks],
+                           minlength=ally_live.size)
+        self.ally_hp = np.maximum(0, self.ally_hp - cfg.attack_damage
+                                  * hits.reshape(ally_live.shape))
 
 
 def _row0(name: str) -> property:

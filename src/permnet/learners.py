@@ -306,10 +306,9 @@ def greedy_actions(q: np.ndarray, avail: np.ndarray) -> np.ndarray:
     return np.where(avail, q, NEG_MASK).argmax(axis=-1)
 
 
-def _agent_rows(battles: BattleBatch) -> list[Tensor]:
-    """Observations as one row per agent: own, allies, enemies Tensors."""
-    return [Tensor(x.reshape((-1,) + x.shape[2:]))
-            for x in battles.observations()]
+def _agent_rows(observations) -> list[Tensor]:
+    """Batch observations as one row per agent: own, allies, enemies."""
+    return [Tensor(x.reshape((-1,) + x.shape[2:])) for x in observations]
 
 
 def _stack_episodes(episodes: list, cfg: BattleConfig
@@ -385,8 +384,8 @@ class Learner:
         if not episodes:
             raise ValueError("empty training batch")
         battles, data = _stack_episodes(episodes, self.env_cfg)
-        own, allies, enemies = _agent_rows(battles)
-        avail = battles.available_actions()
+        avail, observations = battles.views()
+        own, allies, enemies = _agent_rows(observations)
         state = None if self.mixer is None else battles.state()
         steps, n = data["actions"].shape
         rows = steps * n
@@ -457,7 +456,9 @@ class ParallelRunner:
     ``streams[i]``, seeded with seed XOR i.  ``envs[i]`` holds no battle.
 
     Running episodes are logged on the battle clock: step t of row i at
-    ``[i, t]`` of one (R, episode_limit, ...) array per ``Episode`` field.
+    ``i * episode_limit + t`` of one array per ``Episode`` field, written
+    at ``batch.t``: the units straight from the batch and the actions
+    before the step, the rewards after it.
     """
 
     def __init__(self, cfg: TrainConfig, env_factory, net):
@@ -468,18 +469,25 @@ class ParallelRunner:
                         for i in range(cfg.parallel_runners)]
         self.select_rng = np.random.default_rng([cfg.seed, 4])
         self.env_steps = 0
-        self._log: dict[str, np.ndarray] = {}
-        self.batch = BattleBatch(self.envs[0].cfg, cfg.parallel_runners)
+        batch = self.batch = BattleBatch(self.envs[0].cfg,
+                                         cfg.parallel_runners)
+        limit = batch.cfg.episode_limit
+        self._starts = np.arange(cfg.parallel_runners) * limit
+        steps = cfg.parallel_runners * limit
+        self._log = {name: np.zeros((steps,) + getattr(batch, name).shape[1:],
+                                    np.int64) for name in UNIT_FIELDS}
+        self._log["actions"] = np.zeros_like(self._log["ally_x"])
+        self._log["rewards"] = np.zeros(steps)
         for i, (env, stream) in enumerate(zip(self.envs, self.streams)):
             env.reset_into(self.batch, i, int(stream.integers(2 ** 31)))
 
     def tick(self) -> list:
         """Advance every environment one step; return finished episodes."""
         batch = self.batch
-        avail = batch.available_actions()
+        avail, observations = batch.views()
         runners = len(avail)
         with no_grad():
-            q = _net_forward(self.net, *_agent_rows(batch),
+            q = _net_forward(self.net, *_agent_rows(observations),
                              deterministic=True).data
         actions = greedy_actions(q.reshape(avail.shape), avail)
         eps = anneal_epsilon(self.env_steps, self.cfg.epsilon_start,
@@ -497,22 +505,20 @@ class ParallelRunner:
                 # the explorer's (k + 1)-th available action
                 actions[i, j] = (avail[i, j].cumsum(axis=-1)
                                  <= k[:, None]).sum(axis=-1)
-        step = {name: getattr(batch, name).copy() for name in UNIT_FIELDS}
+        log, at = self._log, self._starts + batch.t
+        for name in UNIT_FIELDS:
+            log[name][at] = getattr(batch, name)
+        log["actions"][at] = actions
         rewards, terminated, _ = batch.step(actions)
         self.env_steps += runners
-        step.update(actions=actions, rewards=rewards)
-        if not self._log:
-            shape = (runners, batch.cfg.episode_limit)
-            self._log = {name: np.zeros(shape + a.shape[1:], a.dtype)
-                         for name, a in step.items()}
-        for name, a in step.items():
-            self._log[name][np.arange(runners), batch.t - 1] = a
+        log["rewards"][at] = rewards
         completed = []
         for i in np.flatnonzero(terminated):
+            steps = slice(self._starts[i], at[i] + 1)
             completed.append(Episode(ally_rows=batch.ally_rows[i].copy(),
                                      enemy_perm=batch.enemy_perm[i].copy(),
-                                     **{name: log[i, :batch.t[i]].copy()
-                                        for name, log in self._log.items()}))
+                                     **{name: column[steps].copy()
+                                        for name, column in log.items()}))
             self.envs[i].reset_into(
                 batch, i, int(self.streams[i].integers(2 ** 31)))
         return completed

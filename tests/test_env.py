@@ -505,6 +505,20 @@ def test_enemy_blocked_takes_next_preferred_move():
     assert (int(env.enemy_x[0]), int(env.enemy_y[0])) == (4, 1)
 
 
+def test_enemies_pursuing_into_one_cell_move_in_index_order():
+    # both enemies' best move is (3, 3), judged on one snapshot: enemy 0
+    # takes it and enemy 1, moving second, finds it taken and stays
+    allies, enemies = [(2, 2), (0, 7), (0, 6)], [(4, 3), (3, 4), (7, 0)]
+    env = place(make_env(), allies, enemies)
+    want = place(ref.MicroBattleEnv(BattleConfig()), allies, enemies)
+    hold_step(env)
+    hold_step(want)
+    got = [(int(x), int(y)) for x, y in zip(env.enemy_x, env.enemy_y)]
+    assert got[:2] == [(3, 3), (3, 4)]
+    assert got == [(int(x), int(y)) for x, y in zip(want.enemy_x,
+                                                     want.enemy_y)]
+
+
 def test_enemy_distance_never_increases():
     env = make_env()
     rng = np.random.default_rng(0)
@@ -818,15 +832,19 @@ def test_battle_batch_reset_matches_reference_bitwise(cfg, shuffle):
 def test_battle_batch_matches_scalar_env_bitwise(preset, shuffle):
     rng = np.random.default_rng(41)
     seen = dict.fromkeys(["win", "reweighted_win", "loss", "time_limit",
-                          "ally_death", "kill", "blocked_move",
+                          "ally_death", "kill", "blocked_move", "chain_move",
                           "battle_steps"], 0)
     # the preset as it is; with reward weights under which the order of
     # the three reward terms shows in the float bits; with an episode limit
-    # short enough that battles also end on it
+    # short enough that battles also end on it; with an attack range past
+    # every distance on the grid, so no distance sentinel can stand in for
+    # a dead unit
     cfg = PRESETS[preset]
     configs = (cfg, dataclasses.replace(cfg, kill_bonus=0.7),
-               dataclasses.replace(cfg, episode_limit=12))
-    for cfg, win_key in zip(configs, ("win", "reweighted_win", "win")):
+               dataclasses.replace(cfg, episode_limit=12),
+               dataclasses.replace(cfg, attack_range=2 * cfg.grid_size))
+    for cfg, win_key in zip(configs, ("win", "reweighted_win", "win", "win"),
+                            strict=True):
         envs, refs = battles(cfg, shuffle, 4, stream=41)
         batch = BattleBatch(cfg, 4)
 
@@ -854,11 +872,15 @@ def test_battle_batch_matches_scalar_env_bitwise(preset, shuffle):
                 _, _, reward, done, info = want.step(actions[i])
                 assert np.float64(reward).tobytes() == rewards[i].tobytes()
                 assert done == terminated[i] and info["win"] == win[i]
-                moved = np.any(np.stack([battle.ally_x, battle.ally_y])
-                               != xy_before, axis=0)
+                xy_after = np.stack([battle.ally_x, battle.ally_y])
+                moved = np.any(xy_after != xy_before, axis=0)
                 moves = (actions[i] >= ACTION_NORTH) & (
                     actions[i] < N_MOVE_ACTIONS)
                 seen["blocked_move"] += int((moves & ~moved).sum())
+                # ally a entered the cell that a lower-index ally b left
+                entered = (xy_after[:, :, None] == xy_before[:, None, :]).all(0)
+                seen["chain_move"] += int(np.tril(
+                    entered & moved[:, None] & moved[None, :], -1).sum())
                 seen["ally_death"] += int(((ally_hp > 0)
                                            & (battle.ally_hp == 0)).sum())
                 seen["kill"] += int(((enemy_hp > 0)

@@ -882,17 +882,18 @@ def record_steps(runner):
     """Wrap the runner's batch so each tick's (avail, actions) pair is
     kept."""
     batch, seen = runner.batch, []
-    avail_of, step = batch.available_actions, batch.step
+    views_of, step = batch.views, batch.step
 
-    def available_actions():
-        seen.append([avail_of()])
-        return seen[-1][0]
+    def views():
+        avail, observations = views_of()
+        seen.append([avail])
+        return avail, observations
 
     def recording_step(actions):
         seen[-1].append(np.array(actions))
         return step(actions)
 
-    batch.available_actions = available_actions
+    batch.views = views
     batch.step = recording_step
     return seen
 
