@@ -34,6 +34,13 @@ def main() -> int:
         check_seeds(args.seeds)
     except ValueError as err:
         parser.error(f"--seeds: {err}")      # exits 2
+    # every curve is evaluated on the grid eval_interval, 2 * eval_interval,
+    # ... up to steps, which needs at least one point
+    if args.steps < 1:
+        parser.error(f"--steps: must be >= 1, got {args.steps}")
+    if not 1 <= args.eval_interval <= args.steps:
+        parser.error(f"--eval-interval: must be in [1, --steps {args.steps}]"
+                     f", got {args.eval_interval}")
 
     t0 = time.time()
 

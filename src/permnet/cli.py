@@ -11,7 +11,7 @@ percentile columns.
 Exit codes: 0 all seeds complete, 2 unknown architecture/mixer/config
 name, a repeated config key, invalid config value (a repeated seed, or a
 ``tag`` that is not a plain file name) or ``--jobs`` below 1, 3
-unwritable or already-occupied output, 4 mismatched aggregation grids.
+unwritable or already-occupied output, 4 a bad, empty or mismatched curve.
 """
 
 from __future__ import annotations
@@ -293,8 +293,8 @@ def cmd_run(args) -> int:
 def read_curve(path: str) -> tuple[list[int], list[float]]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "env_steps,win_rate,loss":
-        raise ValueError(f"{path}: not a result CSV")
+    if len(lines) < 2 or lines[0] != "env_steps,win_rate,loss":
+        raise ValueError(f"{path}: not a result CSV with evaluation rows")
     steps: list[int] = []
     wins: list[float] = []
     for line in lines[1:]:

@@ -12,6 +12,8 @@ replays a trajectory bitwise.  ``BattleBatch`` is the one implementation of
 the rules, for R battles at once; ``MicroBattleEnv`` is a batch of one for
 single-battle use (evaluation and the tests) and ``ShuffleWrapper`` only
 draws each episode's permutations, which the batch row then presents.
+Views are takes from per-config tables (``view_tables``), which hold units
+in the grid with health in 0..max_health: (2g - 1)²(max_health + 1) rows.
 """
 
 from __future__ import annotations
@@ -104,6 +106,28 @@ def other_ally_index(n: int) -> np.ndarray:
     return j[None, :] + (j[None, :] >= np.arange(n)[:, None])
 
 
+@functools.cache
+def view_tables(cfg: BattleConfig) -> tuple[np.ndarray, ...]:
+    """``BattleBatch``'s float32 features, own features, attack targets and
+    move masks for ``cfg``, in its row order; built once, read-only."""
+    g, top = cfg.grid_size, cfg.max_health
+    # every (dx, dy, h) from (0, 0, 0) on, the negative rows at the end
+    cube = np.indices((2 * g - 1, 2 * g - 1, top + 1)).reshape(3, -1)
+    x, y, hp = np.roll(cube - np.array([[g - 1], [g - 1], [0]]),
+                       -2 * g * (g - 1) * (top + 1), axis=1)
+    live = hp > 0
+    # each value computed in float64 and rounded once as stored
+    features = np.stack([x / (g - 1), y / (g - 1), hp / top, live], axis=1)
+    features = np.where(live[:, None], features, 0.0).astype(np.float32)
+    tables = (features, np.ascontiguousarray(features[:, :OWN_FEATURES]),
+              live & (np.maximum(np.abs(x), np.abs(y)) <= cfg.attack_range),
+              np.stack([~live, live, live & (y < g - 1), live & (y > 0),
+                        live & (x < g - 1), live & (x > 0)], axis=1))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 class BattleBatch:
     """R battles of one config, stepped together with array ops.
 
@@ -120,17 +144,19 @@ class BattleBatch:
     finished, and every row must hold a running battle when ``step`` is
     called, so a caller resets a row before its first step and after it
     terminates.  ``MicroBattleEnv`` is a batch of one.
+
+    Views are takes from ``view_tables(cfg)``, (2g - 1)²(H + 1) rows (1,575
+    at 3v3, 3,703 at 8v9; g = grid_size, H = max_health), so units stay in
+    the grid with health in 0..H: row (dx (2g - 1) + dy)(H + 1) + h, read
+    from the end when negative, is health h at (dx, dy) from the observer.
     """
 
     def __init__(self, cfg: BattleConfig, size: int):
         self.cfg = cfg
         n, m, g = cfg.n_allies, cfg.n_enemies, cfg.grid_size
-        self.ally_x = np.zeros((size, n), dtype=np.int64)
-        self.ally_y = np.zeros((size, n), dtype=np.int64)
-        self.ally_hp = np.zeros((size, n), dtype=np.int64)
-        self.enemy_x = np.zeros((size, m), dtype=np.int64)
-        self.enemy_y = np.zeros((size, m), dtype=np.int64)
-        self.enemy_hp = np.zeros((size, m), dtype=np.int64)
+        for name in UNIT_FIELDS:
+            setattr(self, name, np.zeros(
+                (size, m if name.startswith("enemy") else n), dtype=np.int64))
         self.t = np.zeros(size, dtype=np.int64)
         self.enemy_perm = np.zeros((size, m), dtype=np.int64)
         self.ally_rows = np.zeros((size, n, n - 1), dtype=np.int64)
@@ -145,7 +171,8 @@ class BattleBatch:
         # cells (x or y in {-1, g}) are walls, never free
         w = self._width = g + 2
         self._origin = rows * w * w + w + 1
-        self._norm = float(g - 1)
+        self._features, self._own, self._attack, self._moves = view_tables(cfg)
+        self._cols, self._stride = 2 * g - 1, cfg.max_health + 1
         self._others = other_ally_index(n)
         # per true action index: the move's cell offset (zero for
         # non-moves) and the presented enemy slot an attack aims at
@@ -200,11 +227,8 @@ class BattleBatch:
         per entity, allies first, normalized like observations, dead rows
         all-zero; in true entity order (a wrapper does not permute the
         state).  float32, like the observations."""
-        hps = np.concatenate([self.ally_hp, self.enemy_hp], axis=1)
-        return self._feature_rows(
-            np.concatenate([self.ally_x, self.enemy_x], axis=1),
-            np.concatenate([self.ally_y, self.enemy_y], axis=1),
-            hps, hps > 0).reshape(len(hps), -1)
+        rows = np.concatenate(self._rows(), axis=1)
+        return self._features.take(rows, axis=0).reshape(len(rows), -1)
 
     def views(self) -> tuple[np.ndarray, tuple]:
         """``(available_actions(), observations())`` from one shared pass."""
@@ -224,49 +248,30 @@ class BattleBatch:
         entity, and every row of a dead observer, are all-zero."""
         return self._observe(*self._sight())
 
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (R, n) allies' and (R, m) enemies' table rows, true order."""
+        units = [getattr(self, name) for name in UNIT_FIELDS]
+        return tuple((x * self._cols + y) * self._stride + hp
+                     for x, y, hp in (units[:3], units[3:]))
+
     def _sight(self):
-        """The (R, n) living allies and, of the presented enemies, the
-        (R, n, m) x, y offsets, (R, 1, m) health and living pairs."""
-        live = self.ally_hp > 0
-        flat = self._enemy_base + self.enemy_perm
-        ex, ey, ehp = (a.take(flat)[:, None]
-                       for a in (self.enemy_x, self.enemy_y, self.enemy_hp))
-        x, y = self.ally_x[:, :, None], self.ally_y[:, :, None]
-        return live, ex - x, ey - y, ehp, live[:, :, None] & (ehp > 0)
+        """Own rows (R, n), each observer's presented enemy rows (R, n, m;
+        row 0 for a dead one), and keys (zero-health rows) and living flags."""
+        own, enemies = self._rows()
+        key = (own - self.ally_hp)[:, :, None]
+        live = (self.ally_hp > 0)[:, :, None]
+        enemies = enemies.take(self._enemy_base + self.enemy_perm)[:, None]
+        return own, (enemies - key) * live, key, live
 
-    def _mask(self, live, dx, dy, ehp, seen) -> np.ndarray:
-        cfg, x, y = self.cfg, self.ally_x, self.ally_y
-        g = cfg.grid_size
-        mask = np.empty(live.shape + (cfg.n_actions,), dtype=bool)
-        mask[..., ACTION_NOOP] = ~live
-        mask[..., ACTION_STOP] = live
-        mask[..., ACTION_NORTH] = live & (y < g - 1)
-        mask[..., ACTION_SOUTH] = live & (y > 0)
-        mask[..., ACTION_EAST] = live & (x < g - 1)
-        mask[..., ACTION_WEST] = live & (x > 0)
-        mask[..., N_MOVE_ACTIONS:] = seen & (
-            np.maximum(np.abs(dx), np.abs(dy)) <= cfg.attack_range)
-        return mask
+    def _mask(self, own, enemies, key, live) -> np.ndarray:
+        return np.concatenate([self._moves.take(own, axis=0),
+                               self._attack.take(enemies)], axis=2)
 
-    def _observe(self, live, dx, dy, ehp, seen):
-        x, y, hp = self.ally_x, self.ally_y, self.ally_hp
-        flat = self._ally_base[:, :, None] + self.ally_rows
-        ax, ay, ahp = x.take(flat), y.take(flat), hp.take(flat)
-        return (self._feature_rows(x, y, hp, live, OWN_FEATURES),
-                self._feature_rows(ax - x[:, :, None], ay - y[:, :, None],
-                                   ahp, live[:, :, None] & (ahp > 0)),
-                self._feature_rows(dx, dy, ehp, seen))
-
-    def _feature_rows(self, xs, ys, hps, seen, features=ENTITY_FEATURES):
-        """float32 (x, y, health, alive) rows of units (xs, ys, hps broadcast
-        to ``seen``), all-zero where not ``seen``; 3 features drop alive.
-        Each value is computed in float64 and rounded once as stored."""
-        rows = np.empty(seen.shape + (features,), np.float32)
-        rows[..., 0] = xs / self._norm
-        rows[..., 1] = ys / self._norm
-        rows[..., 2] = hps / self.cfg.max_health
-        rows[..., 3:] = 1.0
-        return np.where(seen[..., None], rows, np.float32(0.0))
+    def _observe(self, own, enemies, key, live):
+        allies = own.take(self._ally_base[:, :, None] + self.ally_rows)
+        return (self._own.take(own, axis=0),
+                self._features.take((allies - key) * live, axis=0),
+                self._features.take(enemies, axis=0))
 
     @functools.cached_property
     def _floor(self) -> np.ndarray:
@@ -414,12 +419,7 @@ class MicroBattleEnv:
     count.
     """
 
-    ally_x = _row0("ally_x")
-    ally_y = _row0("ally_y")
-    ally_hp = _row0("ally_hp")
-    enemy_x = _row0("enemy_x")
-    enemy_y = _row0("enemy_y")
-    enemy_hp = _row0("enemy_hp")
+    ally_x, ally_y, ally_hp, enemy_x, enemy_y, enemy_hp = map(_row0, UNIT_FIELDS)
 
     def __init__(self, cfg: BattleConfig):
         self.cfg = cfg

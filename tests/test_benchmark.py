@@ -76,17 +76,36 @@ def test_run_benchmark_rejects_repeated_or_negative_seeds(tmp_path, seeds):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seeds", [["0", "0"], ["1", "-2"]])
-def test_benchmark_script_exits_2_on_bad_seeds(tmp_path, seeds):
+def run_benchmark_script(out, *flags):
     root = Path(__file__).resolve().parents[1]
-    out = tmp_path / "bench"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(root / "scripts" / "run_benchmark.py"),
-         "--out", str(out), "--seeds", *seeds],
+         "--out", str(out), *flags],
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("seeds", [["0", "0"], ["1", "-2"]])
+def test_benchmark_script_exits_2_on_bad_seeds(tmp_path, seeds):
+    out = tmp_path / "bench"
+    proc = run_benchmark_script(out, "--seeds", *seeds)
     assert proc.returncode == 2
     assert "--seeds" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--eval-interval", "0"], "--eval-interval"),
+    (["--steps", "0"], "--steps"),
+    (["--steps", "400", "--eval-interval", "800"], "--eval-interval"),
+], ids=["zero-interval", "zero-steps", "interval-past-steps"])
+def test_benchmark_script_exits_2_on_bad_grid(tmp_path, flags, named):
+    # no evaluation point would fall on the grid
+    out = tmp_path / "bench"
+    proc = run_benchmark_script(out, *flags)
+    assert proc.returncode == 2
+    # the usage line lists every flag; the error line names the bad one
+    assert proc.stderr.splitlines()[-1].split("error: ")[1].startswith(named)
     assert not out.exists()
 
 

@@ -315,3 +315,15 @@ def test_aggregate_mismatched_grid_exits_4(tmp_path, capsys):
     b = curve(tmp_path, "b.csv", [(150, 0.5, 0.0)])
     assert main(["aggregate", a, b]) == 4
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [[], [(100, 0.5, 0.0)]],
+                         ids=["alone", "beside-a-full-curve"])
+def test_aggregate_empty_curve_exits_4(tmp_path, capsys, rows):
+    # a run killed before its first evaluation leaves only the header
+    empty = curve(tmp_path, "empty.csv", [])
+    paths = [curve(tmp_path, "full.csv", rows)] if rows else []
+    assert main(["aggregate", *paths, empty]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{empty}: not a result CSV with evaluation rows" in captured.err

@@ -23,6 +23,7 @@ from permnet.env import (
     BattleConfig,
     MicroBattleEnv,
     ShuffleWrapper,
+    view_tables,
 )
 
 import battle_reference as ref
@@ -838,13 +839,15 @@ def test_battle_batch_matches_scalar_env_bitwise(preset, shuffle):
     # the three reward terms shows in the float bits; with an episode limit
     # short enough that battles also end on it; with an attack range past
     # every distance on the grid, so no distance sentinel can stand in for
-    # a dead unit
+    # a dead unit; with a max_health of 9, whose health fractions h / 9 the
+    # view tables and the reference must round alike
     cfg = PRESETS[preset]
     configs = (cfg, dataclasses.replace(cfg, kill_bonus=0.7),
                dataclasses.replace(cfg, episode_limit=12),
-               dataclasses.replace(cfg, attack_range=2 * cfg.grid_size))
-    for cfg, win_key in zip(configs, ("win", "reweighted_win", "win", "win"),
-                            strict=True):
+               dataclasses.replace(cfg, attack_range=2 * cfg.grid_size),
+               dataclasses.replace(cfg, max_health=9))
+    for cfg, win_key in zip(configs, ("win", "reweighted_win", "win", "win",
+                                      "win"), strict=True):
         envs, refs = battles(cfg, shuffle, 4, stream=41)
         batch = BattleBatch(cfg, 4)
 
@@ -910,3 +913,60 @@ def test_battle_batch_step_names_the_offending_battle():
     batch.reset(1, 1)
     rewards, terminated, _ = batch.step(stop)
     assert batch.t.tolist() == [1, 1, 1] and not terminated.any()
+
+
+# -- view tables -------------------------------------------------------
+
+TABLE_CONFIGS = [PRESETS["3v3"], PRESETS["5v6"], PRESETS["8v9"],
+                 BattleConfig(grid_size=6, max_health=9)]
+
+
+@pytest.mark.parametrize("cfg", TABLE_CONFIGS,
+                         ids=["3v3", "5v6", "8v9", "grid6-health9"])
+def test_view_tables_hold_every_unit_exactly(cfg):
+    # every (dx, dy, h) entry against the direct arithmetic: each value in
+    # float64, rounded once to float32; the attack entries against the
+    # Chebyshev range and the move entries against the grid bounds
+    g, top = cfg.grid_size, cfg.max_health
+    features, own, attacks, moves = view_tables(cfg)
+    rows = (2 * g - 1) ** 2 * (top + 1)
+    want_features = np.zeros((rows, ENTITY_FEATURES))
+    want_attacks = np.zeros(rows, dtype=bool)
+    want_moves = np.zeros((rows, N_MOVE_ACTIONS), dtype=bool)
+    hits = np.zeros(rows, dtype=int)
+    for dx in range(1 - g, g):
+        for dy in range(1 - g, g):
+            for h in range(top + 1):
+                # counted from the end when negative, as numpy does
+                row = ((dx * (2 * g - 1) + dy) * (top + 1) + h) % rows
+                hits[row] += 1
+                want_moves[row, ACTION_NOOP] = h == 0
+                if h == 0:
+                    continue
+                want_features[row] = dx / (g - 1), dy / (g - 1), h / top, 1.0
+                want_attacks[row] = max(abs(dx), abs(dy)) <= cfg.attack_range
+                # read as a unit in cell (dx, dy): it may stop, and move
+                # toward any wall that it is not on
+                want_moves[row, ACTION_STOP] = True
+                want_moves[row, ACTION_NORTH] = dy < g - 1
+                want_moves[row, ACTION_SOUTH] = dy > 0
+                want_moves[row, ACTION_EAST] = dx < g - 1
+                want_moves[row, ACTION_WEST] = dx > 0
+    assert (hits == 1).all()
+    assert_same_bytes(features, want_features.astype(np.float32))
+    assert_same_bytes(own, want_features[:, :OWN_FEATURES].astype(np.float32))
+    assert_same_bytes(attacks, want_attacks)
+    assert_same_bytes(moves, want_moves)
+
+
+def test_view_tables_are_built_once_per_config_and_read_only():
+    cfg = PRESETS["3v3"]
+    batches = [BattleBatch(cfg, 8), BattleBatch(dataclasses.replace(cfg), 1),
+               MicroBattleEnv(cfg).batch]
+    for name, table in zip(("_features", "_own", "_attack", "_moves"),
+                           view_tables(cfg), strict=True):
+        assert all(getattr(b, name) is table for b in batches)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    assert BattleBatch(PRESETS["5v6"], 1)._features is not batches[0]._features
