@@ -63,18 +63,11 @@ class ExperimentConfig:
     train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ConfigError(
-                f"unknown architecture {self.architecture!r}; choose from "
-                f"{', '.join(ARCHITECTURES)}")
-        if self.mixer not in MIXERS:
-            raise ConfigError(
-                f"unknown mixer {self.mixer!r}; choose from "
-                f"{', '.join(MIXERS)}")
-        if self.preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {self.preset!r}; choose from "
-                f"{', '.join(PRESETS)}")
+        for name, choices in (("architecture", ARCHITECTURES),
+                              ("mixer", MIXERS), ("preset", PRESETS)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
+                                  f"choose from {', '.join(choices)}")
         for name in ("eval_interval", "augment_copies"):
             if getattr(self, name) < 1:
                 raise ValueError(
@@ -187,16 +180,10 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def net_factory_for(architecture: str, env_cfg):
-    n, m = env_cfg.n_allies, env_cfg.n_enemies
-    table = {
-        "hpn": lambda rng: HpnAgentNet(rng, n, m),
-        "dpn": lambda rng: DpnAgentNet(rng, n, m),
-        "concat": lambda rng: ConcatAgentNet(rng, n, m),
-        "big_concat": lambda rng: big_concat_agent(rng, n, m),
-        "deepset": lambda rng: DeepSetAgentNet(rng, n, m),
-        "hpn_set": lambda rng: HpnSetAgentNet(rng, n, m),
-    }
-    return table[architecture]
+    net = {"hpn": HpnAgentNet, "dpn": DpnAgentNet, "concat": ConcatAgentNet,
+           "big_concat": big_concat_agent, "deepset": DeepSetAgentNet,
+           "hpn_set": HpnSetAgentNet}[architecture]
+    return lambda rng: net(rng, env_cfg.n_allies, env_cfg.n_enemies)
 
 
 def env_factory_for(preset: str, shuffle: bool, run_seed: int):
@@ -291,16 +278,24 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def read_curve(path: str) -> tuple[list[int], list[float]]:
+    """Steps and win rates of a result CSV.  A row that is not an integer
+    step, a win rate in [0, 1] and a loss (``nan`` before any training)
+    raises a ``ValueError`` naming the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 2 or lines[0] != "env_steps,win_rate,loss":
+        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+    if len(lines) < 2 or lines[0][1] != "env_steps,win_rate,loss":
         raise ValueError(f"{path}: not a result CSV with evaluation rows")
     steps: list[int] = []
     wins: list[float] = []
-    for line in lines[1:]:
-        step, win, _ = line.split(",")
-        steps.append(int(step))
-        wins.append(float(win))
+    for i, line in lines[1:]:
+        try:
+            step, win, _ = line.split(",")
+            steps.append(int(step))
+            wins.append(float(win))
+            if not 0.0 <= wins[-1] <= 1.0:      # nan fails this too
+                raise ValueError(f"win rate {win} outside [0, 1]")
+        except ValueError as err:
+            raise ValueError(f"{path}, line {i}: {err}") from None
     return steps, wins
 
 

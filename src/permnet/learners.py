@@ -17,10 +17,11 @@ describing the same event under a different entity naming.
 
 Rollouts run as lockstep batched environments: every runner's battle lives
 in one ``BattleBatch`` and all of them step once per tick with one set of
-array ops, one network forward and one masked argmax over every agent;
-exploration draws come from one stream in (runner, agent) order and
-completed episodes merge in runner-index order, so training is bitwise
-reproducible per seed.
+array ops, one network forward and one masked argmax over every agent.
+Epsilon-greedy exploration is two array draws a tick from one stream: a
+uniform per agent, then a pick among its available actions per explorer,
+each in (runner, agent) order.  Completed episodes merge in runner-index
+order, so training is bitwise reproducible per seed.
 """
 
 from __future__ import annotations
@@ -448,8 +449,10 @@ class ParallelRunner:
 
     All runners' battles live in one ``BattleBatch`` and step together
     once per tick: one acting forward over every agent, one masked argmax,
-    and exploration draws from one shared stream in (runner, agent) order,
-    so collection is deterministic.  Runner i's battle is row i of
+    and two exploration draws from ``select_rng``: a uniform for every
+    agent (below epsilon explores), then a uniform index into each
+    explorer's available actions, both in (runner, agent) order, so
+    collection is deterministic.  Runner i's battle is row i of
     ``batch``, reset in place through ``envs[i].reset_into`` (``envs[i]``
     from ``env_factory(i)``; a ``ShuffleWrapper`` draws the episode's
     permutations from its own stream) with seeds drawn from
@@ -493,18 +496,13 @@ class ParallelRunner:
         eps = anneal_epsilon(self.env_steps, self.cfg.epsilon_start,
                              self.cfg.epsilon_finish,
                              self.cfg.epsilon_anneal_steps)
-        if eps > 0.0:
-            # per agent in (runner, agent) order: a uniform, then an index
-            # into its available actions only when exploring
-            draw, pick = self.select_rng.random, self.select_rng.integers
-            explore = [(i, j, pick(count))
-                       for i, counts in enumerate(avail.sum(axis=-1).tolist())
-                       for j, count in enumerate(counts) if draw() < eps]
-            if explore:
-                i, j, k = np.array(explore).T
-                # the explorer's (k + 1)-th available action
-                actions[i, j] = (avail[i, j].cumsum(axis=-1)
-                                 <= k[:, None]).sum(axis=-1)
+        # every agent's uniform, then every explorer's pick among its
+        # available actions, both in (runner, agent) order
+        explore = self.select_rng.random(actions.shape) < eps
+        options = avail[explore]
+        k = self.select_rng.integers(options.sum(axis=-1))
+        # the explorer's (k + 1)-th available action
+        actions[explore] = (options.cumsum(axis=-1) <= k[:, None]).sum(axis=-1)
         log, at = self._log, self._starts + batch.t
         for name in UNIT_FIELDS:
             log[name][at] = getattr(batch, name)

@@ -19,6 +19,7 @@ from permnet.benchmark import (
     run_benchmark,
     summarize_method,
 )
+from permnet.cli import load_config
 
 
 def test_first_sustain_basic():
@@ -53,6 +54,28 @@ def test_ensure_curve_memoizes(tmp_path):
     ensure_curve("concat_vdn_shuffle", 0, out,
                  total_env_steps=400, eval_interval=200)
     assert open(path, "rb").read() == stamp
+
+
+def test_ensure_curve_retrains_a_nan_win_curve(tmp_path):
+    out = str(tmp_path)
+    path = ensure_curve("concat_vdn_shuffle", 0, out,
+                        total_env_steps=400, eval_interval=200)
+    stamp = open(path, "rb").read()
+    # the full grid, but win rates that first_sustain_step would count as
+    # sustained
+    with open(path, "w") as fh:
+        fh.write("env_steps,win_rate,loss\n200,nan,nan\n400,nan,0.5\n")
+    ensure_curve("concat_vdn_shuffle", 0, out,
+                 total_env_steps=400, eval_interval=200)
+    assert open(path, "rb").read() == stamp
+
+
+def test_benchmark_arms_are_their_config_files():
+    # ``permnet --config`` on these files trains the committed curves
+    root = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    for method, name in (("hpn_vdn", "hpn_vdn_3v3.cfg"),
+                         ("concat_vdn_shuffle", "concat_vdn_shuffle_3v3.cfg")):
+        assert load_config(str(root / name)) == benchmark_experiment(method)
 
 
 def test_run_benchmark_summary_statistics(tmp_path):

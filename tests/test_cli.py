@@ -327,3 +327,29 @@ def test_aggregate_empty_curve_exits_4(tmp_path, capsys, rows):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{empty}: not a result CSV with evaluation rows" in captured.err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("200,0.500000", "line 3: not enough values to unpack"),
+    ("2e2,0.500000,0.000000", "line 3: invalid literal for int()"),
+    ("200,nan,0.000000", "line 3: win rate nan outside [0, 1]"),
+    ("200,1.700000,0.000000", "line 3: win rate 1.700000 outside [0, 1]"),
+], ids=["two-columns", "non-integer-step", "nan-win", "win-above-1"])
+def test_aggregate_malformed_row_exits_4_naming_file_and_line(
+        tmp_path, capsys, row, message):
+    path = curve(tmp_path, "bad.csv", [(100, 0.5, 0.0)])
+    with open(path, "a") as fh:
+        fh.write(row + "\n")
+    assert main(["aggregate", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}, {message}" in captured.err
+
+
+def test_aggregate_accepts_a_nan_loss(tmp_path, capsys):
+    # an evaluation before the first train step has no loss to average
+    path = curve(tmp_path, "a.csv", [(100, 0.25, float("nan")),
+                                     (200, 0.75, 0.5)])
+    assert main(["aggregate", path]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "100,0.250000,0.250000,0.250000", "200,0.750000,0.750000,0.750000"]

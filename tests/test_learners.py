@@ -942,6 +942,34 @@ def test_runner_exploration_is_uniform_over_available():
     assert checked >= 2
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+def test_runner_explores_at_rate_epsilon(eps):
+    # an explorer leaves the masked argmax unless its uniform pick lands
+    # on it, so an agent with `count` open actions is non-greedy with
+    # probability eps * (1 - 1/count)
+    cfg = PRESETS["5v6"]
+    net = RandomQNet(cfg.n_actions)
+    runner = ParallelRunner(
+        small_cfg(parallel_runners=4, epsilon_start=eps, epsilon_finish=eps),
+        env_factory_for("5v6", True, 0), net)
+    seen = record_steps(runner)
+    for _ in range(600):
+        runner.tick()
+    non_greedy, expected = [], []
+    for (avail, actions), q in zip(seen, net.outputs):
+        greedy = greedy_actions(q.reshape(avail.shape), avail)
+        assert np.take_along_axis(avail, actions[..., None], -1).all()
+        non_greedy.append(actions != greedy)
+        expected.append(eps * (1 - 1 / avail.sum(axis=-1)))
+    non_greedy, expected = np.concatenate(non_greedy), np.concatenate(expected)
+    if eps == 0.0:
+        assert not non_greedy.any()
+    else:
+        # 12,000 agent-steps: the share's standard deviation is under 0.005
+        assert abs(non_greedy.mean() - expected.mean()) < 0.02
+        assert expected.mean() > 0.25
+
+
 def test_greedy_actions_ties_and_all_masked_fallback():
     avail = np.array([[True, True, False, True],
                       [False, True, True, True],
@@ -991,9 +1019,11 @@ class PerBattleRunner:
     """The runner as it was before the battle batch: one env.step per
     battle and one epsilon-greedy choice per agent, each from its own
     ``ObservationSet``.  The reference for ``ParallelRunner``'s streams;
-    run it on ``reference_env_factory`` envs.  It records each episode's
-    unit arrays and presentation, and keeps the views it acted on in
-    ``views``, one dict per finished episode."""
+    run it on ``reference_env_factory`` envs.  Each tick draws every
+    agent's uniform, then every explorer's index into its available
+    actions, in (runner, agent) order.  It records each episode's unit
+    arrays and presentation, and keeps the views it acted on in ``views``,
+    one dict per finished episode."""
 
     def __init__(self, cfg, env_factory, net):
         self.cfg = cfg
@@ -1011,14 +1041,21 @@ class PerBattleRunner:
             self._obs.append(obs)
             self._state.append(state)
 
-    @staticmethod
-    def select(q, avail, eps, rng):
-        open_actions = np.flatnonzero(avail)
-        if open_actions.size == 0:
-            raise ValueError("no available actions to select from")
-        if eps > 0.0 and rng.random() < eps:
-            return int(open_actions[rng.integers(open_actions.size)])
-        return int(np.argmax(np.where(avail, q, NEG_MASK)))
+    def select(self, q, avail, eps):
+        """Each battle's actions: an explorer's ``k``-th available action,
+        else the masked argmax."""
+        n = len(avail[0])
+        explore = self.select_rng.random((len(avail), n)) < eps
+        explorers = list(zip(*np.nonzero(explore)))
+        open_actions = [np.flatnonzero(avail[i][j]) for i, j in explorers]
+        picks = self.select_rng.integers(
+            np.array([a.size for a in open_actions], dtype=np.int64))
+        actions = [np.array([np.argmax(np.where(row[j], q[i * n + j], NEG_MASK))
+                             for j in range(n)], dtype=np.int64)
+                   for i, row in enumerate(avail)]
+        for (i, j), a, k in zip(explorers, open_actions, picks):
+            actions[i][j] = a[k]
+        return actions
 
     def tick(self):
         n = self.envs[0].cfg.n_allies
@@ -1032,11 +1069,10 @@ class PerBattleRunner:
         eps = anneal_epsilon(self.env_steps, self.cfg.epsilon_start,
                              self.cfg.epsilon_finish,
                              self.cfg.epsilon_anneal_steps)
+        chosen = self.select(q, avail, eps)
         completed = []
         for i, env in enumerate(self.envs):
-            actions = np.array(
-                [self.select(q[i * n + j], avail[i][j], eps, self.select_rng)
-                 for j in range(n)], dtype=np.int64)
+            actions = chosen[i]
             battle = getattr(env, "env", env)
             units = {name: getattr(battle, name).copy()
                      for name in UNIT_FIELDS}
