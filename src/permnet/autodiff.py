@@ -12,9 +12,9 @@ operator overloads or op methods.
 Only the right operand of ``add`` and ``mul`` broadcasts: its shape, less
 leading 1s, must end the left operand's shape, and its gradient is summed
 over the leading axes.  Same-shape operands pass gradients through as is.
-``gather_rows`` and ``scatter_rows`` take 1-d, non-negative, sorted row
-indices: non-decreasing for a gather, which may repeat a row, strictly
-increasing for its inverse, the scatter.
+``gather_rows`` and ``scatter_rows`` take 1-d, non-negative row indices:
+in any order for a gather, which may repeat a row, strictly increasing
+for the scatter.
 
 Every op keeps the dtype of its inputs.  The networks' parameters and the
 battle's observations and states are float32, so the whole training graph
@@ -426,36 +426,32 @@ def take_index(t: Tensor, indices: np.ndarray) -> Tensor:
     return Tensor._from_op(out_val, (t,), rule)
 
 
-def _row_indices(indices: np.ndarray, strict: bool) -> np.ndarray:
-    """``indices`` as 1-d, non-negative row indices, strictly increasing
-    if ``strict`` and non-decreasing otherwise."""
+def _row_indices(indices: np.ndarray) -> np.ndarray:
+    """``indices`` as 1-d, non-negative row indices."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"row indices must be 1-d, got shape {idx.shape}")
-    if idx.size and (idx[0] < 0 or np.any(np.diff(idx) < int(strict))):
-        order = "increasing" if strict else "non-decreasing"
-        raise ShapeError(f"row indices must be non-negative and {order}")
+    if idx.size and idx.min() < 0:
+        raise ShapeError("row indices must be non-negative")
     return idx
 
 
 def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
-    """Rows ``t[indices]`` along the first axis, for non-decreasing
-    indices.  Backward adds each output row's gradient into its source
-    row, repeats in index order."""
-    idx = _row_indices(indices, strict=False)
+    """Rows ``t[indices]`` along the first axis, for indices in any order.
+    Backward adds the gradients of a row's copies into that row."""
+    idx = _row_indices(indices)
     out_val = t.data[idx]
 
     def rule(g):
         if t.requires_grad:
-            # round k adds the k-th copy of every index, so each round
-            # writes distinct rows; this is np.add.at's sum, several times
-            # faster.  A copy's rank is its distance from its run's start.
-            rank = np.arange(idx.size) - np.searchsorted(idx, idx)
+            # a stable sort groups each row's copies in index order and
+            # one reduceat sums every group; np.add.at is several times
+            # slower
+            order = np.argsort(idx, kind="stable")
+            rows = idx[order]
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
             full = np.zeros_like(t.data)
-            for k in range(rank.max(initial=-1) + 1):
-                hit = rank == k
-                rows = idx[hit]
-                full[rows] = full[rows] + g[hit]
+            full[rows[starts]] = np.add.reduceat(g[order], starts, axis=0)
             t._accumulate(full)
 
     return Tensor._from_op(out_val, (t,), rule)
@@ -465,7 +461,9 @@ def scatter_rows(t: Tensor, indices: np.ndarray, rows: int) -> Tensor:
     """The inverse of ``gather_rows`` for increasing indices: ``rows``
     rows of zeros with row ``indices[i]`` set to ``t[i]``.  Backward
     gathers."""
-    idx = _row_indices(indices, strict=True)
+    idx = _row_indices(indices)
+    if np.any(np.diff(idx) < 1):
+        raise ShapeError("row indices must be increasing")
     if idx.shape != t.shape[:1]:
         raise ShapeError(f"{idx.shape} row indices for {t.shape[:1]} rows")
     out_val = np.zeros((rows,) + t.shape[1:], t.data.dtype)

@@ -9,18 +9,23 @@ under reordering.  Unlike canonicalization approaches, the same entity
 features always meet the same generated weights no matter what the rest
 of the group looks like.
 
-Weights are generated for live entity rows only.  A dead entity, and
-every row a dead observer sees, is all-zero, and an all-zero row x adds
-x @ W(x) = +-0 to the input pooling, which sums from +0.0: dropping it
-keeps the pooled bits.  A dead enemy's attack Q-value is never
-available, so it is written as exactly ``NEG_MASK``.  Reordering entities
-moves rows within these GEMMs but keeps their count, and from two rows up
-a row's result does not depend on which other rows share the batch, so
-order-freedom stays exact.  A one-row product is the exception: BLAS runs
-it as a matrix-vector product, and a (1, 64) @ (64, 256) row differs in
-its last bits from the same row inside a larger batch, in float32 and
-float64 alike.  So a lone live row may differ from what the dense layers
-would give it, but never between two orders of the same entities.
+Weights are generated once per distinct entity row.  An entity's weights
+depend on its own features alone, so rows with the same bits share one
+generated block and one embedding, gathered back to every row.  The
+distinct rows enter the GEMMs in the order of a sort of their raw bits,
+so any order of the same entities gives the same GEMM inputs.  A dead
+entity, and every row a dead observer sees, is all-zero; its embedding
+x @ W(x) is +-0, and the input pooling sums from +0.0, so the pooled bits
+are those of the dense layers.  A dead enemy's attack Q-value is never
+available, so it gets no generated weights and is written as exactly
+``NEG_MASK``.  From two rows up a row's result does not depend on which
+other rows share the batch, so sharing rows changes no forward value.  A
+one-row product is the exception: BLAS runs it as a matrix-vector
+product, and a (1, 64) @ (64, 256) row differs in its last bits from the
+same row inside a larger batch, in float32 and float64 alike.  So a lone
+distinct row may differ from what the dense layers would give it, but
+never between two orders of the same entities.  Rows of an input that
+needs a gradient are never shared (see ``_distinct_rows``).
 """
 
 from __future__ import annotations
@@ -87,22 +92,42 @@ class HyperLayer(Module):
         return weights, bias
 
 
+def _distinct_rows(data: np.ndarray, share: bool):
+    """``first, inverse`` for the rows of the 2-d ``data``: ``data[first]``
+    holds each distinct row once, in the order of a sort of the rows' raw
+    bits, and ``data[first][inverse]`` is ``data`` bit for bit.  Rows are
+    compared as bits, so -0.0 and +0.0 are two rows.  Without ``share``
+    every row is its own: the rows of an input that needs a gradient are
+    never merged, since a merged row's gradient would go to one copy."""
+    rows = len(data)
+    if not share:
+        return np.arange(rows), np.arange(rows)
+    words = np.ascontiguousarray(data).view(f"u{data.itemsize}")
+    order = np.lexsort(words.T)
+    ranked = words[order]
+    new = np.ones(rows, bool)
+    # rows differ where any column does; any(axis=1) is slow on short rows
+    np.logical_or.reduce(list((ranked[1:] != ranked[:-1]).T),
+                         out=new[1:])
+    inverse = np.empty(rows, np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def hpn_input_layer(layer: HyperLayer, X: Tensor) -> Tensor:
     """Embed a set: each entity through its own generated (k, h) matrix,
     pooled by a sort-based sum so any input order gives bitwise-identical
     output, plus the layer's shared bias.  (..., m, k) -> (..., h).
-    Only rows with a non-zero feature get generated weights; an all-zero
-    row contributes +0.0 (see the module docstring)."""
+    Each distinct entity row is embedded once (see the module
+    docstring)."""
     lead = X.shape[:-1]
-    rows = int(np.prod(lead))
-    flat = reshape(X, (rows, layer.feature_dim))
-    # non-zero rows, ORed by column: any(axis=1) is slow on short rows
-    live = np.flatnonzero(np.logical_or.reduce(list(flat.data.T != 0.0)))
-    x = gather_rows(flat, live)
-    weights, _ = layer.generate(x)          # (L, k, h)
-    per_entity = bmm(reshape(x, (len(live), 1, layer.feature_dim)), weights)
-    per_entity = scatter_rows(reshape(per_entity, (len(live), layer.cols)),
-                              live, rows)
+    flat = reshape(X, (int(np.prod(lead)), layer.feature_dim))
+    first, inverse = _distinct_rows(flat.data, not X.requires_grad)
+    x = gather_rows(flat, first)
+    weights, _ = layer.generate(x)          # (U, k, h)
+    per_row = bmm(reshape(x, (len(first), 1, layer.feature_dim)), weights)
+    per_entity = gather_rows(reshape(per_row, (len(first), layer.cols)),
+                             inverse)
     pooled = canonical_sum(reshape(per_entity, lead + (layer.cols,)),
                            axis=-2)
     return add(pooled, layer.shared_bias)
@@ -127,12 +152,14 @@ def hpn_output_layer(layer: HyperLayer, trunk_hidden: Tensor,
     flat = reshape(X_enemy, (batch * m, layer.feature_dim))
     alive = flat.data[:, 3] != 0.0
     live = np.flatnonzero(alive)
-    weights, bias = layer.generate(gather_rows(flat, live))  # (L, h, 1), (L,)
-    w = reshape(weights, (len(live), layer.rows))
+    first, inverse = _distinct_rows(flat.data[live], not X_enemy.requires_grad)
+    weights, bias = layer.generate(gather_rows(flat, live[first]))
+    # (U, h, 1) and (U,), gathered back to the live rows
+    w = gather_rows(reshape(weights, (len(first), layer.rows)), inverse)
     # score each row with an elementwise product and a per-row sum rather
     # than a width-1 matmul: BLAS matvec kernels are not bitwise row-stable
     h = gather_rows(reshape(trunk_hidden, (batch, layer.rows)), live // m)
-    scores = add(reduce_sum(mul(w, h), axis=-1), bias)
+    scores = add(reduce_sum(mul(w, h), axis=-1), gather_rows(bias, inverse))
     q = reshape(scatter_rows(scores, live, batch * m), lead + (m,))
     return add(q, constant(np.where(alive, 0.0, NEG_MASK).reshape(lead + (m,)),
                            q))

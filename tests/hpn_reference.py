@@ -1,8 +1,8 @@
 """The dense hypernetwork layers: every entity row through the
 hypernetworks, all-zero and dead rows included.
 
-``permnet.hpn`` generates weights for live rows only; these are the layers
-it replaced, kept as the oracle it is checked against.  The dense output
+``permnet.hpn`` generates weights once per distinct row; these are the
+layers it replaced, kept as the oracle it is checked against.  The dense output
 layer scores every enemy and then adds ``NEG_MASK`` to the dead ones, so a
 dead entry is ``NEG_MASK`` plus a score, not exactly ``NEG_MASK``.
 """

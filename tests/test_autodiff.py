@@ -397,6 +397,25 @@ def test_gather_rows_grad_check_with_repeats():
         lambda a: reduce_sum(mul(ad.relu(gather_rows(a, idx)), w)), [x]) < 1e-6
 
 
+@pytest.mark.parametrize("idx", [
+    [3, 0, 3, 1, 0, 3], [2, 2, 2], [1, 0], []], ids=[
+        "unsorted-repeats", "one-row-repeated", "reversed", "empty"])
+def test_gather_rows_unsorted_repeated_and_empty_indices(idx):
+    idx = np.array(idx, dtype=int)
+    x = np.random.default_rng(22).standard_normal((4, 2, 3))
+    out = gather_rows(t(x), idx)
+    assert out.shape == (len(idx), 2, 3)
+    assert np.array_equal(out.data, x[idx])
+    w = Tensor(np.random.default_rng(23).standard_normal((len(idx), 2, 3)))
+    assert grad_check(
+        lambda a: reduce_sum(mul(ad.relu(gather_rows(a, idx)), w)), [x]) < 1e-6
+    a = t(x)
+    reduce_sum(mul(gather_rows(a, idx), w)).backward()
+    expected = np.zeros_like(x)
+    np.add.at(expected, idx, w.data)
+    np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
+
+
 def test_gather_rows_rejects_nested_indices():
     with pytest.raises(ShapeError, match="1-d"):
         gather_rows(t(np.zeros((3, 2))), np.zeros((2, 1), dtype=int))
@@ -415,12 +434,20 @@ def test_scatter_rows_forward_and_grad_check():
         [x]) < 1e-6
 
 
-@pytest.mark.parametrize("op", [
-    gather_rows, lambda x, idx: scatter_rows(x, idx, 6)],
-    ids=["gather", "scatter"])
-@pytest.mark.parametrize("idx, why", [
-    ([2, 0, 1], "non-decreasing|increasing"), ([-1, 0, 1], "non-negative"),
-    ([[0], [1], [2]], "1-d")], ids=["unsorted", "negative", "2-d"])
+def scatter_6(x, idx):
+    return scatter_rows(x, idx, 6)
+
+
+# a gather takes its indices in any order; only the scatter needs them
+# sorted
+@pytest.mark.parametrize("op, idx, why", [
+    (scatter_6, [2, 0, 1], "increasing"),
+    (gather_rows, [-1, 0, 1], "non-negative"),
+    (scatter_6, [-1, 0, 1], "non-negative"),
+    (gather_rows, [[0], [1], [2]], "1-d"),
+    (scatter_6, [[0], [1], [2]], "1-d")], ids=[
+        "unsorted-scatter", "negative-gather", "negative-scatter",
+        "2-d-gather", "2-d-scatter"])
 def test_row_ops_reject_unsorted_negative_or_nested_indices(op, idx, why):
     with pytest.raises(ShapeError, match=why):
         op(t(np.zeros((3, 2))), np.array(idx))

@@ -246,7 +246,7 @@ def test_input_layer_grad_check():
     assert err < 1e-4
 
 
-# -- live rows only, against the dense layers ----------------------------
+# -- distinct rows once, against the dense layers ----------------------
 
 NETS = [HpnAgentNet, HpnSetAgentNet]
 
@@ -415,17 +415,63 @@ def test_exact_order_freedom_on_battle_observations(cls, preset):
     """Reordering the ally and enemy rows of observations with deaths
     leaves move Q-values bitwise unchanged and permutes attack Q-values
     bitwise, dead enemies' entries included."""
-    own, allies, enemies = battle_observations(preset, 5)
+    obs = battle_observations(preset, 5)
     rng = np.random.default_rng(6)
-    ally_perm = np.stack([rng.permutation(allies.shape[1]) for _ in own])
-    enemy_perm = np.stack([rng.permutation(enemies.shape[1]) for _ in own])
+    # the second batch is mostly duplicates: 4x as many observations,
+    # drawn from the first 8, each under its own order
+    repeats = rng.integers(8, size=4 * len(obs[0]))
     net = make_net(cls, preset, 7)
-    q = q_values(net, own, allies, enemies).data
-    q_perm = q_values(net, own,
-                      np.take_along_axis(allies, ally_perm[..., None], 1),
-                      np.take_along_axis(enemies, enemy_perm[..., None],
-                                         1)).data
-    assert np.array_equal(q_perm[:, :N_MOVE_ACTIONS], q[:, :N_MOVE_ACTIONS])
-    assert np.array_equal(q_perm[:, N_MOVE_ACTIONS:],
-                          np.take_along_axis(q[:, N_MOVE_ACTIONS:],
-                                             enemy_perm, 1))
+    for own, allies, enemies in [obs, tuple(rows[repeats] for rows in obs)]:
+        ally_perm = np.stack([rng.permutation(allies.shape[1]) for _ in own])
+        enemy_perm = np.stack([rng.permutation(enemies.shape[1])
+                               for _ in own])
+        q = q_values(net, own, allies, enemies).data
+        q_perm = q_values(net, own,
+                          np.take_along_axis(allies, ally_perm[..., None], 1),
+                          np.take_along_axis(enemies, enemy_perm[..., None],
+                                             1)).data
+        assert np.array_equal(q_perm[:, :N_MOVE_ACTIONS],
+                              q[:, :N_MOVE_ACTIONS])
+        assert np.array_equal(q_perm[:, N_MOVE_ACTIONS:],
+                              np.take_along_axis(q[:, N_MOVE_ACTIONS:],
+                                                 enemy_perm, 1))
+
+
+@pytest.mark.parametrize("cls", NETS)
+@pytest.mark.parametrize("preset", ["3v3", "8v9"])
+def test_tiled_batch_gives_the_untiled_q_bitwise(cls, preset):
+    """Tiling a batch repeats every entity row, so each distinct row is
+    generated once either way: the Q-values are the untiled ones.
+    The tiled batches stay within 2,304 rows: at one BLAS thread a
+    (2880, 64) @ (64, 6) move head rounds some rows differently from the
+    (576, 64) one, a change of GEMM kernel that has nothing to do with
+    row sharing."""
+    obs = battle_observations(preset, 8, battles=4)
+    net = make_net(cls, preset, 9)
+    q = q_values(net, *obs).data
+    for k in (2, 3):
+        tiled = [np.concatenate([rows] * k) for rows in obs]
+        assert np.array_equal(q_values(net, *tiled).data,
+                              np.concatenate([q] * k))
+
+
+@pytest.mark.parametrize("cls", NETS)
+def test_grad_check_wrt_duplicate_entity_rows(cls):
+    """An input that needs a gradient shares no rows: every copy of a
+    repeated ally or enemy row gets its own input gradient."""
+    net = in_float64(cls(np.random.default_rng(58), n_allies=3, n_enemies=3,
+                         hidden=8, hyper_hidden=8))
+    rng = np.random.default_rng(59)
+    own = rng.normal(size=(3, OWN_FEATURES))
+    row = rng.normal(size=K)
+    row[3] = 1.0
+    allies = np.stack([[row, row], [row, rng.normal(size=K)], [row, row]])
+    enemies = np.tile(row, (3, 3, 1))
+    enemies[1, 2] = rng.normal(size=K)
+    enemies[1, 2, 3] = 1.0
+    probe = Tensor(rng.normal(size=(3, net.n_actions)))
+
+    def f(a, e):
+        return reduce_sum(mul(net.forward_batch(Tensor(own), a, e), probe))
+
+    assert grad_check(f, [allies, enemies]) < 1e-6
