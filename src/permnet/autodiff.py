@@ -446,8 +446,10 @@ def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
         if t.requires_grad:
             # a stable sort groups each row's copies in index order and
             # one reduceat sums every group; np.add.at is several times
-            # slower
-            order = np.argsort(idx, kind="stable")
+            # slower.  The narrowest key type gives the same permutation,
+            # radix-sorted for 8- and 16-bit keys
+            key = idx.astype(np.min_scalar_type(t.shape[0] - 1))
+            order = np.argsort(key, kind="stable")
             rows = idx[order]
             starts = np.flatnonzero(np.diff(rows, prepend=-1))
             full = np.zeros_like(t.data)

@@ -1,18 +1,22 @@
 """Order canonicalization through learned hard permutation matrices.
 
 A small assignment network scores every (canonical slot, entity) pair and
-a sequential masked Gumbel-softmax turns the scores into a permutation
-matrix M, one slot row at a time.  Feeding any downstream network M·X
-instead of X makes it invariant to the input ordering, and mapping a
-per-entity output slice back through Mᵀ makes that slice equivariant.
+a sequential masked selection turns the scores into a permutation matrix
+M, one slot row at a time.  Feeding any downstream network M·X instead of
+X makes it invariant to the input ordering, and mapping a per-entity
+output slice back through Mᵀ makes that slice equivariant.
 
-Selection is stochastic-hard in the training forward (straight-through
-gradients).  Greedy selection (hard and deterministic: acting, evaluation,
-the learner's target and double-Q forwards) is a plain masked argmax per
-slot that returns M as a constant.  Without score ties it is exact: the
-same entity set in any order yields bitwise-identical M·X.  The argmax
-takes the first maximum, so a tie between distinct entities picks by input
-position.
+There are two paths, and both run the slot loop in plain numpy.  Greedy
+selection (hard and deterministic: acting, evaluation, the learner's
+target and double-Q forwards) is a masked argmax per slot that returns M
+as a constant.  Without score ties it is exact: the same entity set in
+any order yields bitwise-identical M·X.  The argmax takes the first
+maximum, so a tie between distinct entities picks by input position.
+Every other config (the noisy training forward, soft configs) samples a
+masked Gumbel-softmax per slot (Jang et al. 2017) inside one graph node
+whose M and gradients are bit for bit those of ``gumbel_softmax`` called
+slot by slot: a hard config forwards the exact one-hot and backpropagates
+the soft rows' gradient (straight-through).
 """
 
 from __future__ import annotations
@@ -21,18 +25,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .autodiff import (
-    ShapeError,
-    Tensor,
-    add,
-    bmm,
-    concat,
-    relu,
-    reshape,
-    take_index,
-)
+from .autodiff import ShapeError, Tensor, bmm, concat, relu, reshape
 from .env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES
-from .gumbel import GumbelConfig, gumbel_softmax
+from .gumbel import GumbelConfig, sample_gumbel
 from .layers import NEG_MASK, AgentNet, Linear, Mlp, Module
 
 
@@ -52,7 +47,7 @@ class DpnNet(Module):
     """Assignment-score network for one entity group of fixed size.
 
     ``assign_mlp`` maps each entity's features to one score per canonical
-    slot; its transpose is consumed row-by-row by the masked sampling loop.
+    slot; the masked selection loop reads its columns slot by slot.
     """
 
     def __init__(self, rng: np.random.Generator, feature_dim: int,
@@ -74,11 +69,7 @@ def generate_permutation_matrix(net: DpnNet, X: Tensor,
     penalty on already-taken entities and picks among the rest.  A hard
     deterministic config picks the first maximum of the masked scores and
     returns M as a constant: no gradient reaches the assignment network.
-    Otherwise each row samples a hard one-hot through ``gumbel_softmax``
-    and adds that row's forward value (the exact one-hot) to the next
-    row's penalty mask; a soft config penalizes by the soft row instead.
-    The mask is accumulated outside the graph; gradients reach the
-    assignment parameters through each row's straight-through softmax.
+    Every other config builds M as one graph node (``_sampled_matrix``).
 
     ``deterministic`` overrides the net's GumbelConfig flag (argmax
     selection, no noise) without mutating it.
@@ -95,23 +86,79 @@ def generate_permutation_matrix(net: DpnNet, X: Tensor,
     if m == 0:
         return Tensor(np.zeros(lead + (0, 0), X.data.dtype))
     scores = net.assign_mlp(X)              # (..., m entities, m slots)
-    taken = np.zeros(lead + (m,), scores.data.dtype)
     if cfg.hard and cfg.deterministic:
-        M = np.zeros(lead + (m, m), scores.data.dtype)
-        for d in range(m):
-            pick = (scores.data[..., d] + NEG_MASK * taken).argmax(-1)
-            np.put_along_axis(M[..., d, :], pick[..., None], 1.0, axis=-1)
-            np.put_along_axis(taken, pick[..., None], 1.0, axis=-1)
-        return Tensor(M)
-    rows = []
+        return Tensor(_greedy_matrix(scores.data))
+    return _sampled_matrix(scores, cfg, rng)
+
+
+def _greedy_matrix(scores: np.ndarray) -> np.ndarray:
+    """Masked first-maximum argmax per slot, picks written by index."""
+    m = scores.shape[-1]
+    s = scores.reshape(-1, m, m)
+    rows = np.arange(len(s))
+    M = np.zeros_like(s)
+    taken = np.zeros(s.shape[:2], s.dtype)
     for d in range(m):
-        slot = np.full(lead + (m,), d, dtype=np.intp)
-        logits = take_index(scores, slot)   # transposed row d: (..., m)
-        masked = add(logits, Tensor(NEG_MASK * taken))
-        row = gumbel_softmax(masked, cfg, rng)
-        taken = taken + row.data
-        rows.append(reshape(row, lead + (1, m)))
-    return concat(rows, axis=-2)
+        pick = (s[:, :, d] + NEG_MASK * taken).argmax(-1)
+        M[rows, d, pick] = 1.0
+        taken[rows, pick] = 1.0
+    return M.reshape(scores.shape)
+
+
+def _sampled_matrix(scores: Tensor, cfg: GumbelConfig,
+                    rng: np.random.Generator | None) -> Tensor:
+    """The masked Gumbel-softmax loop of ``gumbel_softmax`` calls, one
+    per slot, as a single node with the same bits.
+
+    Slot d softmaxes ``((s_d + NEG_MASK * taken) + g_d) / tau`` over the
+    entities; a hard config takes the soft row's first maximum as a
+    one-hot, a soft config keeps the soft row, and the row joins the
+    penalty mask.  The group's noise is one draw, in the order of one
+    draw per slot.  The backward is each slot's softmax gradient at
+    once (straight-through for a hard config).
+    """
+    m = scores.shape[-1]
+    s = scores.data.reshape(-1, m, m)       # (rows, entities, slots)
+    rows = np.arange(len(s))
+    if cfg.deterministic:
+        noise = None
+    elif rng is None:
+        raise ValueError("stochastic sampling needs an rng")
+    else:
+        noise = sample_gumbel(rng, (m,) + s.shape[:2]).astype(s.dtype)
+    inv_tau = np.asarray(1.0 / cfg.tau, s.dtype)
+    soft = np.empty_like(s)                 # (rows, slots, entities)
+    M = np.zeros_like(s) if cfg.hard else soft
+    taken = np.zeros(s.shape[:2], s.dtype)
+    for d in range(m):
+        x = s[:, :, d] + NEG_MASK * taken
+        if noise is not None:
+            x = x + noise[d]
+        x = x * inv_tau
+        top = x[:, 0]
+        for j in range(1, m):
+            top = np.maximum(top, x[:, j])
+        e = np.exp(x - top[:, None])
+        soft[:, d] = e / e.sum(axis=-1, keepdims=True)
+        if cfg.hard:
+            pick = soft[:, d].argmax(-1)
+            M[rows, d, pick] = 1.0
+            taken[rows, pick] = 1.0
+        else:
+            taken = taken + soft[:, d]
+
+    def rule(g):
+        if scores.requires_grad:
+            g = g.reshape(soft.shape)
+            grad = soft * (g - (g * soft).sum(axis=-1, keepdims=True)) \
+                * inv_tau
+            # transposed back to (entity, slot) in C order; the +0.0 is
+            # the per-slot gradients' sum from zeros (it clears -0.0)
+            full = np.add(grad.transpose(0, 2, 1), 0.0,
+                          out=np.empty_like(s))
+            scores._accumulate(full.reshape(scores.shape))
+
+    return Tensor._from_op(M.reshape(scores.shape), (scores,), rule)
 
 
 class DpnAgentNet(AgentNet):

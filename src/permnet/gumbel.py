@@ -27,9 +27,10 @@ class GumbelConfig:
 
     deterministic=True drops the noise entirely (g == 0); combined with
     hard=True that is pure argmax selection with first-max tie-breaking,
-    exactly repeatable.  DPN's greedy forwards (acting, evaluation, the
-    learner's target and double-Q) select that way without calling
-    ``gumbel_softmax``.
+    exactly repeatable.  DPN selects with these knobs without calling
+    ``gumbel_softmax``: greedy forwards (acting, evaluation, the learner's
+    target and double-Q) by a masked argmax, every other config by the
+    same per-slot arithmetic inside one graph node.
     """
 
     tau: float = 0.5

@@ -1,12 +1,14 @@
 """DPN's permutation matrix built by the masked Gumbel-softmax loop for
-every config, greedy ones included.
+every config, one graph node per step of every slot.
 
 ``permnet.dpn`` selects a deterministic hard matrix by a masked argmax of
-the assignment scores and returns it as a constant; this is the graph-
-building loop it replaced for that mode, kept as the oracle it is checked
-against.  Each slot row takes the scores' column, masks taken entities,
-runs ``gumbel_softmax`` (argmax of the softmax, one-hot, straight-through)
-and concatenates the rows.
+the assignment scores and returns it as a constant, and builds every
+other config's matrix as one graph node.  This is the graph-building loop
+both replaced, kept as the oracle they are checked against for every
+config: M, the gradients and the Generator's state afterwards.  Each slot
+row takes the scores' column, masks taken entities, runs
+``gumbel_softmax`` (noise, softmax, and for a hard config the argmax
+one-hot, straight-through) and concatenates the rows.
 """
 
 from dataclasses import replace

@@ -416,6 +416,21 @@ def test_gather_rows_unsorted_repeated_and_empty_indices(idx):
     np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("rows", [1, 256, 257, 65536, 65537])
+def test_gather_rows_backward_at_every_key_width(rows):
+    """The backward sorts row indices as 8-, 16- or 32-bit keys, chosen
+    by the row count; the largest row index must survive the narrowing."""
+    rng = np.random.default_rng(rows)
+    idx = np.concatenate([rng.integers(0, rows, 500), [rows - 1, 0,
+                                                       rows - 1]])
+    a = t(rng.standard_normal((rows, 2)))
+    w = Tensor(rng.standard_normal((len(idx), 2)))
+    reduce_sum(mul(gather_rows(a, idx), w)).backward()
+    expected = np.zeros((rows, 2))
+    np.add.at(expected, idx, w.data)
+    np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
+
+
 def test_gather_rows_rejects_nested_indices():
     with pytest.raises(ShapeError, match="1-d"):
         gather_rows(t(np.zeros((3, 2))), np.zeros((2, 1), dtype=int))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permnet.dpn
+import permnet.learners
 from dpn_reference import softmax_permutation_matrix, use_softmax_loop
 from float64_params import in_float64
 from permnet.autodiff import (
@@ -28,6 +29,7 @@ from permnet.dpn import (
     generate_permutation_matrix,
     is_permutation_matrix,
 )
+from permnet.cli import env_factory_for, net_factory_for
 from permnet.env import (
     ENTITY_FEATURES,
     N_MOVE_ACTIONS,
@@ -37,6 +39,7 @@ from permnet.env import (
 )
 from permnet.gumbel import GumbelConfig
 from permnet.layers import Mlp
+from permnet.learners import Learner, TrainConfig, train_loop
 from test_hpn import battle_observations, make_net, q_values
 
 DET = GumbelConfig(tau=0.5, hard=True, deterministic=True)
@@ -353,9 +356,9 @@ def test_greedy_matrix_is_a_constant_under_grad_mode():
 
 def test_greedy_forwards_never_sample(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("greedy selection called gumbel_softmax")
+        raise AssertionError("greedy selection drew Gumbel noise")
 
-    monkeypatch.setattr(permnet.dpn, "gumbel_softmax", refuse)
+    monkeypatch.setattr(permnet.dpn, "sample_gumbel", refuse)
     X = Tensor(np.random.default_rng(16).normal(size=(7, 3, 4)))
     generate_permutation_matrix(det_net(17), X)
     generate_permutation_matrix(det_net(17), Tensor(X.data[0]))
@@ -399,3 +402,101 @@ def test_noisy_forward_reaches_assignment_parameters():
         grads = [p.grad for p in group.named_parameters().values()]
         assert all(g is not None for g in grads)
         assert sum(float(np.abs(g).sum()) for g in grads) > 0.0
+
+
+# -- sampled selection against the softmax loop ------------------------
+
+
+SAMPLED_CONFIGS = {
+    "hard-noisy": GumbelConfig(tau=0.5, hard=True),
+    "soft-noisy": GumbelConfig(tau=0.7, hard=False),
+    "soft-deterministic": GumbelConfig(tau=1.0, hard=False,
+                                       deterministic=True),
+}
+
+
+def sampled_run(build, net, x, weight, seed, monkeypatch):
+    """M, the gradients of sum(M * weight) for the assignment scores and
+    every assignment parameter, and the sampling Generator's state after
+    the call."""
+    made = []
+    score = Mlp.__call__
+
+    def recording(self, inputs):
+        made.append(score(self, inputs))
+        return made[-1]
+
+    for p in net.named_parameters().values():
+        p.zero_grad()
+    rng = np.random.default_rng(seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(Mlp, "__call__", recording)
+        M = build(net, Tensor(x), rng)
+    reduce_sum(mul(M, Tensor(weight))).backward()
+    grads = {name: p.grad for name, p in net.named_parameters().items()}
+    grads["scores"] = made[0].grad
+    return M.data, grads, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("config", SAMPLED_CONFIGS)
+@pytest.mark.parametrize("m", range(1, 10))
+def test_sampled_matrix_matches_softmax_loop_bitwise(m, config, monkeypatch):
+    rng = np.random.default_rng([27, m])
+    for dtype in (np.float32, np.float64):
+        net = DpnNet(np.random.default_rng([28, m]), 4, m,
+                     gumbel=SAMPLED_CONFIGS[config])
+        if dtype == np.float64:
+            in_float64(net)
+        X = rng.normal(size=(64, m, 4)).astype(dtype)
+        X[:8, :2] = X[:8, :1]               # identical rows tie exactly
+        for x in (X, X[0]):
+            weight = rng.normal(size=x.shape[:-1] + (m,)).astype(dtype)
+            M, grads, state = sampled_run(generate_permutation_matrix, net,
+                                          x, weight, [29, m], monkeypatch)
+            M_ref, grads_ref, state_ref = sampled_run(
+                softmax_permutation_matrix, net, x, weight, [29, m],
+                monkeypatch)
+            assert same_bits(M, M_ref)
+            assert M.dtype == dtype
+            assert state == state_ref
+            assert grads.keys() == grads_ref.keys()
+            for name, g in grads.items():
+                assert same_bits(g, grads_ref[name]), name
+
+
+def test_noisy_selection_without_rng_raises():
+    net = DpnNet(np.random.default_rng(30), 4, 3,
+                 gumbel=GumbelConfig(tau=0.5, hard=True))
+    X = Tensor(np.random.default_rng(31).normal(size=(3, 4)))
+    with pytest.raises(ValueError, match="rng"):
+        generate_permutation_matrix(net, X)
+
+
+def test_train_loop_matches_softmax_loop_bitwise(monkeypatch):
+    """A short augmented QMIX run at 5v6 gives the same rows and the same
+    final parameters when M comes from the softmax loop."""
+    built = []
+
+    class RecordingLearner(Learner):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(permnet.learners, "Learner", RecordingLearner)
+
+    def run():
+        cfg = TrainConfig(batch_episodes=2, target_update_interval=5,
+                          parallel_runners=2, total_env_steps=400,
+                          train_interval=50, epsilon_anneal_steps=200,
+                          seed=4)
+        rows = train_loop(cfg, env_factory_for("5v6", False, 4),
+                          net_factory_for("dpn", PRESETS["5v6"]),
+                          mixer="qmix", augment=True, eval_interval=200)
+        assert built[-1].train_steps > 0
+        return repr(rows), {name: p.data.tobytes()
+                            for name, p in built[-1].params.items()}
+
+    fused = run()
+    with monkeypatch.context() as patch:
+        use_softmax_loop(patch)
+        assert run() == fused
