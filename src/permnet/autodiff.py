@@ -12,9 +12,8 @@ operator overloads or op methods.
 Only the right operand of ``add`` and ``mul`` broadcasts: its shape, less
 leading 1s, must end the left operand's shape, and its gradient is summed
 over the leading axes.  Same-shape operands pass gradients through as is.
-``gather_rows`` and ``scatter_rows`` take 1-d, non-negative row indices:
-in any order for a gather, which may repeat a row, strictly increasing
-for the scatter.
+``gather_rows`` takes 1-d, non-negative row indices in any order, which
+may repeat a row.
 
 Every op keeps the dtype of its inputs.  The networks' parameters and the
 battle's observations and states are float32, so the whole training graph
@@ -28,7 +27,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -297,60 +295,20 @@ def reduce_sum(t: Tensor, axis=None) -> Tensor:
     return Tensor._from_op(out_val, (t,), rule)
 
 
-@lru_cache(maxsize=None)
-def sorting_network(m: int) -> tuple[tuple[int, int], ...]:
-    """Compare-exchange pairs (i, j), i < j, of Batcher's odd-even merge
-    sort for ``m`` inputs (Batcher 1968): putting min at i and max at j
-    for each pair in turn sorts any input ascending."""
-    pairs = []
-    p = 1
-    while p < m:
-        k = p
-        while k >= 1:
-            for j in range(k % p, m - k, 2 * k):
-                for i in range(min(k, m - j - k)):
-                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
-                        pairs.append((i + j, i + j + k))
-            k //= 2
-        p *= 2
-    return tuple(pairs)
+def canonical_sum(rows: Tensor, sets: np.ndarray) -> Tensor:
+    """Sum of each set of rows: ``out[a]`` is the sum of ``rows[i]`` for
+    the ``i`` in ``sets[a]``.  (n, h) rows and (..., m) sets -> (..., h).
 
-
-def canonical_sum(t: Tensor, axis: int) -> Tensor:
-    """Order-independent sum along ``axis``.
-
-    Addends are sorted by value before accumulation, so any permutation of
-    the input slices along ``axis`` yields a bitwise-identical result.  This
-    is what makes set pooling exactly permutation invariant rather than
-    merely invariant up to float reassociation.  The gradient is the plain
-    sum gradient (ones), so backward is unaffected by the sorting.
-
-    The slices are sorted elementwise by a min/max sorting network and
-    summed in ascending order from +0.0, which is bitwise
-    ``np.sort(x, axis).sum(axis)`` wherever numpy sums the axis in order:
-    always for m < 8, and for an axis followed by a non-unit axis (the
-    (..., m, h) pooling layout).  Two addends need no sort, since IEEE
-    addition is commutative.
+    Each set's indices are sorted and its rows added in ascending index
+    order from +0.0, so any order of a set's indices gives bitwise the
+    same sum.  Pooling is exactly order-free when the rows are ranked by
+    their values and equal values share a rank, as ``hpn.pool_set`` ranks
+    them.  The gradient is the plain sum's, gathered back to the rows.
     """
-    _check_axis(t, axis)
-    m = t.shape[axis]
-    if m <= 2:
-        out_val = t.data.sum(axis=axis)
-    else:
-        slices = list(np.moveaxis(t.data, axis, 0))
-        for i, j in sorting_network(m):
-            slices[i], slices[j] = (np.minimum(slices[i], slices[j]),
-                                    np.maximum(slices[i], slices[j]))
-        # numpy's sum starts from +0.0 too, turning all -0.0 into +0.0
-        out_val = slices[0] + 0.0
-        for s in slices[1:]:
-            out_val += s
-
-    def rule(g):
-        if t.requires_grad:
-            t._accumulate(np.broadcast_to(np.expand_dims(g, axis), t.shape).copy())
-
-    return Tensor._from_op(out_val, (t,), rule)
+    sets = np.sort(np.asarray(sets, dtype=np.intp), axis=-1)
+    picked = gather_rows(rows, sets.reshape(-1))
+    # numpy sums a (..., m, h) array's m axis in order, from +0.0
+    return reduce_sum(reshape(picked, sets.shape + rows.shape[1:]), axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -455,25 +413,6 @@ def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
             full = np.zeros_like(t.data)
             full[rows[starts]] = np.add.reduceat(g[order], starts, axis=0)
             t._accumulate(full)
-
-    return Tensor._from_op(out_val, (t,), rule)
-
-
-def scatter_rows(t: Tensor, indices: np.ndarray, rows: int) -> Tensor:
-    """The inverse of ``gather_rows`` for increasing indices: ``rows``
-    rows of zeros with row ``indices[i]`` set to ``t[i]``.  Backward
-    gathers."""
-    idx = _row_indices(indices)
-    if np.any(np.diff(idx) < 1):
-        raise ShapeError("row indices must be increasing")
-    if idx.shape != t.shape[:1]:
-        raise ShapeError(f"{idx.shape} row indices for {t.shape[:1]} rows")
-    out_val = np.zeros((rows,) + t.shape[1:], t.data.dtype)
-    out_val[idx] = t.data
-
-    def rule(g):
-        if t.requires_grad:
-            t._accumulate(g[idx])
 
     return Tensor._from_op(out_val, (t,), rule)
 

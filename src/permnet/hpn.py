@@ -1,8 +1,8 @@
 """Hypernetwork layers that build order-free agent Q-networks.
 
 The input side embeds each entity through a weight matrix generated from
-that entity's own features and pools the results with an order-free sum,
-so reordering entities cannot change the embedding.  The output side
+that entity's own features and sums the embeddings (``pool_set``), so
+reordering entities cannot change the pooled embedding.  The output side
 generates one (weight, bias) pair per enemy and scores the shared trunk
 hidden state with it, so attack Q-values follow their entities exactly
 under reordering.  Unlike canonicalization approaches, the same entity
@@ -13,18 +13,19 @@ Weights are generated once per distinct entity row.  An entity's weights
 depend on its own features alone, so rows with the same bits share one
 generated block and one embedding, gathered back to every row.  The
 distinct rows enter the GEMMs in the order of a sort of their raw bits,
-so any order of the same entities gives the same GEMM inputs.  A dead
-entity, and every row a dead observer sees, is all-zero; its embedding
-x @ W(x) is +-0, and the input pooling sums from +0.0, so the pooled bits
-are those of the dense layers.  A dead enemy's attack Q-value is never
-available, so it gets no generated weights and is written as exactly
-``NEG_MASK``.  From two rows up a row's result does not depend on which
-other rows share the batch, so sharing rows changes no forward value.  A
-one-row product is the exception: BLAS runs it as a matrix-vector
-product, and a (1, 64) @ (64, 256) row differs in its last bits from the
-same row inside a larger batch, in float32 and float64 alike.  So a lone
-distinct row may differ from what the dense layers would give it, but
-never between two orders of the same entities.  Rows of an input that
+so any order of the same entities gives the same GEMM inputs.  Each set
+adds its embeddings in that rank order, from +0.0: rows that tie in rank
+have the same bits and so the same embedding, so the pooled bits do not
+depend on the set's order.  A dead entity, and every row a dead observer
+sees, is all-zero, and its embedding x @ W(x) is +-0.  A dead enemy's
+attack Q-value is never available, so it gets no generated weights and is
+written as exactly ``NEG_MASK``.  From two rows up a row's result does
+not depend on which other rows share the batch, so sharing rows changes
+no forward value.  A one-row product is the exception: BLAS runs it as a
+matrix-vector product, and a (1, 64) @ (64, 256) row differs in its last
+bits from the same row inside a larger batch, in float32 and float64
+alike.  So a lone distinct row may differ from what the dense layers
+would give it, but never between two orders of the same entities.  Rows of an input that
 needs a gradient are never shared (see ``_distinct_rows``).
 """
 
@@ -45,7 +46,6 @@ from .autodiff import (
     reduce_sum,
     relu,
     reshape,
-    scatter_rows,
     uniform_init,
 )
 from .env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES
@@ -95,42 +95,51 @@ class HyperLayer(Module):
 def _distinct_rows(data: np.ndarray, share: bool):
     """``first, inverse`` for the rows of the 2-d ``data``: ``data[first]``
     holds each distinct row once, in the order of a sort of the rows' raw
-    bits, and ``data[first][inverse]`` is ``data`` bit for bit.  Rows are
-    compared as bits, so -0.0 and +0.0 are two rows.  Without ``share``
-    every row is its own: the rows of an input that needs a gradient are
+    bits, and ``data[first][inverse]`` is ``data`` bit for bit, so
+    ``inverse`` ranks the rows by their bits.  Rows are compared as bits,
+    so -0.0 and +0.0 are two rows.  Without ``share`` every row is its
+    own, still ranked: the rows of an input that needs a gradient are
     never merged, since a merged row's gradient would go to one copy."""
     rows = len(data)
-    if not share:
-        return np.arange(rows), np.arange(rows)
     words = np.ascontiguousarray(data).view(f"u{data.itemsize}")
     order = np.lexsort(words.T)
-    ranked = words[order]
     new = np.ones(rows, bool)
-    # rows differ where any column does; any(axis=1) is slow on short rows
-    np.logical_or.reduce(list((ranked[1:] != ranked[:-1]).T),
-                         out=new[1:])
+    if share:
+        ranked = words[order]
+        # rows differ where any column does; any(axis=1) is slow on short
+        # rows
+        np.logical_or.reduce(list((ranked[1:] != ranked[:-1]).T),
+                             out=new[1:])
     inverse = np.empty(rows, np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
 
 
+def pool_set(embed, X: Tensor) -> Tensor:
+    """Embed each entity row of a set with ``embed``, (U, k) -> (U, h), and
+    sum each set's embeddings: (..., m, k) -> (..., h).  Each distinct row
+    is embedded once, and a set's embeddings are summed in the rank order
+    of their rows' bits, so any order of the same entities gives the same
+    bits."""
+    lead = X.shape[:-1]
+    flat = reshape(X, (int(np.prod(lead)), X.shape[-1]))
+    first, inverse = _distinct_rows(flat.data, not X.requires_grad)
+    return canonical_sum(embed(gather_rows(flat, first)),
+                         inverse.reshape(lead))
+
+
 def hpn_input_layer(layer: HyperLayer, X: Tensor) -> Tensor:
     """Embed a set: each entity through its own generated (k, h) matrix,
-    pooled by a sort-based sum so any input order gives bitwise-identical
-    output, plus the layer's shared bias.  (..., m, k) -> (..., h).
-    Each distinct entity row is embedded once (see the module
-    docstring)."""
-    lead = X.shape[:-1]
-    flat = reshape(X, (int(np.prod(lead)), layer.feature_dim))
-    first, inverse = _distinct_rows(flat.data, not X.requires_grad)
-    x = gather_rows(flat, first)
-    weights, _ = layer.generate(x)          # (U, k, h)
-    per_row = bmm(reshape(x, (len(first), 1, layer.feature_dim)), weights)
-    per_entity = gather_rows(reshape(per_row, (len(first), layer.cols)),
-                             inverse)
-    pooled = canonical_sum(reshape(per_entity, lead + (layer.cols,)),
-                           axis=-2)
-    return add(pooled, layer.shared_bias)
+    pooled by ``pool_set``, plus the layer's shared bias.
+    (..., m, k) -> (..., h)."""
+
+    def embed(x):
+        weights, _ = layer.generate(x)          # (U, k, h)
+        rows = len(x.data)
+        return reshape(bmm(reshape(x, (rows, 1, layer.feature_dim)),
+                           weights), (rows, layer.cols))
+
+    return add(pool_set(embed, X), layer.shared_bias)
 
 
 def hpn_output_layer(layer: HyperLayer, trunk_hidden: Tensor,
@@ -160,9 +169,10 @@ def hpn_output_layer(layer: HyperLayer, trunk_hidden: Tensor,
     # than a width-1 matmul: BLAS matvec kernels are not bitwise row-stable
     h = gather_rows(reshape(trunk_hidden, (batch, layer.rows)), live // m)
     scores = add(reduce_sum(mul(w, h), axis=-1), gather_rows(bias, inverse))
-    q = reshape(scatter_rows(scores, live, batch * m), lead + (m,))
-    return add(q, constant(np.where(alive, 0.0, NEG_MASK).reshape(lead + (m,)),
-                           q))
+    # dead rows read one constant row appended after the live scores
+    padded = concat([scores, constant([NEG_MASK], scores)], axis=0)
+    place = np.where(alive, np.cumsum(alive) - 1, len(live))
+    return reshape(gather_rows(padded, place), lead + (m,))
 
 
 class HpnAgentNet(AgentNet):

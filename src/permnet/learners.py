@@ -110,8 +110,8 @@ class TrainConfig:
                     f"{name} {getattr(self, name)} outside [0, 1]")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma {self.gamma} outside (0, 1]")
-        if not self.lr > 0.0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.buffer_size < self.batch_episodes:
             # the buffer could never hold a batch, so nothing would train
             raise ValueError(

@@ -2,9 +2,13 @@
 hypernetworks, all-zero and dead rows included.
 
 ``permnet.hpn`` generates weights once per distinct row; these are the
-layers it replaced, kept as the oracle it is checked against.  The dense output
-layer scores every enemy and then adds ``NEG_MASK`` to the dead ones, so a
-dead entry is ``NEG_MASK`` plus a score, not exactly ``NEG_MASK``.
+layers it replaced, kept as the oracle it is checked against.  The dense
+input layer pools each set on its own: it sorts the set's rows by their
+raw bits and adds their embeddings in that order from +0.0, which is the
+order ``permnet.hpn`` reaches through its ranks over the whole batch.  The
+dense output layer scores every enemy and then adds ``NEG_MASK`` to the
+dead ones, so a dead entry is ``NEG_MASK`` plus a score, not exactly
+``NEG_MASK``.
 """
 
 import numpy as np
@@ -15,8 +19,8 @@ from permnet.autodiff import (
     Tensor,
     add,
     bmm,
-    canonical_sum,
     concat,
+    gather_rows,
     mul,
     reduce_sum,
     reshape,
@@ -27,11 +31,18 @@ from permnet.layers import NEG_MASK
 def dense_input_layer(layer, X):
     weights, _ = layer.generate(X)          # (..., m, k, h)
     lead = X.shape[:-1]
-    flat = int(np.prod(lead)) if lead else 1
+    flat = int(np.prod(lead))
     per_entity = bmm(reshape(X, (flat, 1, layer.feature_dim)),
                      reshape(weights, (flat, layer.rows, layer.cols)))
-    per_entity = reshape(per_entity, lead + (layer.cols,))
-    pooled = canonical_sum(per_entity, axis=-2)
+    # each set's rows in the order of a sort of their bits: the set index
+    # is the primary key, then the columns from the last to the first
+    words = np.ascontiguousarray(X.data).reshape(flat, layer.feature_dim)
+    words = words.view(f"u{words.itemsize}")
+    n_sets = int(np.prod(lead[:-1]))
+    sets = np.repeat(np.arange(n_sets), lead[-1])
+    order = np.lexsort((*words.T, sets))
+    ranked = gather_rows(reshape(per_entity, (flat, layer.cols)), order)
+    pooled = reduce_sum(reshape(ranked, lead + (layer.cols,)), axis=-2)
     if layer.shared_bias is None:
         return pooled
     return add(pooled, layer.shared_bias)

@@ -6,7 +6,7 @@ from permnet import autodiff as ad
 from permnet.autodiff import (
     AdamState, ShapeError, Tensor, adam_step, add, affine, bmm,
     canonical_sum, concat, gather_rows, grad_check, matmul, mul, no_grad,
-    one_hot, reduce_sum, reshape, scatter_rows, softmax, straight_through,
+    one_hot, reduce_sum, reshape, softmax, straight_through,
     take_index, uniform_init,
 )
 
@@ -232,37 +232,35 @@ def test_reduce_sum_axis_error():
 def test_canonical_sum_is_order_independent_bitwise():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((7, 5)) * 1e3 + rng.standard_normal((7, 5)) * 1e-7
-    base = canonical_sum(t(x, rg=False), axis=0).data
+    sets = np.array([[0, 1, 2, 3, 4, 5, 6], [6, 6, 2, 0, 3, 3, 1]])
+    base = canonical_sum(t(x, rg=False), sets).data
     for seed in range(20):
         perm = np.random.default_rng(seed).permutation(7)
-        other = canonical_sum(t(x[perm], rg=False), axis=0).data
+        other = canonical_sum(t(x, rg=False), sets[:, perm]).data
         assert np.array_equal(base, other)
 
 
-@pytest.mark.parametrize("m", range(1, 11))
-def test_sorting_network_sorts_every_binary_input(m):
-    # the 0-1 principle: a compare-exchange network that sorts every 0/1
-    # sequence sorts every sequence
-    for code in range(2 ** m):
-        v = [(code >> i) & 1 for i in range(m)]
-        expected = sorted(v)
-        for i, j in ad.sorting_network(m):
-            v[i], v[j] = min(v[i], v[j]), max(v[i], v[j])
-        assert v == expected
-
-
-@pytest.mark.parametrize("m", range(1, 11))
+@pytest.mark.parametrize("m", range(0, 11))
 def test_canonical_sum_is_sort_then_sum_bitwise(m):
+    """Each set's rows added in ascending index order from +0.0."""
     rng = np.random.default_rng(40 + m)
-    x = rng.standard_normal((5, m, 4)) * 10.0 ** rng.integers(
-        -12, 13, size=(5, m, 4))                    # mixed magnitudes
-    x[1] = rng.choice([-1.5, 0.25, 2.0], size=(m, 4))       # ties
-    x[2] = rng.choice([-0.0, 0.0, 1e-300, -3.0], size=(m, 4))
-    x[3] = -0.0                                     # all -0.0 groups
-    x[4, ::2] = x[4, 0]                             # repeated rows
-    for arr, axis in ((x, -2), (np.moveaxis(x, 1, 0).copy(), 0)):
-        out = canonical_sum(t(arr, rg=False), axis=axis).data
-        assert out.tobytes() == np.sort(arr, axis=axis).sum(axis=axis).tobytes()
+    rows = rng.standard_normal((12, 4)) * 10.0 ** rng.integers(
+        -12, 13, size=(12, 4))                      # mixed magnitudes
+    rows[1:4] = rng.choice([-1.5, 0.25, 2.0], size=(3, 4))  # ties
+    rows[4:7] = rng.choice([-0.0, 0.0, 1e-300, -3.0], size=(3, 4))
+    rows[7:9] = -0.0
+    sets = np.stack([rng.integers(0, 12, m),        # repeated indices
+                     rng.integers(1, 4, m),         # tied rows
+                     rng.integers(7, 9, m),         # only -0.0 rows
+                     rng.permutation(12)[:m]])
+    out = canonical_sum(t(rows, rg=False), sets.reshape(2, 2, m)).data
+    assert out.shape == (2, 2, 4)
+    for got, indices in zip(out.reshape(4, 4), sets):
+        expected = np.zeros(4)
+        for i in np.sort(indices):
+            expected = expected + rows[i]
+        assert got.tobytes() == expected.tobytes()
+    assert not np.signbit(out.reshape(4, 4)[2]).any()
 
 
 def test_naive_sum_is_not_always_order_independent():
@@ -271,9 +269,17 @@ def test_naive_sum_is_not_always_order_independent():
 
 
 def test_canonical_sum_grad_is_plain_sum_grad():
-    x = np.random.default_rng(13).standard_normal((4, 3))
-    assert grad_check(lambda a: reduce_sum(canonical_sum(a, axis=0)),
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((4, 3))
+    sets = np.array([[3, 0, 3], [1, 2, 0]])
+    w = Tensor(rng.standard_normal((2, 3)))
+    assert grad_check(lambda a: reduce_sum(mul(canonical_sum(a, sets), w)),
                       [x]) < 1e-6
+    a = t(x)
+    reduce_sum(mul(canonical_sum(a, sets), w)).backward()
+    expected = np.zeros_like(x)
+    np.add.at(expected, sets, w.data[:, None])
+    np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("bias", [True, False])
@@ -436,60 +442,12 @@ def test_gather_rows_rejects_nested_indices():
         gather_rows(t(np.zeros((3, 2))), np.zeros((2, 1), dtype=int))
 
 
-def test_scatter_rows_forward_and_grad_check():
-    x = np.random.default_rng(19).standard_normal((3, 2))
-    idx = np.array([0, 2, 4])
-    out = scatter_rows(t(x), idx, 6)
-    expected = np.zeros((6, 2))
-    expected[idx] = x
-    assert np.array_equal(out.data, expected)
-    w = Tensor(np.random.default_rng(20).standard_normal((6, 2)))
-    assert grad_check(
-        lambda a: reduce_sum(mul(ad.relu(scatter_rows(a, idx, 6)), w)),
-        [x]) < 1e-6
-
-
-def scatter_6(x, idx):
-    return scatter_rows(x, idx, 6)
-
-
-# a gather takes its indices in any order; only the scatter needs them
-# sorted
-@pytest.mark.parametrize("op, idx, why", [
-    (scatter_6, [2, 0, 1], "increasing"),
-    (gather_rows, [-1, 0, 1], "non-negative"),
-    (scatter_6, [-1, 0, 1], "non-negative"),
-    (gather_rows, [[0], [1], [2]], "1-d"),
-    (scatter_6, [[0], [1], [2]], "1-d")], ids=[
-        "unsorted-scatter", "negative-gather", "negative-scatter",
-        "2-d-gather", "2-d-scatter"])
-def test_row_ops_reject_unsorted_negative_or_nested_indices(op, idx, why):
+@pytest.mark.parametrize("idx, why", [
+    ([-1, 0, 1], "non-negative"), ([[0], [1], [2]], "1-d")], ids=[
+        "negative-gather", "2-d-gather"])
+def test_row_ops_reject_unsorted_negative_or_nested_indices(idx, why):
     with pytest.raises(ShapeError, match=why):
-        op(t(np.zeros((3, 2))), np.array(idx))
-
-
-def test_scatter_rows_rejects_a_repeated_index():
-    with pytest.raises(ShapeError, match="increasing"):
-        scatter_rows(t(np.zeros((3, 2))), np.array([0, 2, 2]), 4)
-
-
-def test_scatter_rows_undoes_gather_rows():
-    x = t(np.random.default_rng(21).standard_normal((5, 3)))
-    idx = np.array([1, 3, 4])
-    out = scatter_rows(gather_rows(x, idx), idx, 5)
-    keep = np.zeros(5, dtype=bool)
-    keep[idx] = True
-    assert np.array_equal(out.data[keep], x.data[keep])
-    assert not out.data[~keep].any()
-    reduce_sum(out).backward()
-    assert np.array_equal(x.grad, np.broadcast_to(keep[:, None], (5, 3)))
-
-
-def test_scatter_rows_empty_and_shape_check():
-    out = scatter_rows(t(np.zeros((0, 4))), np.zeros(0, dtype=int), 3)
-    assert np.array_equal(out.data, np.zeros((3, 4)))
-    with pytest.raises(ShapeError, match="row indices"):
-        scatter_rows(t(np.zeros((2, 4))), np.array([0]), 3)
+        gather_rows(t(np.zeros((3, 2))), np.array(idx))
 
 
 def test_straight_through_forward_is_bitwise_hard():
@@ -616,9 +574,10 @@ def test_softmax_sums_to_one(vals):
 def test_canonical_sum_invariant_property(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((6, 4))
-    perm = rng.permutation(6)
-    a = canonical_sum(t(x, rg=False), axis=0).data
-    b = canonical_sum(t(x[perm], rg=False), axis=0).data
+    sets = rng.integers(0, 6, size=(3, 5))
+    perm = rng.permutation(5)
+    a = canonical_sum(t(x, rg=False), sets).data
+    b = canonical_sum(t(x, rg=False), sets[:, perm]).data
     assert np.array_equal(a, b)
 
 

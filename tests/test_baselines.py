@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from permnet.autodiff import ShapeError, Tensor, canonical_sum, reduce_sum
+from permnet.autodiff import ShapeError, Tensor, reduce_sum
 from permnet.baselines import (
     ConcatAgentNet,
     DeepSetAgentNet,
@@ -21,7 +21,7 @@ from permnet.env import (
     PRESETS,
     ObservationSet,
 )
-from permnet.hpn import HpnAgentNet
+from permnet.hpn import HpnAgentNet, pool_set
 from permnet.layers import Linear, count_parameters
 
 K = ENTITY_FEATURES
@@ -110,7 +110,8 @@ def test_deepset_identity_embedding_pools_to_entity_sum():
     net.phi_enemy.weight.data = np.eye(K)
     net.phi_enemy.bias.data = np.zeros(K)
     X = np.arange(3 * K, dtype=np.float64).reshape(3, K)
-    pooled = canonical_sum(net.phi_enemy(Tensor(X)), axis=-2)
+    X[2] = X[0]                     # one row embedded once, pooled twice
+    pooled = pool_set(net.phi_enemy, Tensor(X))
     assert np.array_equal(pooled.data, X.sum(axis=0))
 
 

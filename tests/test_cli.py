@@ -129,6 +129,7 @@ def test_unknown_architecture_exits_2(tmp_path, capsys):
     ("buffer_size", "-1"), ("gamma", "2"),
     ("augment_copies", "0"), ("augment_copies", "-3"),
     ("total_env_steps", "0"), ("lr", "-0.5"), ("lr", "0"),
+    ("lr", "inf"), ("lr", "1e400"),
     ("epsilon_start", "1.5"), ("epsilon_finish", "-0.1"), ("seeds", ""),
     ("buffer_size", "1"), ("eval_interval", "401"), ("seed", "7"),
     ("seeds", "-1"), ("seeds", "0 -2"), ("seeds", "0 0"), ("seeds", "1, 2 1"),

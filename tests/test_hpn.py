@@ -16,7 +16,7 @@ from permnet.autodiff import (
     reduce_sum,
     reshape,
 )
-from permnet.baselines import HpnSetAgentNet
+from permnet.baselines import DeepSetAgentNet, HpnSetAgentNet
 from permnet.env import (
     ENTITY_FEATURES,
     N_MOVE_ACTIONS,
@@ -249,6 +249,8 @@ def test_input_layer_grad_check():
 # -- distinct rows once, against the dense layers ----------------------
 
 NETS = [HpnAgentNet, HpnSetAgentNet]
+# every net that pools its entity sets through ``pool_set``
+POOLING_NETS = NETS + [DeepSetAgentNet]
 
 
 def battle_observations(preset, seed, battles=8, ticks=24):
@@ -409,12 +411,13 @@ def test_output_layer_all_dead_backward_gives_zero_gradients():
     assert not hidden.grad.any() and not X.grad.any()
 
 
-@pytest.mark.parametrize("cls", NETS)
+@pytest.mark.parametrize("cls", POOLING_NETS)
 @pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
 def test_exact_order_freedom_on_battle_observations(cls, preset):
     """Reordering the ally and enemy rows of observations with deaths
     leaves move Q-values bitwise unchanged and permutes attack Q-values
-    bitwise, dead enemies' entries included."""
+    bitwise, dead enemies' entries included.  The deep set's attack head
+    reads the pooled vector alone, so its attack Q-values stay put."""
     obs = battle_observations(preset, 5)
     rng = np.random.default_rng(6)
     # the second batch is mostly duplicates: 4x as many observations,
@@ -432,12 +435,13 @@ def test_exact_order_freedom_on_battle_observations(cls, preset):
                                              1)).data
         assert np.array_equal(q_perm[:, :N_MOVE_ACTIONS],
                               q[:, :N_MOVE_ACTIONS])
-        assert np.array_equal(q_perm[:, N_MOVE_ACTIONS:],
-                              np.take_along_axis(q[:, N_MOVE_ACTIONS:],
-                                                 enemy_perm, 1))
+        attack = q[:, N_MOVE_ACTIONS:]
+        if cls is not DeepSetAgentNet:
+            attack = np.take_along_axis(attack, enemy_perm, 1)
+        assert np.array_equal(q_perm[:, N_MOVE_ACTIONS:], attack)
 
 
-@pytest.mark.parametrize("cls", NETS)
+@pytest.mark.parametrize("cls", POOLING_NETS)
 @pytest.mark.parametrize("preset", ["3v3", "8v9"])
 def test_tiled_batch_gives_the_untiled_q_bitwise(cls, preset):
     """Tiling a batch repeats every entity row, so each distinct row is
