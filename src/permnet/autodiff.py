@@ -302,8 +302,8 @@ def canonical_sum(rows: Tensor, sets: np.ndarray) -> Tensor:
     Each set's indices are sorted and its rows added in ascending index
     order from +0.0, so any order of a set's indices gives bitwise the
     same sum.  Pooling is exactly order-free when the rows are ranked by
-    their values and equal values share a rank, as ``hpn.pool_set`` ranks
-    them.  The gradient is the plain sum's, gathered back to the rows.
+    their values and equal values share a rank, as ``hpn.distinct_rows``
+    ranks them.  The gradient is the plain sum's, gathered back to the rows.
     """
     sets = np.sort(np.asarray(sets, dtype=np.intp), axis=-1)
     picked = gather_rows(rows, sets.reshape(-1))

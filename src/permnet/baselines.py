@@ -4,13 +4,13 @@ ConcatAgentNet runs a plain MLP over own + ally + enemy features joined in
 the environment's fixed entity order, so its outputs depend on that order.
 ``big_concat_agent`` is the same architecture widened until it carries more
 parameters than the hypernetwork agent for the same troop sizes, checked at
-construction.  DeepSetAgentNet embeds each group with a shared dense layer
-and sum-pools through ``hpn.pool_set``, which embeds each distinct row
-once.  Every output is order-free, including the attack scores:
-reordering enemies does NOT reorder attack Q-values, it leaves them all
-unchanged.  HpnSetAgentNet keeps that pooled input path but swaps the
-attack head for the per-enemy generated output layer, restoring exact
-attack equivariance.
+construction.  DeepSetAgentNet keys each group with ``hpn.distinct_rows``,
+embeds each distinct row once with a shared dense layer and sum-pools
+the embeddings with ``canonical_sum``.  Every output is order-free,
+including the attack scores: reordering enemies does NOT reorder attack
+Q-values, it leaves them all unchanged.  HpnSetAgentNet keeps that
+pooled input path but swaps the attack head for the per-enemy generated
+output layer, restoring exact attack equivariance.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
+    canonical_sum,
     concat,
     relu,
     reshape,
 )
 from .env import ENTITY_FEATURES, N_MOVE_ACTIONS, OWN_FEATURES
-from .hpn import HpnAgentNet, HyperLayer, hpn_output_layer, pool_set
+from .hpn import HpnAgentNet, HyperLayer, distinct_rows, hpn_output_layer
 from .layers import AgentNet, Linear, Mlp, count_parameters
 
 
@@ -97,8 +98,10 @@ class DeepSetAgentNet(AgentNet):
     def forward_batch(self, own: Tensor, allies: Tensor, enemies: Tensor, *,
                       rng: np.random.Generator | None = None,
                       deterministic: bool = True) -> Tensor:
-        pooled_a = pool_set(self.phi_ally, allies)
-        pooled_e = pool_set(self.phi_enemy, enemies)
+        rows, ranks = distinct_rows(allies)
+        pooled_a = canonical_sum(self.phi_ally(rows), ranks)
+        rows, ranks = distinct_rows(enemies)
+        pooled_e = canonical_sum(self.phi_enemy(rows), ranks)
         h = relu(self.body(concat([own, pooled_a, pooled_e], axis=1)))
         return concat([self.move_head(h), self.attack_head(h)], axis=1)
 
@@ -124,8 +127,11 @@ class HpnSetAgentNet(AgentNet):
     def forward_batch(self, own: Tensor, allies: Tensor, enemies: Tensor, *,
                       rng: np.random.Generator | None = None,
                       deterministic: bool = True) -> Tensor:
-        pooled_a = pool_set(self.phi_ally, allies)
-        pooled_e = pool_set(self.phi_enemy, enemies)
+        rows, ranks = distinct_rows(allies)
+        pooled_a = canonical_sum(self.phi_ally(rows), ranks)
+        rows, ranks = distinct_rows(enemies)
+        pooled_e = canonical_sum(self.phi_enemy(rows), ranks)
         h = relu(add(add(self.own_dense(own), pooled_a), pooled_e))
         return concat([self.move_head(h),
-                       hpn_output_layer(self.attack_head, h, enemies)], axis=1)
+                       hpn_output_layer(self.attack_head, h, rows, ranks)],
+                      axis=1)

@@ -239,15 +239,12 @@ def cmd_run(args) -> int:
         print(f"cannot read config: {err}", file=sys.stderr)
         return EXIT_BAD_NAME
 
-    source, raw = "--seeds", args.seeds
-    if not raw:
-        source, raw = "PERMNET_SEED", os.environ.get("PERMNET_SEED", "")
     seeds = exp.seeds
-    if raw:
+    if args.seeds:
         try:
-            seeds = _parse_seeds(raw)
+            seeds = _parse_seeds(args.seeds)
         except ValueError:
-            print(f"bad {source} list: {raw!r}", file=sys.stderr)
+            print(f"bad --seeds list: {args.seeds!r}", file=sys.stderr)
             return EXIT_BAD_NAME
 
     try:
@@ -289,9 +286,10 @@ def read_curve(path: str) -> tuple[list[int], list[float]]:
     wins: list[float] = []
     for i, line in lines[1:]:
         try:
-            step, win, _ = line.split(",")
+            step, win, loss = line.split(",")
             steps.append(int(step))
             wins.append(float(win))
+            float(loss)                         # checked, not returned
             if not 0.0 <= wins[-1] <= 1.0:      # nan fails this too
                 raise ValueError(f"win rate {win} outside [0, 1]")
         except ValueError as err:

@@ -2,13 +2,15 @@
 hypernetworks, all-zero and dead rows included.
 
 ``permnet.hpn`` generates weights once per distinct row; these are the
-layers it replaced, kept as the oracle it is checked against.  The dense
-input layer pools each set on its own: it sorts the set's rows by their
-raw bits and adds their embeddings in that order from +0.0, which is the
-order ``permnet.hpn`` reaches through its ranks over the whole batch.  The
-dense output layer scores every enemy and then adds ``NEG_MASK`` to the
-dead ones, so a dead entry is ``NEG_MASK`` plus a score, not exactly
-``NEG_MASK``.
+layers it replaced, kept as the oracle it is checked against.  They take
+the same ``distinct_rows`` key as the layers they stand in for, and
+rebuild the entity block X from ``rows[ranks]`` before using it;
+``test_distinct_rows_rebuilds_the_block_bitwise`` checks that the key
+gives X back bit for bit.  The dense input layer pools each set on its
+own: it sorts the set's rows by their raw bits and adds their embeddings
+in that order from +0.0, which is the order ``permnet.hpn`` reaches
+through its ranks over the whole batch.  The dense output layer scores
+every enemy, dead ones included, as ``permnet.hpn`` does.
 """
 
 import numpy as np
@@ -25,10 +27,17 @@ from permnet.autodiff import (
     reduce_sum,
     reshape,
 )
-from permnet.layers import NEG_MASK
 
 
-def dense_input_layer(layer, X):
+def entity_block(rows, ranks):
+    """The entity block X (..., m, k) that the key ``rows, ranks`` came
+    from: ``rows[ranks]``."""
+    return reshape(gather_rows(rows, ranks.reshape(-1)),
+                   ranks.shape + rows.shape[1:])
+
+
+def dense_input_layer(layer, rows, ranks):
+    X = entity_block(rows, ranks)
     weights, _ = layer.generate(X)          # (..., m, k, h)
     lead = X.shape[:-1]
     flat = int(np.prod(lead))
@@ -48,7 +57,8 @@ def dense_input_layer(layer, X):
     return add(pooled, layer.shared_bias)
 
 
-def dense_output_layer(layer, trunk_hidden, X_enemy):
+def dense_output_layer(layer, trunk_hidden, rows, ranks):
+    X_enemy = entity_block(rows, ranks)
     weights, bias = layer.generate(X_enemy)     # (..., m, h, 1), (..., m)
     m = X_enemy.shape[-2]
     lead = X_enemy.shape[:-2]
@@ -58,8 +68,7 @@ def dense_output_layer(layer, trunk_hidden, X_enemy):
     hr = reshape(trunk_hidden, lead + (1, layer.rows))
     h = concat([hr] * m, axis=-2)
     scores = reduce_sum(mul(w, h), axis=-1)
-    attack = scores if bias is None else add(scores, bias)
-    return add(attack, Tensor(NEG_MASK * (1.0 - X_enemy.data[..., 3])))
+    return scores if bias is None else add(scores, bias)
 
 
 def use_dense_layers(monkeypatch):

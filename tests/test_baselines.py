@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from permnet.autodiff import ShapeError, Tensor, reduce_sum
+from permnet.autodiff import ShapeError, Tensor, canonical_sum, reduce_sum
 from permnet.baselines import (
     ConcatAgentNet,
     DeepSetAgentNet,
@@ -21,8 +21,9 @@ from permnet.env import (
     PRESETS,
     ObservationSet,
 )
-from permnet.hpn import HpnAgentNet, pool_set
+from permnet.hpn import HpnAgentNet, distinct_rows
 from permnet.layers import Linear, count_parameters
+from permnet.learners import greedy_actions
 
 K = ENTITY_FEATURES
 
@@ -111,7 +112,9 @@ def test_deepset_identity_embedding_pools_to_entity_sum():
     net.phi_enemy.bias.data = np.zeros(K)
     X = np.arange(3 * K, dtype=np.float64).reshape(3, K)
     X[2] = X[0]                     # one row embedded once, pooled twice
-    pooled = pool_set(net.phi_enemy, Tensor(X))
+    rows, ranks = distinct_rows(Tensor(X))
+    assert len(rows.data) == 2
+    pooled = canonical_sum(net.phi_enemy(rows), ranks)
     assert np.array_equal(pooled.data, X.sum(axis=0))
 
 
@@ -160,12 +163,19 @@ def test_hpn_set_move_invariant_attack_equivariant():
 
 
 def test_hpn_set_masks_dead_enemies():
+    """The dead enemy's finite attack value ties the live ones, above
+    every move; ``greedy_actions`` never picks it."""
     net = HpnSetAgentNet(np.random.default_rng(17), 3, 3)
+    net.attack_head.body.weight.data[:] = 0.0
+    net.attack_head.b_head.bias.data += 1e3
     obs = live_obs(np.random.default_rng(18))
-    obs.enemies[1, 3] = 0.0
+    obs.enemies[0] = 0.0
     q = net.forward(obs).data
-    assert q[N_MOVE_ACTIONS + 1] < -1e9
-    assert all(q[N_MOVE_ACTIONS + j] > -1e9 for j in (0, 2))
+    assert np.isfinite(q).all()
+    assert int(np.argmax(q)) == N_MOVE_ACTIONS
+    avail = np.ones(q.shape, bool)
+    avail[N_MOVE_ACTIONS] = False
+    assert greedy_actions(q, avail) == N_MOVE_ACTIONS + 1
 
 
 def test_hpn_set_shares_output_head_but_not_input_path():

@@ -208,59 +208,42 @@ def test_unwritable_out_exits_3(tmp_path, capsys):
     assert code == 3
 
 
-def test_seed_overrides(tmp_path, monkeypatch):
+def test_seed_overrides(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "a"
     assert main(["--config", cfg, "--out", str(out), "--seeds", "7"]) == 0
     assert (out / "concat_vdn_3v3_seed7.csv").exists()
     assert not (out / "concat_vdn_3v3_seed0.csv").exists()
-    monkeypatch.setenv("PERMNET_SEED", "5")
-    out2 = tmp_path / "b"
-    assert main(["--config", cfg, "--out", str(out2)]) == 0
-    assert (out2 / "concat_vdn_3v3_seed5.csv").exists()
 
 
-def test_bad_seed_lists_exit_2_naming_their_source(tmp_path, monkeypatch,
-                                                   capsys):
+def test_bad_seed_lists_exit_2_naming_their_source(tmp_path, capsys):
     out = str(tmp_path / "out")
     bad_cfg = write_config(tmp_path, TINY.replace("seeds = 0", "seeds = 1 x"),
                            name="bad.cfg")
     assert main(["--config", bad_cfg, "--out", out]) == 2
     assert "config error: bad seed list '1 x'" in capsys.readouterr().err
     cfg = write_config(tmp_path)
-    monkeypatch.setenv("PERMNET_SEED", "y")
     assert main(["--config", cfg, "--out", out, "--seeds", "1,x"]) == 2
     assert "bad --seeds list: '1,x'" in capsys.readouterr().err
-    assert main(["--config", cfg, "--out", out]) == 2
-    assert "bad PERMNET_SEED list: 'y'" in capsys.readouterr().err
     # a list with no seeds in it would train nothing and exit 0
-    monkeypatch.setenv("PERMNET_SEED", " , ")
     assert main(["--config", cfg, "--out", out, "--seeds", ","]) == 2
     assert "bad --seeds list: ','" in capsys.readouterr().err
-    assert main(["--config", cfg, "--out", out]) == 2
-    assert "bad PERMNET_SEED list: ' , '" in capsys.readouterr().err
     # a negative seed once crashed after creating its CSV, which then
     # blocked the rerun
     bad_cfg = write_config(tmp_path, TINY.replace("seeds = 0", "seeds = -1"),
                            name="negative.cfg")
     assert main(["--config", bad_cfg, "--out", out]) == 2
     assert "config error: bad seed list '-1'" in capsys.readouterr().err
-    monkeypatch.setenv("PERMNET_SEED", "-1")
     assert main(["--config", cfg, "--out", out, "--seeds=0,-1"]) == 2
     assert "bad --seeds list: '0,-1'" in capsys.readouterr().err
-    assert main(["--config", cfg, "--out", out]) == 2
-    assert "bad PERMNET_SEED list: '-1'" in capsys.readouterr().err
     # a repeated seed once trained in full and then exited 3 on its own
     # CSV, or with --overwrite trained the same seed twice
     bad_cfg = write_config(tmp_path, TINY.replace("seeds = 0", "seeds = 0 0"),
                            name="repeat.cfg")
     assert main(["--config", bad_cfg, "--out", out, "--overwrite"]) == 2
     assert "config error: bad seed list '0 0'" in capsys.readouterr().err
-    monkeypatch.setenv("PERMNET_SEED", "2 2")
     assert main(["--config", cfg, "--out", out, "--seeds", "1,0,1"]) == 2
     assert "bad --seeds list: '1,0,1'" in capsys.readouterr().err
-    assert main(["--config", cfg, "--out", out]) == 2
-    assert "bad PERMNET_SEED list: '2 2'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -335,7 +318,10 @@ def test_aggregate_empty_curve_exits_4(tmp_path, capsys, rows):
     ("2e2,0.500000,0.000000", "line 3: invalid literal for int()"),
     ("200,nan,0.000000", "line 3: win rate nan outside [0, 1]"),
     ("200,1.700000,0.000000", "line 3: win rate 1.700000 outside [0, 1]"),
-], ids=["two-columns", "non-integer-step", "nan-win", "win-above-1"])
+    ("200,0.500000,abc", "line 3: could not convert string to float: 'abc'"),
+    ("200,0.500000,", "line 3: could not convert string to float: ''"),
+], ids=["two-columns", "non-integer-step", "nan-win", "win-above-1",
+        "non-float-loss", "empty-loss"])
 def test_aggregate_malformed_row_exits_4_naming_file_and_line(
         tmp_path, capsys, row, message):
     path = curve(tmp_path, "bad.csv", [(100, 0.5, 0.0)])

@@ -4,7 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import permnet.baselines
+import permnet.hpn
 from float64_params import in_float64
 from hpn_reference import dense_input_layer, dense_output_layer, use_dense_layers
 from permnet.autodiff import (
@@ -28,12 +32,21 @@ from permnet.env import (
 from permnet.hpn import (
     HpnAgentNet,
     HyperLayer,
+    distinct_rows,
     hpn_input_layer,
     hpn_output_layer,
 )
-from permnet.layers import NEG_MASK
+from permnet.learners import greedy_actions
 
 K = ENTITY_FEATURES
+
+
+def embed(layer, X):
+    return hpn_input_layer(layer, *distinct_rows(X))
+
+
+def score(layer, hidden, X):
+    return hpn_output_layer(layer, hidden, *distinct_rows(X))
 
 
 def input_layer(seed, h=8):
@@ -85,7 +98,7 @@ def test_constant_hypernetwork_reduces_to_deep_set():
     const = np.random.default_rng(4).normal(size=K * 8)
     layer.w_head.bias.data[:] = const
     X = np.random.default_rng(5).normal(size=(4, K))
-    out = hpn_input_layer(layer, Tensor(X)).data
+    out = embed(layer, Tensor(X)).data
     expected = (X.sum(axis=0) @ const.reshape(K, 8)) + layer.shared_bias.data
     assert np.allclose(out, expected, atol=1e-9)
 
@@ -93,16 +106,16 @@ def test_constant_hypernetwork_reduces_to_deep_set():
 def test_input_layer_invariant_bitwise():
     layer = input_layer(7, h=8)
     X = np.random.default_rng(8).normal(size=(4, K))
-    base = hpn_input_layer(layer, Tensor(X)).data
+    base = embed(layer, Tensor(X)).data
     for p in itertools.permutations(range(4)):
-        out = hpn_input_layer(layer, Tensor(X[list(p)])).data
+        out = embed(layer, Tensor(X[list(p)])).data
         assert np.array_equal(out, base)
 
 
 def test_input_layer_single_entity():
     layer = input_layer(9, h=8)
     x = np.random.default_rng(10).normal(size=(1, K))
-    out = hpn_input_layer(layer, Tensor(x)).data
+    out = embed(layer, Tensor(x)).data
     w, _ = layer.generate(Tensor(x))
     expected = x[0] @ w.data[0] + layer.shared_bias.data
     assert np.allclose(out, expected, atol=1e-12)
@@ -110,7 +123,7 @@ def test_input_layer_single_entity():
 
 def test_input_layer_empty_group_is_bias():
     layer = input_layer(11, h=8)
-    out = hpn_input_layer(layer, Tensor(np.zeros((0, K)))).data
+    out = embed(layer, Tensor(np.zeros((0, K)))).data
     assert np.array_equal(out, layer.shared_bias.data)
 
 
@@ -118,9 +131,8 @@ def test_output_layer_swap_swaps_q():
     layer = output_layer(13, h=8)
     hidden = Tensor(np.random.default_rng(14).normal(size=8))
     X = np.random.default_rng(15).normal(size=(3, K))
-    q = hpn_output_layer(layer, hidden, Tensor(X)).data
-    q_swapped = hpn_output_layer(layer, hidden,
-                                 Tensor(X[[1, 0, 2]])).data
+    q = score(layer, hidden, Tensor(X)).data
+    q_swapped = score(layer, hidden, Tensor(X[[1, 0, 2]])).data
     assert np.array_equal(q_swapped, q[[1, 0, 2]])
 
 
@@ -129,7 +141,7 @@ def test_output_layer_identical_entities_identical_q():
     hidden = Tensor(np.random.default_rng(18).normal(size=8))
     row = np.random.default_rng(19).normal(size=K)
     X = np.stack([row, np.random.default_rng(20).normal(size=K), row])
-    q = hpn_output_layer(layer, hidden, Tensor(X)).data
+    q = score(layer, hidden, Tensor(X)).data
     assert q[0] == q[2]
 
 
@@ -137,17 +149,16 @@ def test_output_layer_exhaustive_equivariance():
     layer = output_layer(21, h=8)
     hidden = Tensor(np.random.default_rng(22).normal(size=8))
     X = np.random.default_rng(23).normal(size=(3, K))
-    base = hpn_output_layer(layer, hidden, Tensor(X)).data
+    base = score(layer, hidden, Tensor(X)).data
     for p in itertools.permutations(range(3)):
-        q = hpn_output_layer(layer, hidden, Tensor(X[list(p)])).data
+        q = score(layer, hidden, Tensor(X[list(p)])).data
         assert np.array_equal(q, base[list(p)])
 
 
 def test_output_layer_rejects_width_mismatch():
     layer = output_layer(25, h=8)
     with pytest.raises(ShapeError, match="trunk width"):
-        hpn_output_layer(layer, Tensor(np.zeros(9)),
-                         Tensor(np.zeros((3, K))))
+        score(layer, Tensor(np.zeros(9)), Tensor(np.zeros((3, K))))
 
 
 def test_same_entity_same_generated_weights():
@@ -183,25 +194,40 @@ def test_agent_move_invariant_attack_equivariant():
                                   base[N_MOVE_ACTIONS:][list(pe)])
 
 
+def attack_first(head):
+    """Give every enemy, dead or alive, the same attack Q-value, above
+    every move's, so the unmasked argmax is the first enemy's attack."""
+    head.body.weight.data[:] = 0.0
+    head.b_head.bias.data += 1e3
+
+
 def test_agent_dead_enemy_masked():
-    rng = np.random.default_rng(35)
+    """A dead enemy's attack value is finite, and it can tie the best live
+    one; ``greedy_actions`` never picks it."""
     agent = HpnAgentNet(np.random.default_rng(36), n_allies=3, n_enemies=3,
                         hidden=16, hyper_hidden=16)
-    obs = live_obs(rng)
-    obs.enemies[1] = 0.0                    # dead: zero row, alive flag 0
+    attack_first(agent.attack_head)
+    obs = live_obs(np.random.default_rng(35))
+    obs.enemies[0] = 0.0                    # dead: zero row, alive flag 0
     q = agent.forward(obs).data
-    assert q[N_MOVE_ACTIONS + 1] <= -1e9
-    assert int(np.argmax(q)) != N_MOVE_ACTIONS + 1
+    assert np.isfinite(q).all()
+    assert int(np.argmax(q)) == N_MOVE_ACTIONS
+    avail = np.ones(q.shape, bool)
+    avail[N_MOVE_ACTIONS] = False
+    assert greedy_actions(q, avail) == N_MOVE_ACTIONS + 1
 
 
 def test_agent_all_dead_enemies_argmax_in_moves():
     agent = HpnAgentNet(np.random.default_rng(37), n_allies=3, n_enemies=3,
                         hidden=16, hyper_hidden=16)
+    attack_first(agent.attack_head)
     obs = live_obs(np.random.default_rng(38))
     obs.enemies[:] = 0.0
     q = agent.forward(obs).data
-    assert int(np.argmax(q)) < N_MOVE_ACTIONS
-    assert (q[N_MOVE_ACTIONS:] <= -1e9).all()
+    assert np.isfinite(q).all()
+    assert int(np.argmax(q)) == N_MOVE_ACTIONS
+    avail = np.arange(len(q)) < N_MOVE_ACTIONS
+    assert greedy_actions(q, avail) == np.argmax(q[:N_MOVE_ACTIONS])
 
 
 def test_agent_parameter_names():
@@ -238,8 +264,7 @@ def test_input_layer_grad_check():
     w = Tensor(np.random.default_rng(49).normal(size=(6, 1)))
 
     def f(*params):
-        return reduce_sum(matmul(reshape(hpn_input_layer(layer, X),
-                                         (1, 6)), w))
+        return reduce_sum(matmul(reshape(embed(layer, X), (1, 6)), w))
 
     err = grad_check(f, [layer.body.weight, layer.w_head.weight,
                          layer.shared_bias, X])
@@ -249,16 +274,17 @@ def test_input_layer_grad_check():
 # -- distinct rows once, against the dense layers ----------------------
 
 NETS = [HpnAgentNet, HpnSetAgentNet]
-# every net that pools its entity sets through ``pool_set``
+# every net that keys its entity sets with ``distinct_rows``
 POOLING_NETS = NETS + [DeepSetAgentNet]
 
 
-def battle_observations(preset, seed, battles=8, ticks=24):
+def battle_observations(preset, seed, battles=8, ticks=24, masks=False):
     """Every observer's observation after each tick of random play in
     ``battles`` battles (a finished battle restarts, so terminal steps are
     in), each presented under random ally and enemy orders.  Before the
     last tick's observations battle 0 loses every enemy, so the batch also
-    holds all-dead enemy groups seen by living observers."""
+    holds all-dead enemy groups seen by living observers.  With ``masks``
+    each observer's available actions come last."""
     cfg = PRESETS[preset]
     batch = BattleBatch(cfg, battles)
     rng = np.random.default_rng(seed)
@@ -270,18 +296,19 @@ def battle_observations(preset, seed, battles=8, ticks=24):
 
     for i in range(battles):
         reset(i)
-    own, allies, enemies = [], [], []
+    blocks = [], [], [], []
     for t in range(ticks):
         avail = batch.available_actions()
         _, terminated, _ = batch.step(
             np.argmax(rng.random(avail.shape) * avail, axis=-1))
         if t == ticks - 1:
             batch.enemy_hp[0] = 0
-        for out, rows in zip((own, allies, enemies), batch.observations()):
+        views = (*batch.observations(), batch.available_actions())
+        for out, rows in zip(blocks, views):
             out.append(rows.reshape((-1,) + rows.shape[2:]))
         for i in np.flatnonzero(terminated):
             reset(i)
-    return tuple(np.concatenate(rows) for rows in (own, allies, enemies))
+    return tuple(np.concatenate(rows) for rows in blocks[:4 if masks else 3])
 
 
 def nobody_alive(preset):
@@ -305,6 +332,82 @@ def q_values(net, own, allies, enemies, **kwargs):
                              **kwargs)
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(f"u{a.itemsize}")
+
+
+def bit_keys(rows):
+    """Each row's raw bits, last column first: the order in which
+    ``distinct_rows`` sorts them."""
+    return [tuple(row[::-1]) for row in bits(rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_distinct_rows_rebuilds_the_block_bitwise(data):
+    """``rows[ranks]`` is X bit for bit, and the rows strictly increase in
+    bit order, so no two of them have the same bits."""
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                       max_side=4)) + (data.draw(
+        st.integers(1, 3)),)
+    values = np.array([0.0, -0.0, 1.0, -2.5], dtype)
+    X = values[data.draw(hnp.arrays(np.intp, shape,
+                                    elements=st.integers(0, 3)))]
+    rows, ranks = distinct_rows(Tensor(X))
+    assert ranks.shape == X.shape[:-1]
+    assert np.array_equal(bits(rows.data[ranks]), bits(X))
+    keys = bit_keys(rows.data)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_distinct_rows_keeps_signed_zeros_apart():
+    X = np.zeros((3, K))
+    X[1, 0] = -0.0
+    rows, ranks = distinct_rows(Tensor(X))
+    assert len(rows.data) == 2
+    assert ranks[0] == ranks[2] != ranks[1]
+
+
+def test_distinct_rows_merges_nothing_that_needs_a_gradient():
+    X = np.tile(np.arange(K, dtype=np.float64), (2, 3, 1))
+    X[1, 0, 0] = -1.0
+    rows, ranks = distinct_rows(Tensor(X, requires_grad=True))
+    assert len(rows.data) == 6
+    assert np.array_equal(np.sort(ranks, axis=None), np.arange(6))
+    assert np.array_equal(bits(rows.data[ranks]), bits(X))
+    keys = bit_keys(rows.data)
+    assert all(a <= b for a, b in zip(keys, keys[1:]))
+
+
+def test_distinct_rows_of_empty_groups():
+    rows, ranks = distinct_rows(Tensor(np.zeros((4, 0, K), np.float32)))
+    assert rows.shape == (0, K) and ranks.shape == (4, 0)
+    layer = input_layer(60)
+    assert np.array_equal(hpn_input_layer(layer, rows, ranks).data,
+                          np.tile(layer.shared_bias.data, (4, 1)))
+    hidden = Tensor(np.zeros((4, 8), np.float32))
+    assert hpn_output_layer(output_layer(61), hidden, rows,
+                            ranks).shape == (4, 0)
+
+
+@pytest.mark.parametrize("cls", POOLING_NETS)
+def test_each_entity_block_keyed_once_per_forward(cls, monkeypatch):
+    keyed = []
+
+    def counting(X):
+        keyed.append(X)
+        return distinct_rows(X)
+
+    for module in (permnet.hpn, permnet.baselines):
+        monkeypatch.setattr(module, "distinct_rows", counting)
+    own, allies, enemies = (Tensor(rows) for rows in
+                            battle_observations("3v3", 12, ticks=4))
+    make_net(cls, "3v3", 13).forward_batch(own, allies, enemies)
+    assert len(keyed) == 2
+    assert {id(X) for X in keyed} == {id(allies), id(enemies)}
+
+
 @pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
 def test_battle_observations_hold_every_dead_case(preset):
     own, allies, enemies = battle_observations(preset, 0)
@@ -320,6 +423,10 @@ def test_battle_observations_hold_every_dead_case(preset):
 @pytest.mark.parametrize("cls", NETS)
 @pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
 def test_forward_matches_dense_on_live_entries(cls, preset, monkeypatch):
+    """Move Q-values match the dense layers bitwise.  So does every attack
+    entry, dead enemies' included, wherever the enemy block holds two
+    distinct rows or more; a lone distinct row is generated by a BLAS
+    matvec (see ``permnet.hpn``), which may differ in its last bits."""
     for seed, obs in enumerate([battle_observations(preset, 1),
                                 nobody_alive(preset)]):
         net = make_net(cls, preset, seed)
@@ -327,18 +434,19 @@ def test_forward_matches_dense_on_live_entries(cls, preset, monkeypatch):
         with monkeypatch.context() as patch:
             use_dense_layers(patch)
             dense = q_values(net, *obs).data
-        dead = obs[2][..., 3] == 0.0
         assert np.array_equal(q[:, :N_MOVE_ACTIONS],
                               dense[:, :N_MOVE_ACTIONS])
         attack, dense_attack = q[:, N_MOVE_ACTIONS:], dense[:, N_MOVE_ACTIONS:]
-        assert np.array_equal(attack[~dead], dense_attack[~dead])
-        assert (attack[dead] == NEG_MASK).all()
+        if len(distinct_rows(Tensor(obs[2]))[0].data) >= 2:
+            assert np.array_equal(attack, dense_attack)
+        else:
+            np.testing.assert_allclose(attack, dense_attack, rtol=1e-5)
 
 
 @pytest.mark.parametrize("cls", NETS)
 @pytest.mark.parametrize("preset", ["3v3", "8v9"])
 def test_gradients_match_dense(cls, preset, monkeypatch):
-    """A loss that reads only live entries, as the learner's does: every
+    """A loss that reads every entry, dead enemies' included: every
     parameter gradient of a float64 copy of the net agrees with the dense
     layers' within rtol 1e-12.
     Fewer rows change the weight-gradient sums' rounding, so an entry
@@ -348,7 +456,6 @@ def test_gradients_match_dense(cls, preset, monkeypatch):
     net = in_float64(make_net(cls, preset, 3))
     probe = np.random.default_rng(4).normal(
         size=(len(own), net.n_actions))
-    probe[:, N_MOVE_ACTIONS:][enemies[..., 3] == 0.0] = 0.0
     params = net.named_parameters()
 
     def grads():
@@ -375,40 +482,69 @@ def test_input_layer_zero_rows_match_dense_bitwise():
     X[1, 2] = 0.0
     X[2, :3] = 0.0
     X[3, 1] = -0.0
-    out = hpn_input_layer(layer, Tensor(X)).data
-    assert np.array_equal(out, dense_input_layer(layer, Tensor(X)).data)
+    out = embed(layer, Tensor(X)).data
+    assert np.array_equal(
+        out, dense_input_layer(layer, *distinct_rows(Tensor(X))).data)
     assert np.array_equal(out[0], layer.shared_bias.data)
 
 
-def test_output_layer_dead_enemies_exactly_neg_mask():
+def test_output_layer_dead_enemies_bitwise_equal():
+    """Dead enemies are scored like live ones: one observation's dead
+    entries are bitwise equal, and every entry is the dense layer's."""
     layer = output_layer(53, h=8)
     hidden = Tensor(np.random.default_rng(54).normal(size=(3, 8)))
     X = np.random.default_rng(55).normal(size=(3, 4, K))
     X[..., 3] = 1.0
-    X[0, 1] = 0.0
+    X[0, 1] = X[0, 3] = 0.0
     X[2] = 0.0
-    q = hpn_output_layer(layer, hidden, Tensor(X)).data
-    dense = dense_output_layer(layer, hidden, Tensor(X)).data
-    dead = X[..., 3] == 0.0
-    assert (q[dead] == NEG_MASK).all()
-    assert np.array_equal(q[~dead], dense[~dead])
+    key = distinct_rows(Tensor(X))
+    q = hpn_output_layer(layer, hidden, *key).data
+    assert np.isfinite(q).all()
+    assert q[0, 1] == q[0, 3] and (q[2] == q[2, 0]).all()
+    assert np.array_equal(q, dense_output_layer(layer, hidden, *key).data)
 
 
-def test_output_layer_all_dead_backward_gives_zero_gradients():
+def test_output_layer_all_dead_backward_gives_param_shaped_gradients():
     layer = output_layer(56, h=8)
     hidden = Tensor(np.random.default_rng(57).normal(size=(2, 8)),
                     requires_grad=True)
     X = Tensor(np.zeros((2, 3, K)), requires_grad=True)
-    q = hpn_output_layer(layer, hidden, X)
-    assert (q.data == NEG_MASK).all()
+    q = score(layer, hidden, X)
+    assert np.isfinite(q.data).all()
     reduce_sum(q).backward()
     params = layer.named_parameters()
     assert set(params) == {"body.weight", "body.bias", "w_head.weight",
                            "w_head.bias", "b_head.weight", "b_head.bias"}
     for name, p in params.items():
         assert p.grad.shape == p.shape, name
-        assert not p.grad.any(), name
-    assert not hidden.grad.any() and not X.grad.any()
+    assert hidden.grad.shape == hidden.shape and X.grad.shape == X.shape
+
+
+@pytest.mark.parametrize("cls", NETS)
+@pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
+def test_greedy_actions_never_attack_a_dead_enemy(cls, preset):
+    """On battle observations with deaths, each observation's dead enemies
+    get bitwise equal attack values, and ``greedy_actions`` picks an
+    available action, never an attack on a dead enemy.  The attack bias
+    is raised above every move, so that greedy picks attack, and where a
+    dead enemy holds the best attack value only the mask stops it."""
+    own, allies, enemies, avail = battle_observations(preset, 10,
+                                                      masks=True)
+    net = make_net(cls, preset, 11)
+    net.attack_head.b_head.bias.data += 1e3
+    q = q_values(net, own, allies, enemies).data
+    attack = q[:, N_MOVE_ACTIONS:]
+    dead = enemies[..., 3] == 0.0
+    index = np.arange(len(q))
+    same = attack == attack[index, np.argmax(dead, axis=1)][:, None]
+    assert same[dead].all()
+    assert dead[index, attack.argmax(axis=1)].any()
+    picks = greedy_actions(q, avail)
+    assert avail[index, picks].all()
+    target = picks - N_MOVE_ACTIONS
+    hit = target >= 0
+    assert hit.any()
+    assert not dead[hit, target[hit]].any()
 
 
 @pytest.mark.parametrize("cls", POOLING_NETS)
