@@ -463,7 +463,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
     accumulated ``.grad``.
 
     Parameters with no gradient are treated as zero-gradient (their
-    moments still decay).  NaN gradients abort, naming the parameter.
+    moments still decay).  Non-finite gradients abort, naming the parameter.
     """
     state.step += 1
     t = state.step
@@ -473,8 +473,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
         g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
-        if np.any(np.isnan(g)):
-            raise FloatingPointError(f"NaN gradient for parameter {name!r}")
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient for {name!r}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)

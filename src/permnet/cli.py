@@ -198,17 +198,18 @@ def env_factory_for(preset: str, shuffle: bool, run_seed: int):
 # run mode
 # ---------------------------------------------------------------------------
 
-def seed_csv_path(out_dir: str, tag: str, seed: int) -> str:
-    return os.path.join(out_dir, f"{tag}_seed{seed}.csv")
+def seed_csv_path(out_dir: str, tag: str, seed: int, overwrite=True) -> str:
+    """The seed's result CSV; an existing one raises unless ``overwrite``."""
+    path = os.path.join(out_dir, f"{tag}_seed{seed}.csv")
+    if os.path.exists(path) and not overwrite:
+        raise FileExistsError(f"{path} exists; pass --overwrite to replace it")
+    return path
 
 
 def run_seed(exp: ExperimentConfig, seed: int, out_dir: str,
              overwrite: bool) -> str:
     """Train one seed, streaming its CSV row by row; returns the path."""
-    path = seed_csv_path(out_dir, exp.tag, seed)
-    if os.path.exists(path) and not overwrite:
-        raise FileExistsError(
-            f"{path} exists; pass --overwrite to replace it")
+    path = seed_csv_path(out_dir, exp.tag, seed, overwrite)
     train_cfg = dataclasses.replace(exp.train, seed=seed)
     env_factory = env_factory_for(exp.preset, exp.shuffle, seed)
     net_factory = net_factory_for(exp.architecture, PRESETS[exp.preset])
@@ -254,6 +255,8 @@ def cmd_run(args) -> int:
         return EXIT_UNWRITABLE
 
     try:
+        for seed in seeds:      # refuse a clobber before any seed trains
+            seed_csv_path(args.out, exp.tag, seed, args.overwrite)
         if args.jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=args.jobs) as pool:

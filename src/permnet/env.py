@@ -10,8 +10,8 @@ can treat entity groups as sets and attack actions as per-entity outputs.
 All dynamics are integer-state and rule-based: a (seed, action log) pair
 replays a trajectory bitwise.  ``BattleBatch`` is the one implementation of
 the rules, for R battles at once; ``MicroBattleEnv`` is a batch of one for
-single-battle use (evaluation and the tests) and ``ShuffleWrapper`` only
-draws each episode's permutations, which the batch row then presents.
+single-battle use (evaluation and perfbench) and ``ShuffleWrapper`` only
+draws each episode's permutations, which the batch row keeps and presents.
 Views are takes from per-config tables (``view_tables``), which hold units
 in the grid with health in 0..max_health: (2g - 1)²(max_health + 1) rows.
 """
@@ -405,29 +405,15 @@ class BattleBatch:
                                   * hits.reshape(ally_live.shape))
 
 
-def _row0(name: str) -> property:
-    return property(lambda self: getattr(self.batch, name)[0],
-                    doc=f"Row 0 of the batch's ``{name}`` (a writable view).")
-
-
 class MicroBattleEnv:
     """Single battle instance: a ``BattleBatch`` of one, driven through
-    its row 0.  reset() then step() until terminal.
-
-    ``ally_x`` ... ``enemy_hp`` are views of the battle's arrays (tests
-    read them and place units by writing them) and ``t`` is its tick
-    count.
+    its row 0.  reset() then step() until terminal.  The per-battle
+    adapter of evaluation and perfbench; its state lives in ``batch`` row 0.
     """
-
-    ally_x, ally_y, ally_hp, enemy_x, enemy_y, enemy_hp = map(_row0, UNIT_FIELDS)
 
     def __init__(self, cfg: BattleConfig):
         self.cfg = cfg
         self.batch = BattleBatch(cfg, 1)
-
-    @property
-    def t(self) -> int:
-        return int(self.batch.t[0])
 
     # -- lifecycle -----------------------------------------------------
     def reset_into(self, batch: BattleBatch, i: int, seed: int):
@@ -488,36 +474,28 @@ class ShuffleWrapper:
     attack-action indexing and masks for the whole episode (the wrapped
     env, sharing that row, presents the same view).  The underlying
     episode is semantically identical; the wrapper only relabels what the
-    agents see.  The drawn permutations are exposed as ``ally_perm`` /
-    ``enemy_perm`` (presented row r is true row perm[r]).
+    agents see.  The row keeps the draws: ``env.batch.ally_rows[0]`` and
+    ``env.batch.enemy_perm[0]``.
     """
 
     def __init__(self, env: MicroBattleEnv, rng: np.random.Generator):
         self.env = env
         self.cfg = env.cfg
         self._rng = rng
-        self.ally_perm = np.arange(max(env.cfg.n_allies - 1, 0))
-        self.enemy_perm = np.arange(env.cfg.n_enemies)
 
     def reset_into(self, batch: BattleBatch, i: int, seed: int):
         """Draw this episode's permutations and start a fresh battle from
         ``seed`` in row i of ``batch``, presented under them."""
-        self.ally_perm = self._rng.permutation(self.cfg.n_allies - 1)
-        self.enemy_perm = self._rng.permutation(self.cfg.n_enemies)
-        batch.reset(i, seed, self.ally_perm, self.enemy_perm)
+        ally_perm = self._rng.permutation(self.cfg.n_allies - 1)
+        enemy_perm = self._rng.permutation(self.cfg.n_enemies)
+        batch.reset(i, seed, ally_perm, enemy_perm)
 
     def reset(self, seed: int):
         self.reset_into(self.env.batch, 0, seed)
         return self.env.observations(), self.env.state()
 
-    def observations(self) -> list[ObservationSet]:
-        return self.env.observations()
-
     def available_actions(self) -> np.ndarray:
         return self.env.available_actions()
-
-    def state(self) -> np.ndarray:
-        return self.env.state()
 
     def step(self, actions):
         return self.env.step(actions)

@@ -526,7 +526,8 @@ EVAL_SEED_BASE = 9_000_000
 
 
 def evaluate_net(net, env_factory, episodes: int = 32) -> float:
-    """Batched-lockstep greedy evaluation of a Q-network."""
+    """Greedy win rate of a Q-network: each tick runs one forward over
+    every running battle, then steps each battle through its own env."""
     envs = [env_factory(1000 + i) for i in range(episodes)]
     obs = [env.reset(EVAL_SEED_BASE + i)[0] for i, env in enumerate(envs)]
     done = np.zeros(episodes, dtype=bool)

@@ -46,7 +46,8 @@ def rollout_episode(seed, cfg=PRESETS["3v3"], policy=None) -> Episode:
                                 for i in range(cfg.n_allies)])
         else:
             actions = policy(env, avail)
-        step = {name: getattr(env, name).copy() for name in UNIT_FIELDS}
+        step = {name: getattr(env.batch, name)[0].copy()
+                for name in UNIT_FIELDS}
         _, _, reward, terminated, _ = env.step(actions)
         steps.append(dict(step, actions=np.asarray(actions, dtype=np.int64),
                           rewards=reward))
@@ -63,7 +64,7 @@ def episode_views(episode: Episode, cfg) -> dict:
     views = {name: [] for name in VIEW_FIELDS}
     for t in range(len(episode)):
         for name in UNIT_FIELDS:
-            getattr(env, name)[...] = getattr(episode, name)[t]
+            getattr(env.batch, name)[0] = getattr(episode, name)[t]
         obs = env.observations()
         for name in ("own", "allies", "enemies"):
             views[name].append(np.stack([getattr(o, name) for o in obs]))

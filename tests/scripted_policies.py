@@ -17,6 +17,7 @@ from permnet.env import (
     ACTION_NOOP,
     ACTION_STOP,
     N_MOVE_ACTIONS,
+    UNIT_FIELDS,
     MicroBattleEnv,
 )
 from permnet.learners import EVAL_SEED_BASE
@@ -35,15 +36,16 @@ def _assign_focus_attacks(env: MicroBattleEnv, avail: np.ndarray) -> dict[int, i
     can reach.  Returns {agent_index: enemy_index}.
     """
     cfg = env.cfg
-    live_e = [e for e in range(cfg.n_enemies) if env.enemy_hp[e] > 0]
+    ally_hp, enemy_hp = env.batch.ally_hp[0], env.batch.enemy_hp[0]
+    live_e = [e for e in range(cfg.n_enemies) if enemy_hp[e] > 0]
     shooters: dict[int, set[int]] = {}
     for i in range(cfg.n_allies):
-        if env.ally_hp[i] > 0:
+        if ally_hp[i] > 0:
             cov = {e for e in live_e if avail[i, N_MOVE_ACTIONS + e]}
             if cov:
                 shooters[i] = cov
     assigned: dict[int, int] = {}
-    hp_left = {e: int(env.enemy_hp[e]) for e in live_e}
+    hp_left = {e: int(enemy_hp[e]) for e in live_e}
     for e in sorted(live_e, key=lambda e: (hp_left[e], e)):
         need = -(-hp_left[e] // cfg.attack_damage)
         cands = [i for i in shooters if e in shooters[i] and i not in assigned]
@@ -58,7 +60,7 @@ def _assign_focus_attacks(env: MicroBattleEnv, avail: np.ndarray) -> dict[int, i
                 assigned[i] = min(cov, key=lambda e: (hp_left[e], e))
             else:
                 assigned[i] = min(shooters[i],
-                                  key=lambda e: (int(env.enemy_hp[e]), e))
+                                  key=lambda e: (int(enemy_hp[e]), e))
     return assigned
 
 
@@ -77,18 +79,20 @@ def focus_fire_policy(env: MicroBattleEnv, avail: np.ndarray) -> np.ndarray:
     pin down the environment's difficulty in tests.
     """
     cfg = env.cfg
+    ally_x, ally_y, ally_hp, enemy_x, enemy_y, enemy_hp = (
+        getattr(env.batch, name)[0] for name in UNIT_FIELDS)
     attack = _assign_focus_attacks(env, avail)
-    live_e = [e for e in range(cfg.n_enemies) if env.enemy_hp[e] > 0]
-    live_a = [i for i in range(cfg.n_allies) if env.ally_hp[i] > 0]
-    epos = {e: (int(env.enemy_x[e]), int(env.enemy_y[e])) for e in live_e}
-    apos = {i: (int(env.ally_x[i]), int(env.ally_y[i])) for i in live_a}
+    live_e = [e for e in range(cfg.n_enemies) if enemy_hp[e] > 0]
+    live_a = [i for i in range(cfg.n_allies) if ally_hp[i] > 0]
+    epos = {e: (int(enemy_x[e]), int(enemy_y[e])) for e in live_e}
+    apos = {i: (int(ally_x[i]), int(ally_y[i])) for i in live_a}
     # worst-case damage each ally takes this tick if nobody moves
     threat = {i: sum(cfg.attack_damage for e in live_e
                      if chebyshev(*apos[i], *epos[e]) <= cfg.attack_range)
               for i in live_a}
     actions = []
     for i in range(cfg.n_allies):
-        if env.ally_hp[i] <= 0:
+        if ally_hp[i] <= 0:
             actions.append(ACTION_NOOP)
             continue
         if i in attack:
@@ -115,7 +119,7 @@ def focus_fire_policy(env: MicroBattleEnv, avail: np.ndarray) -> np.ndarray:
                     shielded = any(
                         j < i
                         and chebyshev(*apos[j], *epos[e]) <= cfg.attack_range
-                        and env.ally_hp[j] > threat[j]
+                        and ally_hp[j] > threat[j]
                         for j in live_a)
                     if not shielded:
                         exposure += 1
@@ -133,7 +137,7 @@ def focus_fire_policy(env: MicroBattleEnv, avail: np.ndarray) -> np.ndarray:
 def always_lose_policy(env: MicroBattleEnv, avail: np.ndarray) -> np.ndarray:
     """Stands still forever; never attacks, never wins."""
     actions = np.full(env.cfg.n_allies, ACTION_STOP, dtype=np.int64)
-    actions[env.ally_hp <= 0] = ACTION_NOOP
+    actions[env.batch.ally_hp[0] <= 0] = ACTION_NOOP
     return actions
 
 

@@ -508,10 +508,13 @@ def test_adam_first_step_magnitude():
 
 
 def test_adam_nan_grad_names_parameter():
-    x = Tensor(np.array(1.0), requires_grad=True)
-    x.grad = np.array(np.nan)
-    with pytest.raises(FloatingPointError, match="w_hidden"):
-        adam_step({"w_hidden": x}, AdamState())
+    # an infinite gradient would leave the parameter NaN after one step
+    for bad in (np.nan, np.inf, -np.inf):
+        x = Tensor(np.array(1.0), requires_grad=True)
+        x.grad = np.array(bad)
+        with pytest.raises(FloatingPointError, match="w_hidden"):
+            adam_step({"w_hidden": x}, AdamState())
+        assert x.data == 1.0
 
 
 def test_adam_missing_grad_treated_as_zero():

@@ -198,6 +198,16 @@ def test_run_refuses_to_clobber(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(out)]) == 0
     assert main(["--config", cfg, "--out", str(out)]) == 3
     assert "--overwrite" in capsys.readouterr().err
+    # every seed's CSV is checked before any seed trains: seed 7 once
+    # trained and wrote its CSV before seed 0's refusal
+    taken = out / "concat_vdn_3v3_seed0.csv"
+    kept = taken.read_bytes()
+    for jobs in ("1", "2"):
+        assert main(["--config", cfg, "--out", str(out), "--seeds", "7,0",
+                     "--jobs", jobs]) == 3
+        assert f"{taken} exists; pass --overwrite" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [taken.name]
+        assert taken.read_bytes() == kept
 
 
 def test_unwritable_out_exits_3(tmp_path, capsys):

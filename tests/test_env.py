@@ -19,10 +19,12 @@ from permnet.env import (
     N_MOVE_ACTIONS,
     OWN_FEATURES,
     PRESETS,
+    UNIT_FIELDS,
     BattleBatch,
     BattleConfig,
     MicroBattleEnv,
     ShuffleWrapper,
+    other_ally_index,
     view_tables,
 )
 
@@ -35,18 +37,21 @@ def make_env(**kw):
 
 
 def place(env, allies, enemies, ally_hp=None, enemy_hp=None):
-    """Reset ``env`` (a battle or its shuffle wrapper), then overwrite the
-    battle's positions/health to build a hand-crafted scenario."""
+    """Reset ``env`` (a battle or its shuffle wrapper, production or
+    reference), then overwrite the battle's positions/health to build a
+    hand-crafted scenario: row 0 of a production battle's batch, or a
+    reference battle's own arrays."""
     env.reset(0)
     battle = getattr(env, "env", env)
+    units = getattr(battle, "batch", battle)
     for i, (x, y) in enumerate(allies):
-        battle.ally_x[i], battle.ally_y[i] = x, y
+        units.ally_x[..., i], units.ally_y[..., i] = x, y
     for e, (x, y) in enumerate(enemies):
-        battle.enemy_x[e], battle.enemy_y[e] = x, y
+        units.enemy_x[..., e], units.enemy_y[..., e] = x, y
     if ally_hp is not None:
-        battle.ally_hp[:] = ally_hp
+        units.ally_hp[:] = ally_hp
     if enemy_hp is not None:
-        battle.enemy_hp[:] = enemy_hp
+        units.enemy_hp[:] = enemy_hp
     return env
 
 
@@ -89,11 +94,10 @@ def test_presets_cover_three_scales():
 def test_reset_same_seed_identical():
     env = make_env()
     obs1, state1 = env.reset(123)
-    xs1, ys1 = env.ally_x.copy(), env.ally_y.copy()
-    ex1, ey1 = env.enemy_x.copy(), env.enemy_y.copy()
+    units = [getattr(env.batch, name).copy() for name in UNIT_FIELDS]
     obs2, state2 = env.reset(123)
-    assert np.array_equal(xs1, env.ally_x) and np.array_equal(ys1, env.ally_y)
-    assert np.array_equal(ex1, env.enemy_x) and np.array_equal(ey1, env.enemy_y)
+    for name, first in zip(UNIT_FIELDS, units):
+        assert np.array_equal(first, getattr(env.batch, name))
     assert np.array_equal(state1, state2)
     for a, b in zip(obs1, obs2):
         assert np.array_equal(a.own, b.own)
@@ -104,8 +108,8 @@ def test_reset_same_seed_identical():
 def test_reset_full_health():
     env = make_env()
     env.reset(7)
-    assert (env.ally_hp == env.cfg.max_health).all()
-    assert (env.enemy_hp == env.cfg.max_health).all()
+    assert (env.batch.ally_hp[0] == env.cfg.max_health).all()
+    assert (env.batch.enemy_hp[0] == env.cfg.max_health).all()
 
 
 def test_reset_observation_row_counts():
@@ -120,34 +124,35 @@ def test_reset_observation_row_counts():
 
 def test_reset_spawn_geometry():
     env = make_env()
-    g = env.cfg.grid_size
+    g, b = env.cfg.grid_size, env.batch
     for seed in range(30):
         env.reset(seed)
         # allies: contiguous line on the left wall
-        assert (env.ally_x == 0).all()
-        ys = np.sort(env.ally_y)
+        assert (b.ally_x[0] == 0).all()
+        ys = np.sort(b.ally_y[0])
         assert (np.diff(ys) == 1).all()
         # enemies: distinct cells in the right four columns
-        assert (env.enemy_x >= g - 4).all() and (env.enemy_x < g).all()
-        cells = {(int(x), int(y)) for x, y in zip(env.enemy_x, env.enemy_y)}
+        assert (b.enemy_x[0] >= g - 4).all() and (b.enemy_x[0] < g).all()
+        cells = {(int(x), int(y)) for x, y in zip(b.enemy_x[0], b.enemy_y[0])}
         assert len(cells) == env.cfg.n_enemies
 
 
 def test_reset_wide_team_wraps_to_two_columns():
     env = make_env(grid_size=6, n_allies=9)
     env.reset(3)
-    assert set(env.ally_x.tolist()) == {0, 1}
-    cells = {(int(x), int(y)) for x, y in zip(env.ally_x, env.ally_y)}
+    b = env.batch
+    assert set(b.ally_x[0].tolist()) == {0, 1}
+    cells = {(int(x), int(y)) for x, y in zip(b.ally_x[0], b.ally_y[0])}
     assert len(cells) == 9
 
 
 def test_reset_seeds_vary_layout():
     env = make_env()
-    layouts = set()
+    layouts, b = set(), env.batch
     for seed in range(10):
         env.reset(seed)
-        layouts.add(tuple(env.ally_y.tolist()) + tuple(env.enemy_x.tolist())
-                    + tuple(env.enemy_y.tolist()))
+        layouts.add(tuple(b.ally_y[0].tolist()) + tuple(b.enemy_x[0].tolist())
+                    + tuple(b.enemy_y[0].tolist()))
     assert len(layouts) > 1
 
 
@@ -178,8 +183,11 @@ def test_dead_observer_sees_zeros():
 
 
 def reference_observations(env):
-    """Observations built row by row, one entity at a time."""
+    """Observations built row by row, one entity at a time, from the
+    battle's units (row 0 of its batch)."""
     cfg, norm = env.cfg, env.cfg.grid_size - 1
+    ally_x, ally_y, ally_hp, enemy_x, enemy_y, enemy_hp = (
+        getattr(env.batch, name)[0] for name in UNIT_FIELDS)
 
     def entity_rows(ox, oy, xs, ys, hps, skip=-1):
         rows = []
@@ -195,16 +203,16 @@ def reference_observations(env):
 
     out = []
     for i in range(cfg.n_allies):
-        if env.ally_hp[i] <= 0:
+        if ally_hp[i] <= 0:
             out.append((np.zeros(OWN_FEATURES),
                         np.zeros((cfg.n_allies - 1, ENTITY_FEATURES)),
                         np.zeros((cfg.n_enemies, ENTITY_FEATURES))))
             continue
-        ox, oy = int(env.ally_x[i]), int(env.ally_y[i])
+        ox, oy = int(ally_x[i]), int(ally_y[i])
         out.append((
-            np.array([ox / norm, oy / norm, env.ally_hp[i] / cfg.max_health]),
-            entity_rows(ox, oy, env.ally_x, env.ally_y, env.ally_hp, skip=i),
-            entity_rows(ox, oy, env.enemy_x, env.enemy_y, env.enemy_hp)))
+            np.array([ox / norm, oy / norm, ally_hp[i] / cfg.max_health]),
+            entity_rows(ox, oy, ally_x, ally_y, ally_hp, skip=i),
+            entity_rows(ox, oy, enemy_x, enemy_y, enemy_hp)))
     return out
 
 
@@ -292,9 +300,9 @@ def test_step_rejects_unavailable_action():
         with pytest.raises(ValueError, match=rf"^action {action} not "
                                              rf"available for agent {agent}$"):
             env.step(actions)
-    assert env.t == 0 and env.enemy_hp.tolist() == [6, 6, 6]
+    assert env.batch.t[0] == 0 and env.batch.enemy_hp[0].tolist() == [6, 6, 6]
     env.step([ACTION_STOP, ACTION_STOP, N_MOVE_ACTIONS + 2])
-    assert env.t == 1 and env.enemy_hp.tolist() == [6, 6, 4]
+    assert env.batch.t[0] == 1 and env.batch.enemy_hp[0].tolist() == [6, 6, 4]
 
 
 def test_step_rejects_wrong_arity():
@@ -307,7 +315,7 @@ def test_step_rejects_wrong_arity():
         with pytest.raises(ValueError, match=rf"^expected 3 actions as "
                                              rf"integers, got {got}$"):
             env.step(actions)
-    assert env.t == 0
+    assert env.batch.t[0] == 0
 
 
 def test_step_after_terminal_raises():
@@ -330,16 +338,16 @@ def test_move_directions():
     place(env, [(3, 3), (0, 0), (0, 7)], [(7, 0), (7, 1), (7, 2)])
     env.available_actions()
     env.step([ACTION_NORTH, ACTION_STOP, ACTION_STOP])
-    assert (int(env.ally_x[0]), int(env.ally_y[0])) == (3, 4)
+    assert (env.batch.ally_x[0, 0], env.batch.ally_y[0, 0]) == (3, 4)
     env.available_actions()
     env.step([ACTION_EAST, ACTION_STOP, ACTION_STOP])
-    assert (int(env.ally_x[0]), int(env.ally_y[0])) == (4, 4)
+    assert (env.batch.ally_x[0, 0], env.batch.ally_y[0, 0]) == (4, 4)
     env.available_actions()
     env.step([ACTION_SOUTH, ACTION_STOP, ACTION_STOP])
-    assert (int(env.ally_x[0]), int(env.ally_y[0])) == (4, 3)
+    assert (env.batch.ally_x[0, 0], env.batch.ally_y[0, 0]) == (4, 3)
     env.available_actions()
     env.step([ACTION_WEST, ACTION_STOP, ACTION_STOP])
-    assert (int(env.ally_x[0]), int(env.ally_y[0])) == (3, 3)
+    assert (env.batch.ally_x[0, 0], env.batch.ally_y[0, 0]) == (3, 3)
 
 
 def test_move_collision_mover_stays():
@@ -347,7 +355,7 @@ def test_move_collision_mover_stays():
     place(env, [(2, 2), (2, 3), (0, 7)], [(7, 0), (7, 1), (7, 2)])
     env.available_actions()
     env.step([ACTION_NORTH, ACTION_STOP, ACTION_STOP])
-    assert (int(env.ally_x[0]), int(env.ally_y[0])) == (2, 2)
+    assert (env.batch.ally_x[0, 0], env.batch.ally_y[0, 0]) == (2, 2)
 
 
 def test_move_into_cell_vacated_earlier_in_index_order():
@@ -356,8 +364,8 @@ def test_move_into_cell_vacated_earlier_in_index_order():
     place(env, [(2, 2), (2, 1), (0, 7)], [(7, 0), (7, 1), (7, 2)])
     env.available_actions()
     env.step([ACTION_EAST, ACTION_NORTH, ACTION_STOP])
-    assert (int(env.ally_x[0]), int(env.ally_y[0])) == (3, 2)
-    assert (int(env.ally_x[1]), int(env.ally_y[1])) == (2, 2)
+    assert (env.batch.ally_x[0, 0], env.batch.ally_y[0, 0]) == (3, 2)
+    assert (env.batch.ally_x[0, 1], env.batch.ally_y[0, 1]) == (2, 2)
 
 
 def test_swap_attempt_blocked_for_second_mover():
@@ -367,8 +375,8 @@ def test_swap_attempt_blocked_for_second_mover():
     place(env, [(2, 2), (2, 3), (0, 7)], [(7, 0), (7, 1), (7, 2)])
     env.available_actions()
     env.step([ACTION_NORTH, ACTION_SOUTH, ACTION_STOP])
-    assert (int(env.ally_x[0]), int(env.ally_y[0])) == (2, 2)
-    assert (int(env.ally_x[1]), int(env.ally_y[1])) == (2, 3)
+    assert (env.batch.ally_x[0, 0], env.batch.ally_y[0, 0]) == (2, 2)
+    assert (env.batch.ally_x[0, 1], env.batch.ally_y[0, 1]) == (2, 3)
 
 
 # -- rewards -----------------------------------------------------------
@@ -392,7 +400,7 @@ def test_reward_kill_at_exact_damage():
     cfg = env.cfg
     assert reward == pytest.approx(cfg.damage_scale * cfg.attack_damage
                                    + cfg.kill_bonus)
-    assert env.enemy_hp[0] == 0
+    assert env.batch.enemy_hp[0, 0] == 0
     assert not done and not info["win"]
 
 
@@ -427,7 +435,8 @@ def test_enemy_damage_to_allies_not_in_reward():
     env.available_actions()
     _, _, reward, _, _ = env.step([N_MOVE_ACTIONS + 0, ACTION_STOP, ACTION_STOP])
     assert reward == pytest.approx(env.cfg.damage_scale * env.cfg.attack_damage)
-    assert env.ally_hp[0] == env.cfg.max_health - env.cfg.attack_damage
+    assert (env.batch.ally_hp[0, 0]
+            == env.cfg.max_health - env.cfg.attack_damage)
 
 
 def test_episode_limit_terminates_without_win():
@@ -448,8 +457,9 @@ def test_episode_limit_terminates_without_win():
 
 def hold_step(env):
     """One step in which every living ally holds (stop) and dead ones
-    noop, so only the scripted enemies act."""
-    env.step(np.where(env.ally_hp > 0, ACTION_STOP, ACTION_NOOP))
+    noop, so only the scripted enemies act.  Only a living ally may stop."""
+    env.step(np.where(env.available_actions()[:, ACTION_STOP], ACTION_STOP,
+                      ACTION_NOOP))
 
 
 def test_enemy_attacks_adjacent_ally():
@@ -457,7 +467,7 @@ def test_enemy_attacks_adjacent_ally():
     place(env, [(4, 4), (0, 0), (0, 1)], [(5, 5), (7, 0), (7, 1)])
     hold_step(env)
     hit = env.cfg.max_health - env.cfg.attack_damage
-    assert env.ally_hp.tolist() == [hit, 6, 6]
+    assert env.batch.ally_hp[0].tolist() == [hit, 6, 6]
 
 
 def test_enemy_attacks_lowest_index_in_range():
@@ -466,7 +476,7 @@ def test_enemy_attacks_lowest_index_in_range():
     # enemy 0 adjacent to allies 0, 1, 2: picks 0
     hold_step(env)
     hit = env.cfg.max_health - env.cfg.attack_damage
-    assert env.ally_hp.tolist() == [hit, 6, 6]
+    assert env.batch.ally_hp[0].tolist() == [hit, 6, 6]
 
 
 def test_enemy_pursues_nearest_ally_lowest_index_tie():
@@ -475,7 +485,7 @@ def test_enemy_pursues_nearest_ally_lowest_index_tie():
           ally_hp=[6, 6, 0])
     # allies 0 and 1 both at distance 2; target must be ally 0 (west move)
     hold_step(env)
-    assert (int(env.enemy_x[0]), int(env.enemy_y[0])) == (2, 2)
+    assert (env.batch.enemy_x[0, 0], env.batch.enemy_y[0, 0]) == (2, 2)
 
 
 def test_enemy_move_prefers_x_axis_then_negative():
@@ -484,7 +494,7 @@ def test_enemy_move_prefers_x_axis_then_negative():
     place(env, [(1, 2), (0, 0), (0, 1)], [(3, 4), (7, 7), (7, 6)],
           ally_hp=[6, 0, 0])
     hold_step(env)
-    assert (int(env.enemy_x[0]), int(env.enemy_y[0])) == (2, 4)
+    assert (env.batch.enemy_x[0, 0], env.batch.enemy_y[0, 0]) == (2, 4)
 
 
 def test_enemy_blocked_stays():
@@ -494,7 +504,7 @@ def test_enemy_blocked_stays():
     place(env, [(2, 2), (0, 6), (0, 7)],
           [(4, 2), (3, 2), (4, 3), (4, 1)])
     hold_step(env)
-    assert (int(env.enemy_x[0]), int(env.enemy_y[0])) == (4, 2)
+    assert (env.batch.enemy_x[0, 0], env.batch.enemy_y[0, 0]) == (4, 2)
 
 
 def test_enemy_blocked_takes_next_preferred_move():
@@ -503,7 +513,7 @@ def test_enemy_blocked_takes_next_preferred_move():
     env = make_env()
     place(env, [(2, 2), (0, 6), (0, 7)], [(4, 2), (3, 2), (7, 7)])
     hold_step(env)
-    assert (int(env.enemy_x[0]), int(env.enemy_y[0])) == (4, 1)
+    assert (env.batch.enemy_x[0, 0], env.batch.enemy_y[0, 0]) == (4, 1)
 
 
 def test_enemies_pursuing_into_one_cell_move_in_index_order():
@@ -514,7 +524,8 @@ def test_enemies_pursuing_into_one_cell_move_in_index_order():
     want = place(ref.MicroBattleEnv(BattleConfig()), allies, enemies)
     hold_step(env)
     hold_step(want)
-    got = [(int(x), int(y)) for x, y in zip(env.enemy_x, env.enemy_y)]
+    got = [(int(x), int(y))
+           for x, y in zip(env.batch.enemy_x[0], env.batch.enemy_y[0])]
     assert got[:2] == [(3, 3), (3, 4)]
     assert got == [(int(x), int(y)) for x, y in zip(want.enemy_x,
                                                      want.enemy_y)]
@@ -522,18 +533,20 @@ def test_enemies_pursuing_into_one_cell_move_in_index_order():
 
 def test_enemy_distance_never_increases():
     env = make_env()
+    b = env.batch
     rng = np.random.default_rng(0)
     for seed in range(10):
         env.reset(seed)
         done = False
         while not done:
             dist_before = {}
-            live_allies = [(int(env.ally_x[i]), int(env.ally_y[i]))
-                           for i in range(3) if env.ally_hp[i] > 0]
+            live_allies = [(int(b.ally_x[0, i]), int(b.ally_y[0, i]))
+                           for i in range(3) if b.ally_hp[0, i] > 0]
             for e in range(3):
-                if env.enemy_hp[e] > 0 and live_allies:
+                if b.enemy_hp[0, e] > 0 and live_allies:
                     dist_before[e] = min(
-                        chebyshev(int(env.enemy_x[e]), int(env.enemy_y[e]), ax, ay)
+                        chebyshev(int(b.enemy_x[0, e]), int(b.enemy_y[0, e]),
+                                  ax, ay)
                         for ax, ay in live_allies)
             mask = env.available_actions()
             acts = [int(rng.choice(np.flatnonzero(mask[i]))) for i in range(3)]
@@ -541,9 +554,10 @@ def test_enemy_distance_never_increases():
             # compare against pre-step ally positions: the enemy's own move
             # may not increase its distance to the (then) nearest ally
             for e, d0 in dist_before.items():
-                if env.enemy_hp[e] > 0 and live_allies:
-                    d1 = min(chebyshev(int(env.enemy_x[e]), int(env.enemy_y[e]),
-                                       ax, ay) for ax, ay in live_allies)
+                if b.enemy_hp[0, e] > 0 and live_allies:
+                    d1 = min(chebyshev(int(b.enemy_x[0, e]),
+                                       int(b.enemy_y[0, e]), ax, ay)
+                             for ax, ay in live_allies)
                     assert d1 <= d0
 
 
@@ -551,13 +565,14 @@ def test_dead_entities_never_move_or_act():
     env = make_env()
     place(env, [(4, 4), (0, 0), (0, 1)], [(5, 4), (6, 6), (7, 7)],
           ally_hp=[6, 0, 6], enemy_hp=[6, 0, 6])
-    dead_ally = (int(env.ally_x[1]), int(env.ally_y[1]))
-    dead_enemy = (int(env.enemy_x[1]), int(env.enemy_y[1]))
+    b = env.batch
+    dead_ally = (int(b.ally_x[0, 1]), int(b.ally_y[0, 1]))
+    dead_enemy = (int(b.enemy_x[0, 1]), int(b.enemy_y[0, 1]))
     env.available_actions()
     env.step([N_MOVE_ACTIONS + 0, ACTION_NOOP, ACTION_STOP])
-    assert (int(env.ally_x[1]), int(env.ally_y[1])) == dead_ally
-    assert (int(env.enemy_x[1]), int(env.enemy_y[1])) == dead_enemy
-    assert env.enemy_hp[1] == 0
+    assert (int(b.ally_x[0, 1]), int(b.ally_y[0, 1])) == dead_ally
+    assert (int(b.enemy_x[0, 1]), int(b.enemy_y[0, 1])) == dead_enemy
+    assert b.enemy_hp[0, 1] == 0
 
 
 # -- episode invariants ------------------------------------------------
@@ -586,18 +601,19 @@ def test_replay_is_bitwise_identical():
 
 def test_health_monotone_nonincreasing():
     env = make_env()
+    b = env.batch
     rng = np.random.default_rng(5)
     for seed in range(5):
         env.reset(seed)
         done = False
-        prev_a, prev_e = env.ally_hp.copy(), env.enemy_hp.copy()
+        prev_a, prev_e = b.ally_hp.copy(), b.enemy_hp.copy()
         while not done:
             mask = env.available_actions()
             acts = [int(rng.choice(np.flatnonzero(mask[i]))) for i in range(3)]
             _, _, _, done, _ = env.step(acts)
-            assert (env.ally_hp <= prev_a).all()
-            assert (env.enemy_hp <= prev_e).all()
-            prev_a, prev_e = env.ally_hp.copy(), env.enemy_hp.copy()
+            assert (b.ally_hp <= prev_a).all()
+            assert (b.enemy_hp <= prev_e).all()
+            prev_a, prev_e = b.ally_hp.copy(), b.enemy_hp.copy()
 
 
 @settings(max_examples=25, deadline=None)
@@ -664,8 +680,11 @@ def test_shuffle_wrapper_exposes_permutations():
     env = make_env()
     wrapped = ShuffleWrapper(env, np.random.default_rng(0))
     wrapped.reset(0)
-    assert sorted(wrapped.ally_perm.tolist()) == [0, 1]
-    assert sorted(wrapped.enemy_perm.tolist()) == [0, 1, 2]
+    # the battle's batch row keeps the draws: every observer's ally slots
+    # hold the other allies, and the enemy slots every enemy
+    assert (np.sort(env.batch.ally_rows[0], axis=1)
+            == other_ally_index(3)).all()
+    assert sorted(env.batch.enemy_perm[0].tolist()) == [0, 1, 2]
 
 
 def test_shuffle_wrapper_permutes_rows_and_masks():
@@ -675,10 +694,12 @@ def test_shuffle_wrapper_permutes_rows_and_masks():
     obs_t, _ = env.reset(4)
     mask_t = env.available_actions()
     mask_w = wrapped.available_actions()
-    ap, ep = wrapped.ally_perm, wrapped.enemy_perm
-    for ow, ot in zip(obs_w, obs_t):
+    ep = wrapped.env.batch.enemy_perm[0]
+    for p, (ow, ot) in enumerate(zip(obs_w, obs_t)):
+        # true ally a is row a - (a > p) of observer p's unshuffled group
+        rows = wrapped.env.batch.ally_rows[0, p]
         assert np.array_equal(ow.own, ot.own)
-        assert np.array_equal(ow.allies, ot.allies[ap])
+        assert np.array_equal(ow.allies, ot.allies[rows - (rows > p)])
         assert np.array_equal(ow.enemies, ot.enemies[ep])
     assert np.array_equal(mask_w[:, :N_MOVE_ACTIONS], mask_t[:, :N_MOVE_ACTIONS])
     assert np.array_equal(mask_w[:, N_MOVE_ACTIONS:],
@@ -691,12 +712,12 @@ def test_shuffle_wrapper_translates_attacks():
           enemy_hp=[6, 2, 6])
     # presented slot j is true enemy perm[j]; true enemy 1, the adjacent
     # one, is presented in another slot under this stream's draw
-    slot = int(np.flatnonzero(wrapped.enemy_perm == 1)[0])
+    slot = int(np.flatnonzero(wrapped.env.batch.enemy_perm[0] == 1)[0])
     assert slot != 1
     mask = wrapped.available_actions()
     assert np.flatnonzero(mask[0, N_MOVE_ACTIONS:]).tolist() == [slot]
     wrapped.step([N_MOVE_ACTIONS + slot, ACTION_STOP, ACTION_STOP])
-    assert wrapped.env.enemy_hp.tolist() == [6, 0, 6]
+    assert wrapped.env.batch.enemy_hp[0].tolist() == [6, 0, 6]
 
 
 def test_shuffle_wrapper_episode_semantics_unchanged():
@@ -707,7 +728,7 @@ def test_shuffle_wrapper_episode_semantics_unchanged():
     wrapped = ShuffleWrapper(env_b, np.random.default_rng(3))
     env_a.reset(9)
     wrapped.reset(9)
-    inv = np.argsort(wrapped.enemy_perm)
+    inv = np.argsort(env_b.batch.enemy_perm[0])
     done = False
     while not done:
         acts = focus_fire_policy(env_a, env_a.available_actions())
@@ -728,7 +749,7 @@ def test_shuffle_wrapper_draws_fresh_permutations():
     seen = set()
     for k in range(8):
         wrapped.reset(k)
-        seen.add(tuple(wrapped.enemy_perm.tolist()))
+        seen.add(tuple(env.batch.enemy_perm[0].tolist()))
     assert len(seen) > 1
 
 
@@ -770,13 +791,14 @@ def battles(cfg, shuffle, count, stream):
             [make(ref, i) for i in range(count)])
 
 
-def assert_same_draws(envs, refs):
-    """Wrappers drew the same permutations and left their streams in the
-    same state."""
-    for env, want in zip(envs, refs):
+def assert_same_draws(batch, envs, refs):
+    """Wrappers drew the same permutations, which row i of ``batch``
+    presents for ``envs[i]``, and left their streams in the same state."""
+    for i, (env, want) in enumerate(zip(envs, refs)):
         if isinstance(want, ref.ShuffleWrapper):
-            assert_same_bytes(env.ally_perm, want.ally_perm)
-            assert_same_bytes(env.enemy_perm, want.enemy_perm)
+            others = other_ally_index(want.cfg.n_allies)
+            assert_same_bytes(batch.ally_rows[i], others[:, want.ally_perm])
+            assert_same_bytes(batch.enemy_perm[i], want.enemy_perm)
             assert (env._rng.bit_generator.state
                     == want._rng.bit_generator.state)
 
@@ -822,7 +844,10 @@ def test_battle_batch_reset_matches_reference_bitwise(cfg, shuffle):
                 assert_same_bytes(getattr(got, field),
                                   stored(getattr(want, field)))
         columns.add(frozenset(battle.ally_x.tolist()))
-        assert_same_draws(envs + [single], refs)
+        # the batch rows reset so far, and the single battle's own row
+        assert_same_draws(batch, envs[:seed + 1], refs[:seed + 1])
+        assert_same_draws(getattr(single, "env", single).batch, [single],
+                          refs[3:])
     assert columns == ({frozenset({0, 1})} if cfg.n_allies > cfg.grid_size
                        else {frozenset({0})})
 
@@ -893,7 +918,7 @@ def test_battle_batch_matches_scalar_env_bitwise(preset, shuffle):
                     seen[win_key if info["win"] else "time_limit"
                          if battle.t == cfg.episode_limit else "loss"] += 1
                     reset(i)
-        assert_same_draws(envs, refs)
+        assert_same_draws(batch, envs, refs)
     assert min(seen.values()) > 0, seen
     assert seen["battle_steps"] >= 2000
 
