@@ -88,6 +88,8 @@ class Tensor:
     @classmethod
     def _from_op(cls, value: np.ndarray, parents, backward_rule) -> "Tensor":
         out = cls(value)
+        # a rule runs only where a parent needs a gradient, so the rule of
+        # a single-parent op accumulates without checking
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -201,8 +203,7 @@ def relu(a: Tensor) -> Tensor:
     out_val = np.maximum(a.data, 0.0)
 
     def rule(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0.0))  # subgradient 0 at 0
+        a._accumulate(g * (a.data > 0.0))  # subgradient 0 at 0
 
     return Tensor._from_op(out_val, (a,), rule)
 
@@ -211,8 +212,7 @@ def abs_(a: Tensor) -> Tensor:
     out_val = np.abs(a.data)
 
     def rule(g):
-        if a.requires_grad:
-            a._accumulate(g * np.sign(a.data))
+        a._accumulate(g * np.sign(a.data))
 
     return Tensor._from_op(out_val, (a,), rule)
 
@@ -285,8 +285,6 @@ def reduce_sum(t: Tensor, axis=None) -> Tensor:
     out_val = t.data.sum(axis=axis)
 
     def rule(g):
-        if not t.requires_grad:
-            return
         if axis is None:
             t._accumulate(np.broadcast_to(g, t.shape).copy())
         else:
@@ -330,9 +328,8 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     out_val = e / e.sum(axis=axis, keepdims=True)
 
     def rule(g):
-        if t.requires_grad:
-            inner = (g * out_val).sum(axis=axis, keepdims=True)
-            t._accumulate(out_val * (g - inner))
+        inner = (g * out_val).sum(axis=axis, keepdims=True)
+        t._accumulate(out_val * (g - inner))
 
     return Tensor._from_op(out_val, (t,), rule)
 
@@ -346,8 +343,7 @@ def reshape(t: Tensor, shape) -> Tensor:
     out_val = t.data.reshape(shape)
 
     def rule(g):
-        if t.requires_grad:
-            t._accumulate(g.reshape(t.shape))
+        t._accumulate(g.reshape(t.shape))
 
     return Tensor._from_op(out_val, (t,), rule)
 
@@ -376,10 +372,9 @@ def take_index(t: Tensor, indices: np.ndarray) -> Tensor:
     out_val = np.take_along_axis(t.data, idx[..., None], axis=-1)[..., 0]
 
     def rule(g):
-        if t.requires_grad:
-            full = np.zeros_like(t.data)
-            np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
-            t._accumulate(full)
+        full = np.zeros_like(t.data)
+        np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
+        t._accumulate(full)
 
     return Tensor._from_op(out_val, (t,), rule)
 
@@ -401,18 +396,17 @@ def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
     out_val = t.data[idx]
 
     def rule(g):
-        if t.requires_grad:
-            # a stable sort groups each row's copies in index order and
-            # one reduceat sums every group; np.add.at is several times
-            # slower.  The narrowest key type gives the same permutation,
-            # radix-sorted for 8- and 16-bit keys
-            key = idx.astype(np.min_scalar_type(t.shape[0] - 1))
-            order = np.argsort(key, kind="stable")
-            rows = idx[order]
-            starts = np.flatnonzero(np.diff(rows, prepend=-1))
-            full = np.zeros_like(t.data)
-            full[rows[starts]] = np.add.reduceat(g[order], starts, axis=0)
-            t._accumulate(full)
+        # a stable sort groups each row's copies in index order and one
+        # reduceat sums every group; np.add.at is several times slower.
+        # The narrowest key type gives the same permutation, radix-sorted
+        # for 8- and 16-bit keys
+        key = idx.astype(np.min_scalar_type(t.shape[0] - 1))
+        order = np.argsort(key, kind="stable")
+        rows = idx[order]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        full = np.zeros_like(t.data)
+        full[rows[starts]] = np.add.reduceat(g[order], starts, axis=0)
+        t._accumulate(full)
 
     return Tensor._from_op(out_val, (t,), rule)
 
@@ -428,8 +422,7 @@ def straight_through(soft: Tensor, hard_value: np.ndarray) -> Tensor:
         raise ShapeError(f"hard value shape {hard_value.shape} != {soft.shape}")
 
     def rule(g):
-        if soft.requires_grad:
-            soft._accumulate(g)
+        soft._accumulate(g)
 
     return Tensor._from_op(hard_value, (soft,), rule)
 

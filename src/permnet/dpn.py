@@ -51,13 +51,11 @@ class DpnNet(Module):
     """
 
     def __init__(self, rng: np.random.Generator, feature_dim: int,
-                 group_size: int, hidden: int = 8,
-                 gumbel: GumbelConfig | None = None):
+                 group_size: int, hidden: int = 8, *, gumbel: GumbelConfig):
         self.feature_dim = feature_dim
         self.group_size = group_size
         self.assign_mlp = Mlp(rng, [feature_dim, hidden, group_size])
-        self.gumbel = gumbel if gumbel is not None \
-            else GumbelConfig(tau=0.5, hard=True)
+        self.gumbel = gumbel
 
 
 def generate_permutation_matrix(net: DpnNet, X: Tensor,
@@ -148,15 +146,12 @@ def _sampled_matrix(scores: Tensor, cfg: GumbelConfig,
             taken = taken + soft[:, d]
 
     def rule(g):
-        if scores.requires_grad:
-            g = g.reshape(soft.shape)
-            grad = soft * (g - (g * soft).sum(axis=-1, keepdims=True)) \
-                * inv_tau
-            # transposed back to (entity, slot) in C order; the +0.0 is
-            # the per-slot gradients' sum from zeros (it clears -0.0)
-            full = np.add(grad.transpose(0, 2, 1), 0.0,
-                          out=np.empty_like(s))
-            scores._accumulate(full.reshape(scores.shape))
+        g = g.reshape(soft.shape)
+        grad = soft * (g - (g * soft).sum(axis=-1, keepdims=True)) * inv_tau
+        # transposed back to (entity, slot) in C order; the +0.0 is the
+        # per-slot gradients' sum from zeros (it clears -0.0)
+        full = np.add(grad.transpose(0, 2, 1), 0.0, out=np.empty_like(s))
+        scores._accumulate(full.reshape(scores.shape))
 
     return Tensor._from_op(M.reshape(scores.shape), (scores,), rule)
 
@@ -179,8 +174,10 @@ class DpnAgentNet(AgentNet):
         self.n_enemies = n_enemies
         k = ENTITY_FEATURES
         gumbel = GumbelConfig(tau=tau, hard=True)
-        self.ally_net = DpnNet(rng, k, n_allies - 1, perm_hidden, gumbel)
-        self.enemy_net = DpnNet(rng, k, n_enemies, perm_hidden, gumbel)
+        self.ally_net = DpnNet(rng, k, n_allies - 1, perm_hidden,
+                               gumbel=gumbel)
+        self.enemy_net = DpnNet(rng, k, n_enemies, perm_hidden,
+                                gumbel=gumbel)
         in_dim = OWN_FEATURES + (n_allies - 1) * k + n_enemies * k
         self.body = Linear(rng, in_dim, hidden)
         self.move_head = Linear(rng, hidden, N_MOVE_ACTIONS)

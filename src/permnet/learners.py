@@ -90,8 +90,6 @@ class TrainConfig:
     batch_episodes: int = 32
     target_update_interval: int = 200
     parallel_runners: int = 8
-    mixing_embed_dim: int = 32
-    hypernet_embed: int = 64
     total_env_steps: int = 200_000
     train_interval: int = 16
     seed: int = 0
@@ -99,8 +97,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epsilon_anneal_steps", "buffer_size", "batch_episodes",
                      "target_update_interval", "parallel_runners",
-                     "mixing_embed_dim", "hypernet_embed", "total_env_steps",
-                     "train_interval"):
+                     "total_env_steps", "train_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
@@ -357,7 +354,7 @@ class Learner:
         self.mixer, self.target_mixer = (
             None if mixer == "vdn" else QmixMixer(
                 np.random.default_rng([cfg.seed, 2]), env_cfg.n_allies,
-                env_cfg.state_dim, cfg.mixing_embed_dim, cfg.hypernet_embed)
+                env_cfg.state_dim)
             for _ in range(2))
         self.params = team_parameters(self.net, self.mixer)
         self.opt = AdamState(lr=cfg.lr)

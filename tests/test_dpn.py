@@ -46,7 +46,7 @@ DET = GumbelConfig(tau=0.5, hard=True, deterministic=True)
 
 
 def det_net(seed, k=4, m=3, hidden=8):
-    net = DpnNet(np.random.default_rng(seed), k, m, hidden, DET)
+    net = DpnNet(np.random.default_rng(seed), k, m, hidden, gumbel=DET)
     return net
 
 
