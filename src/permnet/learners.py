@@ -452,8 +452,9 @@ class ParallelRunner:
     collection is deterministic.  Runner i's battle is row i of
     ``batch``, reset in place through ``envs[i].reset_into`` (``envs[i]``
     from ``env_factory(i)``; a ``ShuffleWrapper`` draws the episode's
-    permutations from its own stream) with seeds drawn from
-    ``streams[i]``, seeded with seed XOR i.  ``envs[i]`` holds no battle.
+    permutations from its own stream; ``envs[i]`` holds no battle).  Reset
+    seeds come from one ``reset_rng``: one per row at construction, then
+    one per finished row, each time in row order.
 
     Running episodes are logged on the battle clock: step t of row i at
     ``i * episode_limit + t`` of one array per ``Episode`` field, written
@@ -465,8 +466,7 @@ class ParallelRunner:
         self.cfg = cfg
         self.net = net
         self.envs = [env_factory(i) for i in range(cfg.parallel_runners)]
-        self.streams = [np.random.default_rng(cfg.seed ^ i)
-                        for i in range(cfg.parallel_runners)]
+        self.reset_rng = np.random.default_rng([cfg.seed, 7])
         self.select_rng = np.random.default_rng([cfg.seed, 4])
         self.env_steps = 0
         batch = self.batch = BattleBatch(self.envs[0].cfg,
@@ -478,8 +478,8 @@ class ParallelRunner:
                                     np.int64) for name in UNIT_FIELDS}
         self._log["actions"] = np.zeros_like(self._log["ally_x"])
         self._log["rewards"] = np.zeros(steps)
-        for i, (env, stream) in enumerate(zip(self.envs, self.streams)):
-            env.reset_into(self.batch, i, int(stream.integers(2 ** 31)))
+        for i, env in enumerate(self.envs):
+            env.reset_into(batch, i, int(self.reset_rng.integers(2 ** 31)))
 
     def tick(self) -> list:
         """Advance every environment one step; return finished episodes."""
@@ -515,7 +515,7 @@ class ParallelRunner:
                                      **{name: column[steps].copy()
                                         for name, column in log.items()}))
             self.envs[i].reset_into(
-                batch, i, int(self.streams[i].integers(2 ** 31)))
+                batch, i, int(self.reset_rng.integers(2 ** 31)))
         return completed
 
 

@@ -133,6 +133,8 @@ def test_unknown_architecture_exits_2(tmp_path, capsys):
     ("epsilon_start", "1.5"), ("epsilon_finish", "-0.1"), ("seeds", ""),
     ("buffer_size", "1"), ("eval_interval", "401"), ("seed", "7"),
     ("seeds", "-1"), ("seeds", "0 -2"), ("seeds", "0 0"), ("seeds", "1, 2 1"),
+    # the QMIX sizes are QmixMixer's own defaults, not config keys
+    ("mixing_embed_dim", "16"), ("hypernet_embed", "16"),
     # a tag of '../x' once wrote its CSVs beside --out, and an absolute
     # tag ignored --out altogether
     ("tag", "../x"), ("tag", "/tmp/x"), ("tag", "a/b"), ("tag", ".."),

@@ -862,6 +862,21 @@ def test_runner_episodes_replayable():
                 replayed += 1
 
 
+def test_run_seeds_deal_different_battle_layouts():
+    """Each run seed starts its runners on its own reset seeds, not on one
+    shared set dealt to different runners."""
+    cfg = PRESETS["3v3"]
+    net = net_factory_for("concat", cfg)(np.random.default_rng(17))
+    firsts = []
+    for seed in range(5):
+        runner = ParallelRunner(small_cfg(parallel_runners=8, seed=seed),
+                                lambda tag: SeedLoggingEnv(cfg), net)
+        firsts.append(sorted(env.seeds[0] for env in runner.envs))
+    for a in range(5):
+        for b in range(a):
+            assert firsts[a] != firsts[b], (a, b)
+
+
 class RandomQNet:
     """Stand-in agent net: fresh standard-normal Q rows on every forward,
     each remembered."""
@@ -1029,15 +1044,14 @@ class PerBattleRunner:
         self.cfg = cfg
         self.net = net
         self.envs = [env_factory(i) for i in range(cfg.parallel_runners)]
-        self.streams = [np.random.default_rng(cfg.seed ^ i)
-                        for i in range(cfg.parallel_runners)]
+        self.reset_rng = np.random.default_rng([cfg.seed, 7])
         self.select_rng = np.random.default_rng([cfg.seed, 4])
         self.env_steps = 0
         self._partial = [[] for _ in self.envs]
         self.views = []
         self._obs, self._state = [], []
-        for i, env in enumerate(self.envs):
-            obs, state = env.reset(int(self.streams[i].integers(2 ** 31)))
+        for env in self.envs:
+            obs, state = env.reset(int(self.reset_rng.integers(2 ** 31)))
             self._obs.append(obs)
             self._state.append(state)
 
@@ -1095,7 +1109,7 @@ class PerBattleRunner:
                                    for name in VIEW_FIELDS})
                 self._partial[i] = []
                 obs, state = env.reset(
-                    int(self.streams[i].integers(2 ** 31)))
+                    int(self.reset_rng.integers(2 ** 31)))
             self._obs[i] = obs
             self._state[i] = state
         return completed
@@ -1105,7 +1119,7 @@ def rng_states(runner):
     """Bit-generator states of every stream a runner draws from."""
     wrappers = [env._rng for env in runner.envs if hasattr(env, "_rng")]
     return [g.bit_generator.state
-            for g in [runner.select_rng, *runner.streams, *wrappers]]
+            for g in [runner.select_rng, runner.reset_rng, *wrappers]]
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
