@@ -86,14 +86,17 @@ class Tensor:
 
     # -- graph plumbing ------------------------------------------------
     @classmethod
-    def _from_op(cls, value: np.ndarray, parents, backward_rule) -> "Tensor":
-        out = cls(value)
-        # a rule runs only where a parent needs a gradient, so the rule of
-        # a single-parent op accumulates without checking
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward_rule = backward_rule
+    def _from_op(cls, value: np.ndarray, parents: tuple, rule) -> "Tensor":
+        # an op's array already has its inputs' dtype; only a numpy scalar
+        # (a full reduction) needs ``_as_array``.  A rule runs only where a
+        # parent needs a gradient, so a single-parent rule never checks
+        out = cls.__new__(cls)
+        out.data = value if type(value) is np.ndarray else _as_array(value)
+        out.grad = None
+        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad
+                                                  for p in parents)
+        out._parents = parents if out.requires_grad else ()
+        out._backward_rule = rule if out.requires_grad else None
         return out
 
     def _accumulate(self, g: np.ndarray):

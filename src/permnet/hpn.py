@@ -33,6 +33,8 @@ gradient are never shared (see ``distinct_rows``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import (
@@ -102,7 +104,7 @@ def distinct_rows(X: Tensor):
     merged, since a merged row's gradient would go to one copy; they are
     still ranked."""
     lead = X.shape[:-1]
-    flat = reshape(X, (int(np.prod(lead)), X.shape[-1]))
+    flat = reshape(X, (math.prod(lead), X.shape[-1]))
     words = np.ascontiguousarray(flat.data).view(f"u{flat.data.itemsize}")
     order = np.lexsort(words.T)
     new = np.ones(len(words), bool)
@@ -140,7 +142,7 @@ def hpn_output_layer(layer: HyperLayer, trunk_hidden: Tensor, rows: Tensor,
     if trunk_hidden.shape[-1] != layer.rows:
         raise ShapeError(
             f"trunk width {trunk_hidden.shape[-1]} != {layer.rows}")
-    batch, m = int(np.prod(ranks.shape[:-1])), ranks.shape[-1]
+    batch, m = math.prod(ranks.shape[:-1]), ranks.shape[-1]
     weights, bias = layer.generate(rows)        # (U, h, 1), (U,)
     flat = ranks.reshape(-1)
     w = gather_rows(reshape(weights, (len(rows.data), layer.rows)), flat)

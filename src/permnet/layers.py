@@ -10,6 +10,8 @@ float32.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, affine, relu, reshape, uniform_init
@@ -91,7 +93,7 @@ class Linear(Module):
             raise ShapeError(f"input width {x.shape[-1]} != {self.in_dim}")
         lead = x.shape[:-1]
         if len(lead) != 1:  # flatten leading axes so matmul stays 2-d
-            x = reshape(x, (int(np.prod(lead)) if lead else 1, self.in_dim))
+            x = reshape(x, (math.prod(lead), self.in_dim))
         out = affine(x, self.weight, self.bias)
         if len(lead) != 1:
             out = reshape(out, (*lead, self.out_dim))

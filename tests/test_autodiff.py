@@ -58,6 +58,32 @@ def test_no_grad_blocks_recording():
     assert not y.requires_grad and y._parents == ()
 
 
+def test_op_nodes_keep_dtype_and_record_only_under_grad():
+    """An op's numpy-scalar result is a 0-d array of the input's dtype, a
+    float32 graph stays float32, a node built under ``no_grad`` records
+    nothing, and ``Tensor`` still turns ints into float64."""
+    x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3),
+               requires_grad=True)
+    total = reduce_sum(x)
+    assert type(total.data) is np.ndarray and total.data.shape == ()
+    assert total.data.dtype == np.float32
+    product = mul(ad.relu(x), x)
+    y = reduce_sum(product, axis=1)
+    assert product.data.dtype == y.data.dtype == np.float32
+    assert y.requires_grad and y._parents == (product,)
+    with no_grad():
+        z = mul(x, x)
+        s = reduce_sum(z)
+    for node in (z, s):
+        assert not node.requires_grad
+        assert node._parents == () and node._backward_rule is None
+    assert s.data.dtype == np.float32 and s.data.shape == ()
+    const = mul(Tensor(np.ones(3, np.float32)), Tensor(np.ones(3, np.float32)))
+    assert not const.requires_grad and const._backward_rule is None
+    assert Tensor(np.arange(3)).data.dtype == np.float64
+    assert Tensor(np.array([True])).data.dtype == np.float64
+
+
 def test_shared_gradient_array_is_not_written_in_place():
     # add hands its one gradient array to both leaves; a later gradient for
     # a must make a new sum, or b's gradient would change with it
