@@ -5,15 +5,16 @@ array; non-leaf tensors record their parents and a backward rule, and
 ``Tensor.backward`` replays the rules in reverse topological order, visiting
 each node exactly once and *accumulating* (never overwriting) gradients.
 Gradient arrays may be shared between tensors and are never written in
-place.  The module-level op functions (``add``, ``mul``, ``reduce_sum``,
-``reshape``, ...) are the only way to build a graph node: ``Tensor`` has no
-operator overloads or op methods.
+place.  Op functions build every graph node through ``Tensor._from_op``:
+the module-level ones (``add``, ``mul``, ``reduce_sum``, ...) and the
+fused nodes of ``dpn`` and ``hpn``.  ``Tensor`` has no operator overloads.
 
 Only the right operand of ``add`` and ``mul`` broadcasts: its shape, less
 leading 1s, must end the left operand's shape, and its gradient is summed
 over the leading axes.  Same-shape operands pass gradients through as is.
 ``gather_rows`` takes 1-d, non-negative row indices in any order, which
-may repeat a row.
+may repeat a row.  ``canonical_sum``'s gradient is a count-matrix GEMM
+whose bits, like every weight gradient's, depend on the BLAS threads.
 
 Every op keeps the dtype of its inputs.  The networks' parameters and the
 battle's observations and states are float32, so the whole training graph
@@ -296,6 +297,15 @@ def reduce_sum(t: Tensor, axis=None) -> Tensor:
     return Tensor._from_op(out_val, (t,), rule)
 
 
+def count_matrix(sets: np.ndarray, n_rows: int, weights: np.ndarray):
+    """(n_rows, B) matrix whose entry [u, b] sums the (B, m) ``weights`` of
+    row u's copies in the (B, m) row-index ``sets``, in their dtype."""
+    out = np.zeros((n_rows, len(sets)), weights.dtype)
+    cells = sets * len(sets) + np.arange(len(sets))[:, None]
+    np.add.at(out.reshape(-1), cells.reshape(-1), weights.reshape(-1))
+    return out
+
+
 def canonical_sum(rows: Tensor, sets: np.ndarray) -> Tensor:
     """Sum of each set of rows: ``out[a]`` is the sum of ``rows[i]`` for
     the ``i`` in ``sets[a]``.  (n, h) rows and (..., m) sets -> (..., h).
@@ -304,12 +314,20 @@ def canonical_sum(rows: Tensor, sets: np.ndarray) -> Tensor:
     order from +0.0, so any order of a set's indices gives bitwise the
     same sum.  Pooling is exactly order-free when the rows are ranked by
     their values and equal values share a rank, as ``hpn.distinct_rows``
-    ranks them.  The gradient is the plain sum's, gathered back to the rows.
+    ranks them.  The sum is one node whose gradient is ``C @ g``, with C
+    (n, B) counting each row's copies in each of the B sets; like every
+    weight-gradient GEMM, its bits depend on the BLAS thread count.
     """
     sets = np.sort(np.asarray(sets, dtype=np.intp), axis=-1)
-    picked = gather_rows(rows, sets.reshape(-1))
+    flat = sets.reshape(math.prod(sets.shape[:-1]), sets.shape[-1])
+
+    def rule(g):
+        ones = np.ones_like(flat, g.dtype)
+        rows._accumulate(count_matrix(flat, len(rows.data), ones)
+                         @ g.reshape(len(flat), rows.shape[1]))
+
     # numpy sums a (..., m, h) array's m axis in order, from +0.0
-    return reduce_sum(reshape(picked, sets.shape + rows.shape[1:]), axis=-2)
+    return Tensor._from_op(rows.data[sets].sum(axis=-2), (rows,), rule)
 
 
 # ---------------------------------------------------------------------------

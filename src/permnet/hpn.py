@@ -28,7 +28,9 @@ product is the exception: BLAS runs it as a matrix-vector product, and a
 inside a larger batch, in float32 and float64 alike.  So a lone distinct
 row may differ from what the dense layers would give it, but never
 between two orders of the same entities.  Rows of an input that needs a
-gradient are never shared (see ``distinct_rows``).
+gradient are never shared (see ``distinct_rows``).  The attack head
+gathers the generated weights enemy-major and broadcasts the trunk state
+over the enemies.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .autodiff import (
     bmm,
     canonical_sum,
     concat,
+    count_matrix,
     gather_rows,
     mul,
     reduce_sum,
@@ -138,20 +141,32 @@ def hpn_output_layer(layer: HyperLayer, trunk_hidden: Tensor, rows: Tensor,
     the shared hidden state with that enemy's generated (h, 1) weights and
     scalar bias.  Entry i is computed from enemy i's row alone, so
     reordering enemies reorders the output exactly.  A dead enemy is
-    scored like any other; ``learners.greedy_actions`` masks it."""
+    scored like any other; ``learners.greedy_actions`` masks it.
+
+    One node: the (U, h) weights are gathered enemy-major, as (m, B, h),
+    and the (B, h) trunk state broadcasts over the enemies.  S (U, B) sums
+    each distinct row's score gradients per observation; the weights get
+    ``S @ h``, the biases S's row sums and the trunk ``S.T @ W``."""
     if trunk_hidden.shape[-1] != layer.rows:
         raise ShapeError(
             f"trunk width {trunk_hidden.shape[-1]} != {layer.rows}")
-    batch, m = math.prod(ranks.shape[:-1]), ranks.shape[-1]
+    sets = ranks.reshape(math.prod(ranks.shape[:-1]), ranks.shape[-1])
     weights, bias = layer.generate(rows)        # (U, h, 1), (U,)
-    flat = ranks.reshape(-1)
-    w = gather_rows(reshape(weights, (len(rows.data), layer.rows)), flat)
+    w = weights.data.reshape(len(rows.data), layer.rows)
+    h = trunk_hidden.data.reshape(len(sets), layer.rows)
     # score each row with an elementwise product and a per-row sum rather
     # than a width-1 matmul: BLAS matvec kernels are not bitwise row-stable
-    h = gather_rows(reshape(trunk_hidden, (batch, layer.rows)),
-                    np.repeat(np.arange(batch), m))
-    scores = add(reduce_sum(mul(w, h), axis=-1), gather_rows(bias, flat))
-    return reshape(scores, ranks.shape)
+    scores = (w[sets.T] * h).sum(axis=-1).T + bias.data[sets]
+
+    def rule(g):
+        s = count_matrix(sets, len(w), g.reshape(sets.shape))
+        weights._accumulate((s @ h).reshape(weights.shape))
+        bias._accumulate(s.sum(axis=1))
+        if trunk_hidden.requires_grad:
+            trunk_hidden._accumulate((s.T @ w).reshape(trunk_hidden.shape))
+
+    return Tensor._from_op(scores.reshape(ranks.shape),
+                           (weights, bias, trunk_hidden), rule)
 
 
 class HpnAgentNet(AgentNet):

@@ -308,6 +308,51 @@ def test_canonical_sum_grad_is_plain_sum_grad():
     np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
 
 
+def canonical_sum_grad(rows, sets, seed):
+    """``canonical_sum``'s row gradient under a random upstream gradient,
+    and the ``np.add.at`` oracle for it, summed in float64."""
+    a = Tensor(rows, requires_grad=True)
+    out = canonical_sum(a, sets)
+    g = np.random.default_rng(seed).standard_normal(out.shape)
+    out.backward(g.astype(rows.dtype))
+    expected = np.zeros(rows.shape)
+    np.add.at(expected, sets.reshape(-1),
+              np.repeat(g.astype(rows.dtype).astype(np.float64).reshape(
+                  -1, rows.shape[1]), sets.shape[-1], axis=0))
+    return a.grad, expected
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12),
+                                         (np.float32, 1e-5)])
+@pytest.mark.parametrize("shape", [(6, 4), (3, 2, 5), (5, 1), (4, 0), (0, 3),
+                                   (0, 0)], ids=[
+    "repeats", "batched", "one-row-sets", "m=0", "B=0", "B=m=0"])
+def test_canonical_sum_grad_matches_add_at(dtype, rtol, shape):
+    """The count-matrix gradient is each row's copies' gradients summed,
+    whatever the dtype, the set sizes or the number of sets."""
+    rng = np.random.default_rng(sum(shape))
+    rows = rng.standard_normal((7, 3)).astype(dtype)
+    sets = rng.integers(0, 3, size=shape)       # rows 0-2 repeat often
+    grad, expected = canonical_sum_grad(rows, sets, 1)
+    assert grad.dtype == dtype and grad.shape == rows.shape
+    np.testing.assert_allclose(grad, expected, rtol=rtol, atol=rtol)
+    if sets.size == 0:
+        assert not grad.any()
+
+
+@pytest.mark.parametrize("n", [1, 256, 257, 65536, 65537])
+def test_canonical_sum_grad_at_every_row_count(n):
+    """Row counts on both sides of the 8- and 16-bit index widths: the
+    first and last rows get their copies' gradients."""
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((n, 2)).astype(np.float32)
+    sets = rng.integers(0, n, size=(3, 40))
+    sets[0, :3] = [n - 1, 0, n - 1]
+    grad, expected = canonical_sum_grad(rows, sets, 2)
+    np.testing.assert_allclose(grad, expected, rtol=1e-5, atol=1e-5)
+    assert grad[n - 1].any() and grad[0].any()
+
+
 @pytest.mark.parametrize("bias", [True, False])
 def test_affine_is_matmul_then_add_bitwise(bias):
     # reference: the numpy arithmetic of a product node followed by a

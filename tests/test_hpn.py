@@ -14,6 +14,7 @@ from hpn_reference import dense_input_layer, dense_output_layer, use_dense_layer
 from permnet.autodiff import (
     ShapeError,
     Tensor,
+    add,
     grad_check,
     matmul,
     mul,
@@ -615,3 +616,93 @@ def test_grad_check_wrt_duplicate_entity_rows(cls):
         return reduce_sum(mul(net.forward_batch(Tensor(own), a, e), probe))
 
     assert grad_check(f, [allies, enemies]) < 1e-6
+
+
+def duplicate_rows_block(rng, batch=4, m=4):
+    """An enemy block whose rows repeat within and across observations:
+    two live rows shared around, and all-zero dead rows."""
+    shared = rng.normal(size=(2, K))
+    shared[:, 3] = 1.0
+    X = rng.normal(size=(batch, m, K))
+    X[..., 3] = 1.0
+    X[0, 1] = X[0, 3] = X[2, 0] = shared[0]
+    X[1, :2] = X[3, 2] = shared[1]
+    X[2, 2:] = X[3, 0] = 0.0
+    return X
+
+
+def test_output_layer_grad_check_with_duplicate_entity_rows():
+    """Rows shared within and across observations (the input needs no
+    gradient, so they merge): the count-matrix gradients of the generated
+    weights and bias, and the trunk's, match central differences."""
+    layer = in_float64(output_layer(62, h=6))
+    rng = np.random.default_rng(63)
+    X = Tensor(duplicate_rows_block(rng))
+    assert len(distinct_rows(X)[0].data) < 16
+    hidden = rng.normal(size=(4, 6))
+    probe = Tensor(rng.normal(size=(4, 4)))
+
+    def f(h, *params):
+        return reduce_sum(mul(score(layer, h, X), probe))
+
+    assert grad_check(f, [hidden, *layer.named_parameters().values()]) < 1e-6
+
+
+def test_input_layer_grad_check_with_duplicate_entity_rows():
+    layer = in_float64(input_layer(64, h=5))
+    rng = np.random.default_rng(65)
+    X = Tensor(duplicate_rows_block(rng))
+    probe = Tensor(rng.normal(size=(4, 5)))
+
+    def f(*params):
+        return reduce_sum(mul(embed(layer, X), probe))
+
+    assert grad_check(f, list(layer.named_parameters().values())) < 1e-6
+
+
+@pytest.mark.parametrize("preset", ["3v3", "8v9"])
+def test_output_layer_gradients_match_dense_in_float32(preset):
+    """The float32 gradients of the head's parameters and of the trunk
+    state agree with the dense layer's within float32 rounding: the
+    count-matrix sums only regroup the same products."""
+    _, _, enemies = battle_observations(preset, 10)
+    layer = output_layer(66, h=64)
+    rng = np.random.default_rng(67)
+    probe = Tensor(rng.normal(size=enemies.shape[:2]).astype(np.float32))
+    trunk = rng.normal(size=(len(enemies), 64)).astype(np.float32)
+    params = layer.named_parameters()
+
+    def grads(head):
+        for p in params.values():
+            p.zero_grad()
+        hidden = Tensor(trunk, requires_grad=True)
+        q = head(layer, hidden, *distinct_rows(Tensor(enemies)))
+        reduce_sum(mul(q, probe)).backward()
+        return {"trunk": hidden.grad,
+                **{name: p.grad for name, p in params.items()}}
+
+    sparse, dense = grads(hpn_output_layer), grads(dense_output_layer)
+    for name, g in dense.items():
+        assert sparse[name].dtype == np.float32
+        np.testing.assert_allclose(sparse[name], g, rtol=1e-4,
+                                   atol=2e-5 * np.abs(g).max(), err_msg=name)
+
+
+@pytest.mark.parametrize("batch, m", [(3, 0), (0, 4), (0, 0)],
+                         ids=["m=0", "B=0", "B=m=0"])
+def test_empty_blocks_backward_to_zero_gradients(batch, m):
+    """An empty enemy axis or an empty batch backpropagates zeros of the
+    parameters' and the trunk's shapes through both layers."""
+    X = Tensor(np.zeros((batch, m, K), np.float32))
+    hidden = Tensor(np.ones((batch, 8), np.float32), requires_grad=True)
+    inp, out = input_layer(68), output_layer(69)
+    pooled = embed(inp, X)
+    q = score(out, hidden, X)
+    assert pooled.shape == (batch, 8) and q.shape == (batch, m)
+    add(reduce_sum(pooled), reduce_sum(q)).backward()
+    assert hidden.grad.shape == hidden.shape and not hidden.grad.any()
+    for layer in (inp, out):
+        for name, p in layer.named_parameters().items():
+            assert p.grad.shape == p.shape, name
+            if name != "shared_bias":
+                assert not p.grad.any(), name
