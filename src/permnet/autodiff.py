@@ -7,14 +7,14 @@ each node exactly once and *accumulating* (never overwriting) gradients.
 Gradient arrays may be shared between tensors and are never written in
 place.  Op functions build every graph node through ``Tensor._from_op``:
 the module-level ones (``add``, ``mul``, ``reduce_sum``, ...) and the
-fused nodes of ``dpn`` and ``hpn``.  ``Tensor`` has no operator overloads.
+fused nodes of ``dpn`` and ``hpn`` (``distinct_rows`` among them).
+``Tensor`` has no operator overloads.
 
 Only the right operand of ``add`` and ``mul`` broadcasts: its shape, less
 leading 1s, must end the left operand's shape, and its gradient is summed
 over the leading axes.  Same-shape operands pass gradients through as is.
-``gather_rows`` takes 1-d, non-negative row indices in any order, which
-may repeat a row.  ``canonical_sum``'s gradient is a count-matrix GEMM
-whose bits, like every weight gradient's, depend on the BLAS threads.
+``canonical_sum``'s gradient is a count-matrix GEMM whose bits, like
+every weight gradient's, depend on the BLAS threads.
 
 Every op keeps the dtype of its inputs.  The networks' parameters and the
 battle's observations and states are float32, so the whole training graph
@@ -299,7 +299,8 @@ def reduce_sum(t: Tensor, axis=None) -> Tensor:
 
 def count_matrix(sets: np.ndarray, n_rows: int, weights: np.ndarray):
     """(n_rows, B) matrix whose entry [u, b] sums the (B, m) ``weights`` of
-    row u's copies in the (B, m) row-index ``sets``, in their dtype."""
+    row u's copies in the (B, m) row-index ``sets``, in their dtype.  It is
+    dense: unmerged rows (an input needing a gradient) make n_rows B·m."""
     out = np.zeros((n_rows, len(sets)), weights.dtype)
     cells = sets * len(sets) + np.arange(len(sets))[:, None]
     np.add.at(out.reshape(-1), cells.reshape(-1), weights.reshape(-1))
@@ -395,38 +396,6 @@ def take_index(t: Tensor, indices: np.ndarray) -> Tensor:
     def rule(g):
         full = np.zeros_like(t.data)
         np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
-        t._accumulate(full)
-
-    return Tensor._from_op(out_val, (t,), rule)
-
-
-def _row_indices(indices: np.ndarray) -> np.ndarray:
-    """``indices`` as 1-d, non-negative row indices."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"row indices must be 1-d, got shape {idx.shape}")
-    if idx.size and idx.min() < 0:
-        raise ShapeError("row indices must be non-negative")
-    return idx
-
-
-def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
-    """Rows ``t[indices]`` along the first axis, for indices in any order.
-    Backward adds the gradients of a row's copies into that row."""
-    idx = _row_indices(indices)
-    out_val = t.data[idx]
-
-    def rule(g):
-        # a stable sort groups each row's copies in index order and one
-        # reduceat sums every group; np.add.at is several times slower.
-        # The narrowest key type gives the same permutation, radix-sorted
-        # for 8- and 16-bit keys
-        key = idx.astype(np.min_scalar_type(t.shape[0] - 1))
-        order = np.argsort(key, kind="stable")
-        rows = idx[order]
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        full = np.zeros_like(t.data)
-        full[rows[starts]] = np.add.reduceat(g[order], starts, axis=0)
         t._accumulate(full)
 
     return Tensor._from_op(out_val, (t,), rule)

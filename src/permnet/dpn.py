@@ -52,7 +52,6 @@ class DpnNet(Module):
 
     def __init__(self, rng: np.random.Generator, feature_dim: int,
                  group_size: int, hidden: int = 8, *, gumbel: GumbelConfig):
-        self.feature_dim = feature_dim
         self.group_size = group_size
         self.assign_mlp = Mlp(rng, [feature_dim, hidden, group_size])
         self.gumbel = gumbel

@@ -47,7 +47,6 @@ from .autodiff import (
     canonical_sum,
     concat,
     count_matrix,
-    gather_rows,
     mul,
     reduce_sum,
     relu,
@@ -105,10 +104,12 @@ def distinct_rows(X: Tensor):
     the rows by their bits.  Rows are compared as bits, so -0.0 and +0.0
     are two rows.  The rows of an input that needs a gradient are never
     merged, since a merged row's gradient would go to one copy; they are
-    still ranked."""
+    still ranked.  ``rows`` is one node whose only parent is X, and its
+    gradient is an exact copy: each row's gradient is written back to the
+    row of X it came from."""
     lead = X.shape[:-1]
-    flat = reshape(X, (math.prod(lead), X.shape[-1]))
-    words = np.ascontiguousarray(flat.data).view(f"u{flat.data.itemsize}")
+    flat = X.data.reshape(math.prod(lead), X.shape[-1])
+    words = np.ascontiguousarray(flat).view(f"u{flat.itemsize}")
     order = np.lexsort(words.T)
     new = np.ones(len(words), bool)
     if not X.requires_grad:
@@ -119,7 +120,15 @@ def distinct_rows(X: Tensor):
                              out=new[1:])
     ranks = np.empty(len(words), np.intp)
     ranks[order] = np.cumsum(new) - 1
-    return gather_rows(flat, order[new]), ranks.reshape(lead)
+    keep = order[new]
+
+    def rule(g):
+        # runs only when X needs a gradient, so the kept rows are distinct
+        full = np.zeros_like(flat)
+        full[keep] = g
+        X._accumulate(full.reshape(X.shape))
+
+    return Tensor._from_op(flat[keep], (X,), rule), ranks.reshape(lead)
 
 
 def hpn_input_layer(layer: HyperLayer, rows: Tensor,
@@ -181,7 +190,6 @@ class HpnAgentNet(AgentNet):
                  n_enemies: int, hidden: int = 64, hyper_hidden: int = 64):
         self.n_allies = n_allies
         self.n_enemies = n_enemies
-        self.hidden = hidden
         k = ENTITY_FEATURES
         self.own_dense = Linear(rng, OWN_FEATURES, hidden)
         self.ally_embed = HyperLayer(rng, k, k, hidden, hyper_hidden)

@@ -560,6 +560,8 @@ def train_loop(cfg: TrainConfig, env_factory, net_factory,
     environment; the tag seeds any wrapper randomness.  Fully deterministic
     for a fixed config.
     """
+    if eval_interval < 1:  # the evaluation grid would never pass step 0
+        raise ValueError(f"eval_interval must be >= 1, got {eval_interval}")
     env_cfg = env_factory(0).cfg
     learner = Learner(cfg, net_factory, env_cfg, mixer)
     runner = ParallelRunner(cfg, env_factory, learner.net)

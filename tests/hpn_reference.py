@@ -22,17 +22,28 @@ from permnet.autodiff import (
     add,
     bmm,
     concat,
-    gather_rows,
     mul,
     reduce_sum,
     reshape,
 )
 
 
+def take_rows(t, indices):
+    """Rows ``t[indices]`` along the first axis, for 1-d indices in any
+    order that may repeat a row; backward adds each copy's gradient into
+    its row with ``np.add.at``."""
+    def rule(g):
+        full = np.zeros_like(t.data)
+        np.add.at(full, indices, g)
+        t._accumulate(full)
+
+    return Tensor._from_op(t.data[indices], (t,), rule)
+
+
 def entity_block(rows, ranks):
     """The entity block X (..., m, k) that the key ``rows, ranks`` came
     from: ``rows[ranks]``."""
-    return reshape(gather_rows(rows, ranks.reshape(-1)),
+    return reshape(take_rows(rows, ranks.reshape(-1)),
                    ranks.shape + rows.shape[1:])
 
 
@@ -50,7 +61,7 @@ def dense_input_layer(layer, rows, ranks):
     n_sets = int(np.prod(lead[:-1]))
     sets = np.repeat(np.arange(n_sets), lead[-1])
     order = np.lexsort((*words.T, sets))
-    ranked = gather_rows(reshape(per_entity, (flat, layer.cols)), order)
+    ranked = take_rows(reshape(per_entity, (flat, layer.cols)), order)
     pooled = reduce_sum(reshape(ranked, lead + (layer.cols,)), axis=-2)
     if layer.shared_bias is None:
         return pooled

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from permnet import autodiff as ad
 from permnet.autodiff import (
     AdamState, ShapeError, Tensor, adam_step, add, affine, bmm,
-    canonical_sum, concat, gather_rows, grad_check, matmul, mul, no_grad,
+    canonical_sum, concat, grad_check, matmul, mul, no_grad,
     one_hot, reduce_sum, reshape, softmax, straight_through,
     take_index, uniform_init,
 )
@@ -455,71 +455,6 @@ def test_take_index_shape_mismatch():
 # ---------------------------------------------------------------------------
 # straight-through
 # ---------------------------------------------------------------------------
-
-def test_gather_rows_forward_and_repeated_index_grad():
-    x = t(np.arange(12.0).reshape(4, 3))
-    idx = np.array([0, 2, 2, 2])
-    out = gather_rows(x, idx)
-    assert np.array_equal(out.data, x.data[idx])
-    reduce_sum(out).backward()
-    assert np.array_equal(x.grad, [[1, 1, 1], [0, 0, 0], [3, 3, 3],
-                                   [0, 0, 0]])
-
-
-def test_gather_rows_grad_check_with_repeats():
-    w = Tensor(np.random.default_rng(17).standard_normal((5, 2, 3)))
-    x = np.random.default_rng(18).standard_normal((4, 2, 3))
-    idx = np.array([0, 1, 3, 3, 3])
-    assert grad_check(
-        lambda a: reduce_sum(mul(ad.relu(gather_rows(a, idx)), w)), [x]) < 1e-6
-
-
-@pytest.mark.parametrize("idx", [
-    [3, 0, 3, 1, 0, 3], [2, 2, 2], [1, 0], []], ids=[
-        "unsorted-repeats", "one-row-repeated", "reversed", "empty"])
-def test_gather_rows_unsorted_repeated_and_empty_indices(idx):
-    idx = np.array(idx, dtype=int)
-    x = np.random.default_rng(22).standard_normal((4, 2, 3))
-    out = gather_rows(t(x), idx)
-    assert out.shape == (len(idx), 2, 3)
-    assert np.array_equal(out.data, x[idx])
-    w = Tensor(np.random.default_rng(23).standard_normal((len(idx), 2, 3)))
-    assert grad_check(
-        lambda a: reduce_sum(mul(ad.relu(gather_rows(a, idx)), w)), [x]) < 1e-6
-    a = t(x)
-    reduce_sum(mul(gather_rows(a, idx), w)).backward()
-    expected = np.zeros_like(x)
-    np.add.at(expected, idx, w.data)
-    np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
-
-
-@pytest.mark.parametrize("rows", [1, 256, 257, 65536, 65537])
-def test_gather_rows_backward_at_every_key_width(rows):
-    """The backward sorts row indices as 8-, 16- or 32-bit keys, chosen
-    by the row count; the largest row index must survive the narrowing."""
-    rng = np.random.default_rng(rows)
-    idx = np.concatenate([rng.integers(0, rows, 500), [rows - 1, 0,
-                                                       rows - 1]])
-    a = t(rng.standard_normal((rows, 2)))
-    w = Tensor(rng.standard_normal((len(idx), 2)))
-    reduce_sum(mul(gather_rows(a, idx), w)).backward()
-    expected = np.zeros((rows, 2))
-    np.add.at(expected, idx, w.data)
-    np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
-
-
-def test_gather_rows_rejects_nested_indices():
-    with pytest.raises(ShapeError, match="1-d"):
-        gather_rows(t(np.zeros((3, 2))), np.zeros((2, 1), dtype=int))
-
-
-@pytest.mark.parametrize("idx, why", [
-    ([-1, 0, 1], "non-negative"), ([[0], [1], [2]], "1-d")], ids=[
-        "negative-gather", "2-d-gather"])
-def test_row_ops_reject_unsorted_negative_or_nested_indices(idx, why):
-    with pytest.raises(ShapeError, match=why):
-        gather_rows(t(np.zeros((3, 2))), np.array(idx))
-
 
 def test_straight_through_forward_is_bitwise_hard():
     soft = softmax(t(np.array([0.3, 0.7])))

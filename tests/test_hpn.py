@@ -392,6 +392,39 @@ def test_distinct_rows_of_empty_groups():
                             ranks).shape == (4, 0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_distinct_rows_hand_each_row_its_own_gradient(dtype):
+    """Rows repeat within and across observations, but an input that
+    needs a gradient merges none of them: X.grad is bitwise each row's
+    upstream gradient, written back where the row came from."""
+    X = Tensor(duplicate_rows_block(np.random.default_rng(64)).astype(dtype),
+               requires_grad=True)
+    rows, ranks = distinct_rows(X)
+    assert rows._parents == (X,)
+    g = np.random.default_rng(65).normal(size=rows.shape).astype(dtype)
+    rows.backward(g)
+    assert X.grad.dtype == dtype
+    assert np.array_equal(bits(X.grad), bits(g[ranks]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(0, 3, K), (4, 0, K)], ids=["B=0", "m=0"])
+def test_distinct_rows_of_an_empty_block_backpropagate_zeros(shape, dtype):
+    X = Tensor(np.zeros(shape, dtype), requires_grad=True)
+    rows, _ = distinct_rows(X)
+    rows.backward(np.zeros(rows.shape, dtype))
+    assert X.grad.shape == shape and X.grad.dtype == dtype
+    assert not X.grad.any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_distinct_rows_of_a_constant_block_record_no_graph(dtype):
+    X = Tensor(duplicate_rows_block(np.random.default_rng(66)).astype(dtype))
+    rows, _ = distinct_rows(X)
+    assert not rows.requires_grad
+    assert rows._parents == () and rows._backward_rule is None
+
+
 @pytest.mark.parametrize("cls", POOLING_NETS)
 def test_each_entity_block_keyed_once_per_forward(cls, monkeypatch):
     keyed = []

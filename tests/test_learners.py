@@ -1222,6 +1222,23 @@ def test_train_loop_schedule_and_determinism():
         assert 0.0 <= win <= 1.0
 
 
+@pytest.mark.parametrize("interval", [0, -200])
+def test_train_loop_refuses_an_interval_below_one(interval):
+    """Such a grid never passes step 0 and would evaluate there forever;
+    the callback stops that loop, so a missing check fails, not hangs."""
+    rows = []
+
+    def progress(row):
+        rows.append(row)
+        if len(rows) == 3:
+            raise RuntimeError("evaluated 3 times without advancing")
+
+    with pytest.raises(ValueError, match=f"got {interval}"):
+        train_loop(small_cfg(), plain_env_factory, concat_factory,
+                   eval_interval=interval, progress=progress)
+    assert rows == []
+
+
 def test_train_loop_with_augmentation_runs():
     rows = train_loop(small_cfg(total_env_steps=200), plain_env_factory,
                       concat_factory, mixer="vdn", augment=True,
