@@ -3,8 +3,19 @@ multi-agent Q-learning, with a deterministic micro-battle environment,
 VDN/QMIX learners, and a small experiment CLI."""
 
 import os
+import sys
+import warnings
 
 # one BLAS thread before numpy loads: threaded sums depend on the host
+_blas_threads = os.environ.get("OPENBLAS_NUM_THREADS",
+                               os.environ.get("OMP_NUM_THREADS"))
+if "numpy" in sys.modules and _blas_threads != "1":
+    warnings.warn(
+        "permnet was imported after numpy while OPENBLAS_NUM_THREADS (or "
+        f"OMP_NUM_THREADS) was {_blas_threads or 'unset'}, not 1: BLAS keeps "
+        "the thread count numpy started with, and weight-gradient bytes "
+        "depend on it; import permnet before numpy, or set "
+        "OPENBLAS_NUM_THREADS=1", UserWarning)
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 

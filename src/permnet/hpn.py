@@ -80,9 +80,6 @@ class HyperLayer(Module):
             uniform_init(rng, feature_dim, (cols,)), requires_grad=True))
 
     def generate(self, X: Tensor):
-        if X.shape[-1] != self.feature_dim:
-            raise ShapeError(
-                f"entity feature width {X.shape[-1]} != {self.feature_dim}")
         z = relu(self.body(X))
         weights = reshape(self.w_head(z),
                           X.shape[:-1] + (self.rows, self.cols))

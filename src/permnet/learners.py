@@ -137,7 +137,6 @@ class QmixMixer(Module):
     def __init__(self, rng: np.random.Generator, n_agents: int,
                  state_dim: int, embed: int = 32, hypernet_embed: int = 64):
         self.n_agents = n_agents
-        self.state_dim = state_dim
         self.embed = embed
         self.hyper_w1 = Mlp(rng, [state_dim, hypernet_embed, n_agents * embed])
         self.hyper_w2 = Mlp(rng, [state_dim, hypernet_embed, embed])
@@ -150,9 +149,6 @@ class QmixMixer(Module):
             raise ShapeError(
                 f"got {agent_qs.shape[-1]} agent values, expected "
                 f"{self.n_agents}")
-        if state.shape[-1] != self.state_dim:
-            raise ShapeError(
-                f"state width {state.shape[-1]} != {self.state_dim}")
         b = state.shape[0]
         w1 = reshape(abs_(self.hyper_w1(state)),
                      (b, self.n_agents, self.embed))
@@ -287,10 +283,9 @@ def copy_parameters(src: dict[str, Tensor], dst: dict[str, Tensor]):
 
 
 def _net_forward(net, own: Tensor, allies: Tensor, enemies: Tensor,
-                 rng: np.random.Generator | None = None,
-                 deterministic: bool = True) -> Tensor:
-    return net.forward_batch(own, allies, enemies, rng=rng,
-                             deterministic=deterministic)
+                 **kwargs) -> Tensor:
+    """Kept for its one caller, ``_greedy_q`` in ``perfbench/bench.py``."""
+    return net.forward_batch(own, allies, enemies, **kwargs)
 
 
 def greedy_actions(q: np.ndarray, avail: np.ndarray) -> np.ndarray:
@@ -307,6 +302,15 @@ def greedy_actions(q: np.ndarray, avail: np.ndarray) -> np.ndarray:
 def _agent_rows(observations) -> list[Tensor]:
     """Batch observations as one row per agent: own, allies, enemies."""
     return [Tensor(x.reshape((-1,) + x.shape[2:])) for x in observations]
+
+
+def greedy_q(net, observations) -> np.ndarray:
+    """(R, n, n_actions) Q-values of the (R, n, ...) own, allies and
+    enemies arrays that ``BattleBatch.views`` returns: one deterministic
+    forward over every agent's row, without a graph."""
+    with no_grad():
+        q = net.forward_batch(*_agent_rows(observations), deterministic=True)
+    return q.data.reshape(observations[0].shape[:2] + (-1,))
 
 
 def _stack_episodes(episodes: list, cfg: BattleConfig
@@ -383,26 +387,17 @@ class Learner:
             raise ValueError("empty training batch")
         battles, data = _stack_episodes(episodes, self.env_cfg)
         avail, observations = battles.views()
-        own, allies, enemies = _agent_rows(observations)
         state = None if self.mixer is None else battles.state()
         steps, n = data["actions"].shape
         rows = steps * n
 
-        with no_grad():
-            q_target = _net_forward(self.target_net, own, allies, enemies,
-                                    deterministic=True).data
-        q = _net_forward(self.net, own, allies, enemies,
-                         rng=self.forward_rng, deterministic=False)
-        if self.net.noisy_grad_forward:
-            with no_grad():
-                q_online = _net_forward(self.net, own, allies, enemies,
-                                        deterministic=True).data
-        else:
-            # same ops and values as a greedy forward: reuse them
-            q_online = q.data
-        q_online = q_online.reshape(avail.shape)
-        q_target = q_target.reshape(avail.shape)
-        best = greedy_actions(q_online, avail)
+        q_target = greedy_q(self.target_net, observations)
+        q = self.net.forward_batch(*_agent_rows(observations),
+                                   rng=self.forward_rng, deterministic=False)
+        # only a noisy grad forward differs from the greedy one
+        best = greedy_actions(
+            greedy_q(self.net, observations) if self.net.noisy_grad_forward
+            else q.data.reshape(avail.shape), avail)
         chosen_target = np.take_along_axis(
             q_target, best[..., None], axis=-1)[..., 0]
         with no_grad():
@@ -486,10 +481,7 @@ class ParallelRunner:
         batch = self.batch
         avail, observations = batch.views()
         runners = len(avail)
-        with no_grad():
-            q = _net_forward(self.net, *_agent_rows(observations),
-                             deterministic=True).data
-        actions = greedy_actions(q.reshape(avail.shape), avail)
+        actions = greedy_actions(greedy_q(self.net, observations), avail)
         eps = anneal_epsilon(self.env_steps, self.cfg.epsilon_start,
                              self.cfg.epsilon_finish,
                              self.cfg.epsilon_anneal_steps)
@@ -532,13 +524,10 @@ def evaluate_net(net, env_factory, episodes: int = 32) -> float:
     while not done.all():
         active = np.flatnonzero(~done)
         avail = np.stack([envs[i].available_actions() for i in active])
-        own = np.stack([o.own for i in active for o in obs[i]])
-        allies = np.stack([o.allies for i in active for o in obs[i]])
-        enemies = np.stack([o.enemies for i in active for o in obs[i]])
-        with no_grad():
-            q = _net_forward(net, Tensor(own), Tensor(allies),
-                             Tensor(enemies), deterministic=True).data
-        actions = greedy_actions(q.reshape(avail.shape), avail)
+        observations = [np.array([[getattr(o, name) for o in obs[i]]
+                                  for i in active])
+                        for name in ("own", "allies", "enemies")]
+        actions = greedy_actions(greedy_q(net, observations), avail)
         for pos, i in enumerate(active):
             obs[i], _, _, done[i], info = envs[i].step(actions[pos])
             won[i] = info["win"]

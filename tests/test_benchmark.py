@@ -200,6 +200,21 @@ def test_package_import_pins_blas_threads():
     assert len(digests) == 1
 
 
+@pytest.mark.parametrize("code, threads, warns", [
+    ("import numpy, permnet", "2", True),
+    ("import permnet, numpy", "2", False),
+    ("import numpy, permnet", "1", False),
+])
+def test_late_import_warns_unless_blas_has_one_thread(code, threads, warns):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               OPENBLAS_NUM_THREADS=threads)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert ("UserWarning" in out.stderr) == warns
+    assert ("import permnet before numpy" in out.stderr) == warns
+
+
 def test_suite_runs_on_one_blas_thread():
     """The suite's own process gives the 1-thread GEMM bytes, whatever
     thread count the host would default to."""

@@ -367,6 +367,7 @@ def test_greedy_forwards_never_sample(monkeypatch):
     q_values(agent, *obs)
     with no_grad():
         q_values(agent, *obs)
+    permnet.learners.greedy_q(agent, [x[None] for x in obs])
 
 
 @pytest.mark.parametrize("preset", ["3v3", "5v6"])

@@ -88,7 +88,7 @@ def test_generate_shapes():
 
 def test_generate_rejects_feature_width():
     layer = input_layer(0)
-    with pytest.raises(ShapeError, match="feature width"):
+    with pytest.raises(ShapeError, match="input width"):
         layer.generate(Tensor(np.zeros((3, K + 1))))
 
 

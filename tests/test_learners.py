@@ -19,7 +19,7 @@ from permnet.autodiff import (
     take_index,
 )
 from permnet.baselines import ConcatAgentNet
-from permnet.cli import env_factory_for, net_factory_for
+from permnet.cli import ARCHITECTURES, env_factory_for, net_factory_for
 from permnet.env import (
     ACTION_NOOP,
     ACTION_STOP,
@@ -44,6 +44,7 @@ from permnet.learners import (
     augment_experience,
     evaluate_net,
     greedy_actions,
+    greedy_q,
     relabel_episode,
     td_lambda_targets,
     team_parameters,
@@ -184,7 +185,7 @@ def test_qmix_degenerates_to_vdn():
 
 def test_qmix_shape_errors():
     mixer = make_mixer(5)
-    with pytest.raises(ShapeError, match="state width"):
+    with pytest.raises(ShapeError, match="input width"):
         mixer(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 9))))
     with pytest.raises(ShapeError, match="agent values"):
         mixer(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 8))))
@@ -785,6 +786,31 @@ def test_learner_forwards_see_only_real_steps(arch, mixer, augment,
 # -- rollouts and evaluation -------------------------------------------
 
 
+@pytest.mark.parametrize("preset", ["3v3", "5v6"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_greedy_q_is_the_deterministic_forward_bitwise(arch, preset):
+    cfg = PRESETS[preset]
+    rng = np.random.default_rng(41)
+    batch = BattleBatch(cfg, 4)
+    for i in range(4):
+        batch.reset(i, int(rng.integers(2 ** 31)),
+                    rng.permutation(cfg.n_allies - 1),
+                    rng.permutation(cfg.n_enemies))
+    for _ in range(3):
+        avail = batch.available_actions()
+        batch.step(np.argmax(rng.random(avail.shape) * avail, axis=-1))
+    avail, observations = batch.views()
+    net = net_factory_for(arch, cfg)(np.random.default_rng(42))
+    q = greedy_q(net, observations)
+    with no_grad():
+        expected = net.forward_batch(
+            *(Tensor(x.reshape((-1,) + x.shape[2:])) for x in observations),
+            deterministic=True).data
+    assert isinstance(q, np.ndarray) and q.shape == avail.shape
+    assert q.dtype == expected.dtype
+    assert q.tobytes() == expected.tobytes()
+
+
 def test_runner_counts_env_steps_and_is_deterministic():
     net = concat_factory(np.random.default_rng(16))
     outs = []
@@ -1078,8 +1104,8 @@ class PerBattleRunner:
         allies = np.stack([o.allies for obs in self._obs for o in obs])
         enemies = np.stack([o.enemies for obs in self._obs for o in obs])
         with no_grad():
-            q = learners._net_forward(self.net, Tensor(own), Tensor(allies),
-                                      Tensor(enemies)).data
+            q = self.net.forward_batch(Tensor(own), Tensor(allies),
+                                       Tensor(enemies)).data
         eps = anneal_epsilon(self.env_steps, self.cfg.epsilon_start,
                              self.cfg.epsilon_finish,
                              self.cfg.epsilon_anneal_steps)
