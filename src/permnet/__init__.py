@@ -19,4 +19,28 @@ if "numpy" in sys.modules and _blas_threads != "1":
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
+# glibc keeps this much freed heap above the break instead of trimming it:
+# a backward frees its gradients mid-pass, and a trimmed heap is
+# page-faulted back in on the next train step
+_M_TOP_PAD = -2
+_TOP_PAD_BYTES = 64 << 20
+
+
+def _keep_freed_heap():
+    # no os.confstr (Windows), no such name (macOS) or not glibc (musl)
+    # raise; so do a C library that fails to load or lacks mallopt
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        import ctypes
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+
+
+_keep_freed_heap()
+
 __version__ = "0.1.0"

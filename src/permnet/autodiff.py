@@ -4,6 +4,9 @@ Tensors wrap a float32 or float64 numpy array plus an optional gradient
 array; non-leaf tensors record their parents and a backward rule, and
 ``Tensor.backward`` replays the rules in reverse topological order, visiting
 each node exactly once and *accumulating* (never overwriting) gradients.
+One pass consumes the graph: a non-leaf drops its gradient, rule and
+parents once its rule has run, so only leaves keep ``.grad``, and a
+second pass through a consumed node raises.
 Gradient arrays may be shared between tensors and are never written in
 place.  Op functions build every graph node through ``Tensor._from_op``:
 the module-level ones (``add``, ``mul``, ``reduce_sum``, ...) and the
@@ -111,18 +114,36 @@ class Tensor:
         self.grad = None
 
     def backward(self, seed=None):
-        """Reverse-mode pass from this tensor.
+        """Reverse-mode pass from this tensor; it consumes the graph.
 
         ``seed`` defaults to ones (the usual scalar-loss case).  Nodes are
-        visited in reverse topological order exactly once.
+        visited in reverse topological order exactly once.  Once a node's
+        rule has run, the node drops its gradient, its rule and its
+        parents, so each intermediate gradient and each array only that
+        rule held is freed during the pass.  Leaves keep their ``.grad``;
+        a non-leaf's is not kept.  A second pass through a consumed node
+        raises ``RuntimeError``.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that requires no grad")
         order = _topo_order(self)
         self._accumulate(np.ones_like(self.data) if seed is None else _as_array(seed))
-        for node in reversed(order):
-            if node._backward_rule is not None:
-                node._backward_rule(node.grad)
+        # popping lets a node, and the array it holds, go as soon as its
+        # rule has run, unless the caller still refers to it
+        while order:
+            node = order.pop()
+            rule = node._backward_rule
+            if rule is not None:
+                rule(node.grad)
+                node.grad = None
+                node._parents = ()
+                node._backward_rule = _consumed
+
+
+def _consumed(g):
+    """The rule of a node a backward pass has already run through."""
+    raise RuntimeError("backward() through a graph that a backward pass "
+                       "has already consumed")
 
 
 def constant(value, like: Tensor) -> Tensor:
@@ -142,6 +163,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in visited:
             continue
+        if node._backward_rule is _consumed:
+            _consumed(None)
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -483,12 +506,16 @@ def grad_check(f, inputs, h: float = 1e-5) -> float:
     each perturbed component, so it must be deterministic.  The error metric
     is |analytic - numeric| / max(1, |analytic|), maximized over all input
     components.  Inputs must be float64: float32 rounding alone puts the
-    error near 1e-3 at ``h`` = 1e-5.
+    error near 1e-3 at ``h`` = 1e-5.  They must be leaves, since the
+    backward frees a non-leaf's gradient.
     """
     inputs = [t if isinstance(t, Tensor) else Tensor(t, requires_grad=True)
               for t in inputs]
     if any(t.data.dtype != np.float64 for t in inputs):
         raise TypeError("grad_check needs float64 inputs")
+    if any(t._backward_rule is not None for t in inputs):
+        raise ValueError("grad_check needs leaf inputs: the backward frees "
+                         "a non-leaf's gradient")
     for t in inputs:
         t.requires_grad = True
         t.zero_grad()

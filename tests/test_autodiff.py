@@ -114,6 +114,99 @@ def test_deep_chain_no_recursion_error():
     assert x.grad == 1.0
 
 
+# -- a pass consumes its graph ----------------------------------------------
+
+def retained_backward(root):
+    """The pass without releases, as reference: every rule in reverse
+    topological order, each node keeping its gradient."""
+    order = ad._topo_order(root)
+    root._accumulate(np.ones_like(root.data))
+    for node in reversed(order):
+        if node._backward_rule is not None:
+            node._backward_rule(node.grad)
+
+
+def x_plus_x():
+    x = t(3.0)
+    return add(x, x), [x]
+
+
+def diamond():
+    x, y = t(2.0), t(5.0)
+    p = mul(x, y)
+    return add(p, p), [x, y]
+
+
+def chained_reuse():
+    x = t(1.5)
+    a = mul(x, x)
+    return mul(a, add(a, x)), [x]
+
+
+def shared_view():
+    rng = np.random.default_rng(20)
+    c, d = t(rng.standard_normal((3, 5))), t(rng.standard_normal((3, 5)))
+    s = add(c, d)
+    return add(reduce_sum(reshape(s, (15,))),
+               reduce_sum(mul(c, Tensor(2.0)))), [c, d]
+
+
+def deep_chain():
+    x = t(1.0)
+    y = x
+    for _ in range(500):
+        y = add(y, Tensor(1.0))
+    return y, [x]
+
+
+def composite():
+    """Every op kind, with a hidden node that two consumers read."""
+    rng = np.random.default_rng(21)
+    x, w, b, v, rows, stack = (t(rng.standard_normal(s)) for s in [
+        (6, 3), (3, 4), (4,), (4, 3), (5, 4), (3, 4, 3)])
+    h = ad.relu(affine(x, w, b))
+    soft = softmax(matmul(h, v))
+    picked = take_index(straight_through(soft, soft.data.round()),
+                        rng.integers(0, 3, size=6))
+    pooled = canonical_sum(rows, rng.integers(0, 5, size=(2, 3)))
+    batched = bmm(reshape(concat([h, ad.abs_(h)], axis=0), (3, 4, 4)),
+                  stack)
+    return add(add(reduce_sum(picked), reduce_sum(mul(pooled, pooled))),
+               reduce_sum(batched)), [x, w, b, v, rows, stack]
+
+
+GRAPHS = {f.__name__: f for f in (x_plus_x, diamond, chained_reuse,
+                                  shared_view, deep_chain, composite)}
+
+
+@pytest.mark.parametrize("build", GRAPHS.values(), ids=GRAPHS)
+def test_backward_releases_non_leaves_and_keeps_leaf_grads_bitwise(build):
+    root, leaves = build()
+    reference, reference_leaves = build()
+    retained_backward(reference)
+    reached = [n for n in ad._topo_order(root) if n._backward_rule is not None]
+    assert reached
+    root.backward()
+    for node in reached:
+        assert node.grad is None and node._parents == ()
+    for leaf, want in zip(leaves, reference_leaves):
+        assert leaf.grad.tobytes() == want.grad.tobytes()
+    with pytest.raises(RuntimeError, match="consumed"):
+        root.backward()
+
+
+def test_backward_through_a_consumed_node_raises_before_any_grad_moves():
+    x = t([1.0, 2.0])
+    h = mul(x, x)
+    first, second = reduce_sum(h), reduce_sum(add(h, x))
+    first.backward()
+    before = x.grad.copy()
+    with pytest.raises(RuntimeError, match="consumed"):
+        second.backward()
+    assert x.grad.tobytes() == before.tobytes()
+    assert second.grad is None
+
+
 # ---------------------------------------------------------------------------
 # broadcasting
 # ---------------------------------------------------------------------------
@@ -554,6 +647,12 @@ def test_grad_check_rejects_nonscalar():
 def test_grad_check_rejects_float32_inputs():
     with pytest.raises(TypeError, match="float64"):
         grad_check(lambda a: reduce_sum(a), [np.ones(3, np.float32)])
+
+
+def test_grad_check_rejects_non_leaf_inputs():
+    inner = mul(t(np.ones(3)), t(np.full(3, 2.0)))
+    with pytest.raises(ValueError, match="leaf"):
+        grad_check(lambda a: reduce_sum(a), [inner])
 
 
 def test_uniform_init_bounds_and_determinism():

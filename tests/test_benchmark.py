@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -213,6 +214,42 @@ def test_late_import_warns_unless_blas_has_one_thread(code, threads, warns):
                          capture_output=True, text=True, check=True)
     assert ("UserWarning" in out.stderr) == warns
     assert ("import permnet before numpy" in out.stderr) == warns
+
+
+# the C library as ``permnet`` loads it: missing, without ``mallopt``, or
+# recording each ``mallopt`` call
+_ALLOCATOR = """
+import ctypes, json, sys, types
+calls = []
+
+def mallopt(*args):
+    calls.append(args)
+    return 1
+
+def library(name):
+    if sys.argv[1] == "missing":
+        raise OSError("no C library")
+    return types.SimpleNamespace(
+        **({} if sys.argv[1] == "lacks" else {"mallopt": mallopt}))
+
+ctypes.CDLL = library
+import permnet
+print(json.dumps(calls))
+"""
+
+
+@pytest.mark.parametrize("library", ["missing", "lacks", "records"])
+def test_import_keeps_freed_heap_only_where_glibc_allows(library):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-W", "error::UserWarning", "-c", _ALLOCATOR,
+         library], env=env, capture_output=True, text=True, check=True)
+    assert out.stderr == ""
+    glibc = platform.libc_ver()[0] == "glibc"
+    # M_TOP_PAD (-2) at 64 MB
+    want = [[-2, 64 << 20]] if library == "records" and glibc else []
+    assert json.loads(out.stdout) == want
 
 
 def test_suite_runs_on_one_blas_thread():

@@ -419,13 +419,20 @@ SAMPLED_CONFIGS = {
 def sampled_run(build, net, x, weight, seed, monkeypatch):
     """M, the gradients of sum(M * weight) for the assignment scores and
     every assignment parameter, and the sampling Generator's state after
-    the call."""
+    the call.  The backward frees the scores' own gradient, so the scores
+    pass through an identity node whose rule records the gradient it
+    hands on."""
     made = []
     score = Mlp.__call__
 
     def recording(self, inputs):
-        made.append(score(self, inputs))
-        return made[-1]
+        scores = score(self, inputs)
+
+        def rule(g):
+            made.append(g)
+            scores._accumulate(g)
+
+        return Tensor._from_op(scores.data, (scores,), rule)
 
     for p in net.named_parameters().values():
         p.zero_grad()
@@ -435,7 +442,7 @@ def sampled_run(build, net, x, weight, seed, monkeypatch):
         M = build(net, Tensor(x), rng)
     reduce_sum(mul(M, Tensor(weight))).backward()
     grads = {name: p.grad for name, p in net.named_parameters().items()}
-    grads["scores"] = made[0].grad
+    grads["scores"], = made
     return M.data, grads, rng.bit_generator.state
 
 

@@ -1,6 +1,7 @@
 """Mixers, TD(lambda) targets, exploration, replay, relabeling, training."""
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -781,6 +782,40 @@ def test_learner_forwards_see_only_real_steps(arch, mixer, augment,
     real = sum(len(e) for e in episodes) * cfg.n_allies
     assert real < len(episodes) * max(len(e) for e in episodes) * cfg.n_allies
     assert rows == [(real,) * 3] * (3 if arch == "dpn" else 2)
+
+
+@pytest.mark.parametrize("arch, mixer, augment, preset", [
+    ("dpn", "qmix", True, "5v6"), ("hpn", "vdn", False, "3v3")])
+def test_train_step_leaves_no_graph_behind(arch, mixer, augment, preset,
+                                           monkeypatch):
+    """When Adam runs, the backward has released every gradient but the
+    parameters': a train step that keeps its graph alive fails here, not
+    only in peak RSS."""
+    cfg = PRESETS[preset]
+    episodes = collect_episodes(preset, False, 4)
+    if augment:
+        episodes = augment_experience(episodes, 1, np.random.default_rng(3))
+    learner = Learner(small_cfg(), net_factory_for(arch, cfg), cfg, mixer)
+
+    def holding_grads():
+        return [o for o in gc.get_objects()
+                if isinstance(o, Tensor) and o.grad is not None]
+
+    # kept alive, so no id below can be reused by a Tensor the step makes
+    earlier = holding_grads()
+    seen = []
+    original = learners.adam_step
+
+    def scanning(params, state):
+        seen.extend(holding_grads())
+        original(params, state)
+
+    monkeypatch.setattr(learners, "adam_step", scanning)
+    learner.train_step(episodes)
+    params = {id(p) for p in learner.params.values()}
+    held = {id(o) for o in seen}
+    assert held & params
+    assert held - params <= {id(o) for o in earlier}
 
 
 # -- rollouts and evaluation -------------------------------------------
