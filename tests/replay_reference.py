@@ -9,6 +9,9 @@ module keeps both float paths as test oracles:
   a ``MicroBattleEnv`` facade, the reference for ``_stack_episodes``;
 * ``relabel_views`` is the float relabelling that ``relabel_episode``
   applied to those views, the oracle for the integer relabelling.
+
+``ListReplay`` is the list of ``Episode`` objects that the flat replay
+store replaced, the reference for which episodes it keeps and samples.
 """
 
 from __future__ import annotations
@@ -30,6 +33,25 @@ def episode_of(steps: list, ally_rows, enemy_perm) -> Episode:
                       for name in steps[0]},
                    ally_rows=np.array(ally_rows),
                    enemy_perm=np.array(enemy_perm))
+
+
+class ListReplay:
+    """A list of episodes, oldest first: the newest ``capacity`` stay,
+    and ``sample`` draws list indices with one ``rng.choice`` call."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.episodes: list = []
+
+    def add(self, episode: Episode):
+        self.episodes.append(episode)
+        if len(self.episodes) > self.capacity:
+            del self.episodes[0]
+
+    def sample(self, rng: np.random.Generator, k: int) -> list:
+        idx = rng.choice(len(self.episodes), size=min(k, len(self.episodes)),
+                         replace=False)
+        return [self.episodes[i] for i in idx]
 
 
 def rollout_episode(seed, cfg=PRESETS["3v3"], policy=None) -> Episode:

@@ -1,7 +1,9 @@
 """Mixers, TD(lambda) targets, exploration, replay, relabeling, training."""
 
+import copy
 import dataclasses
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from permnet.env import (
     PRESETS,
     UNIT_FIELDS,
     BattleBatch,
+    BattleConfig,
     MicroBattleEnv,
     ObservationSet,
     other_ally_index,
@@ -57,6 +60,7 @@ import battle_reference as ref
 from float64_params import in_float64, learner_in_float64
 from replay_reference import (
     VIEW_FIELDS,
+    ListReplay,
     batch_views,
     episode_of,
     episode_views,
@@ -291,18 +295,124 @@ def test_anneal_schedule():
 # -- replay ------------------------------------------------------------
 
 
+def assert_same_values(got, want):
+    """Every field of episode ``got`` holds ``want``'s values, in any int
+    dtype; rewards stay float64."""
+    assert vars(got).keys() == vars(want).keys()
+    for name, column in vars(want).items():
+        assert getattr(got, name).shape == column.shape, name
+        assert np.array_equal(getattr(got, name), column), name
+    assert got.rewards.dtype == np.float64
+
+
 def test_replay_buffer_eviction_and_sampling():
-    buf = ReplayBuffer(capacity=3)
-    episodes = [[("ep", i)] for i in range(5)]
-    for ep in episodes:
-        buf.add(ep)
-    assert len(buf) == 3
-    sampled = buf.sample(np.random.default_rng(12), 10)
-    assert len(sampled) == 3
-    kept = {ep[0][1] for ep in sampled}
-    assert kept == {2, 3, 4}
+    # runner episodes past capacity: the oldest go, and every draw picks
+    # the episodes the list-of-episodes buffer picks, in its order
+    cfg = PRESETS["3v3"]
+    episodes = collect_episodes("3v3", True, 40)
+    buf, reference = ReplayBuffer(7, cfg), ListReplay(7)
+    for i, episode in enumerate(episodes):
+        buf.add(episode)
+        reference.add(episode)
+        assert len(buf) == len(reference.episodes) == min(i + 1, 7)
+        for seed in range(3):
+            got = buf.sample(np.random.default_rng(seed), 4)
+            want = reference.sample(np.random.default_rng(seed), 4)
+            assert len(got) == len(want) == min(i + 1, 4)
+            for g, w in zip(got, want):
+                assert_same_values(g, w)
+    assert buf._steps.base > 0    # the live steps have moved to the front
+    kept = buf.sample(np.random.default_rng(12), 10)
+    assert len(kept) == 7
+    order = np.random.default_rng(12).choice(7, size=7, replace=False)
+    for got, i in zip(kept, order):
+        assert_same_values(got, episodes[33 + i])
     with pytest.raises(ValueError, match="empty"):
-        buf.add([])
+        buf.add(dataclasses.replace(episodes[0], **{
+            name: getattr(episodes[0], name)[:0] for name in STEP_FIELDS}))
+
+
+@pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
+def test_replay_round_trips_every_field(preset):
+    # int8 holds every preset; the stacked batch widens to int64, so 8v9
+    # table rows (up to 1,854) come out as from the runner's int64 episodes
+    cfg = PRESETS[preset]
+    episodes = collect_episodes(preset, True, 8)
+    buf = ReplayBuffer(len(episodes), cfg)
+    for episode in episodes:
+        buf.add(episode)
+    stored = buf.sample(np.random.default_rng(3), len(episodes))
+    order = np.random.default_rng(3).choice(len(episodes), size=len(episodes),
+                                            replace=False)
+    for got, i in zip(stored, order):
+        assert_same_values(got, episodes[i])
+        assert {getattr(got, name).dtype for name in vars(got)
+                if name != "rewards"} == {np.dtype(np.int8)}
+    battles, data = learners._stack_episodes(stored, cfg)
+    want = [learner_views(episodes[i], cfg) for i in order]
+    assert_same_arrays(batch_views(battles), {
+        name: np.concatenate([views[name] for views in want])
+        for name in VIEW_FIELDS})
+    assert data["actions"].dtype == np.int64
+    assert np.array_equal(data["actions"],
+                          np.concatenate([episodes[i].actions for i in order]))
+
+
+def test_replay_widens_dtype_for_a_large_grid():
+    # x and y reach 129 on a 130-cell grid, past int8: the store derives
+    # int16 from the config and keeps every value
+    cfg = BattleConfig(grid_size=130, episode_limit=12)
+    episodes = [rollout_episode(seed, cfg) for seed in (0, 1)]
+    assert max(getattr(e, name).max() for e in episodes
+               for name in UNIT_FIELDS) > np.iinfo(np.int8).max
+    buf = ReplayBuffer(2, cfg)
+    for episode in episodes:
+        buf.add(episode)
+    for got, i in zip(buf.sample(np.random.default_rng(0), 2),
+                      np.random.default_rng(0).choice(2, 2, replace=False)):
+        assert_same_values(got, episodes[i])
+        assert got.enemy_x.dtype == got.actions.dtype == np.int16
+
+
+def test_sampled_episodes_are_read_only_and_stable():
+    cfg = PRESETS["3v3"]
+    episodes = collect_episodes("3v3", True, 30)
+    buf = ReplayBuffer(4, cfg)
+    for episode in episodes[:4]:
+        buf.add(episode)
+    held = buf.sample(np.random.default_rng(5), 4)
+    order = np.random.default_rng(5).choice(4, size=4, replace=False)
+    for episode in held:
+        for name, column in vars(episode).items():
+            with pytest.raises(ValueError, match="read-only"):
+                column[...] = 0
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+    for episode in episodes[4:]:   # evicts all four and compacts
+        buf.add(episode)
+    assert buf._steps.base > 0
+    for got, i in zip(held, order):
+        assert_same_values(got, episodes[i])
+
+
+def test_replay_store_bytes_per_step():
+    # what the store keeps per stored 3v3 battle-step, by tracemalloc: a
+    # list of runner Episode objects (ten int64/float64 arrays each) kept
+    # 347 B here; the flat int8 columns, with their growth slack and the
+    # per-episode columns, keep 55 B.  The bound is under a third of 347.
+    cfg = PRESETS["3v3"]
+    episodes = collect_episodes("3v3", True, 240)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        buf = ReplayBuffer(200, cfg)
+        for episode in episodes:
+            buf.add(copy.deepcopy(episode))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(buf) == 200
+    assert kept / sum(len(e) for e in episodes[-200:]) <= 100
 
 
 # -- augmentation ------------------------------------------------------
