@@ -8,11 +8,11 @@ the online network picks the argmax action, the hard-updated target copy
 evaluates it.  The recursion runs on float64 rewards; the targets are
 rounded once to the network's float32 where they enter the loss.  Replay
 stores whole episodes of battle states, which the env's ``BattleBatch``
-presents to the learner, and samples them uniformly.  It keeps them in
-flat per-step and per-episode columns of the narrowest int dtype the
-battle config allows (int8 on every preset), not as one object per
-episode; a sampled episode is a read-only copy, widened to int64 only
-where the learner stacks its batch.
+presents to the learner, and samples them uniformly.  It keeps each
+episode as one read-only record array in the narrowest int dtype the
+battle config allows (int8 on every preset); a sampled episode's fields
+are views of its record, widened to int64 only where the learner stacks
+its batch.
 
 ``augment_experience`` is a pure data transform: it renames the units of
 stored episodes under random ally/enemy permutations (unit axes,
@@ -30,6 +30,7 @@ order, so training is bitwise reproducible per seed.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,7 +68,7 @@ class Episode:
     reward that followed; ``ally_rows`` and ``enemy_perm`` are the
     presentation of the battle's ``BattleBatch`` row.  The runner hands
     out int64 episodes; ``ReplayBuffer.sample`` returns read-only ones in
-    the store's narrow int dtype."""
+    the store's narrow int dtype, step fields viewing a stored record."""
 
     ally_x: np.ndarray      # (T, n)
     ally_y: np.ndarray      # (T, n)
@@ -207,76 +208,23 @@ def anneal_epsilon(step: int, start: float = 1.0, finish: float = 0.05,
 # replay and augmentation
 # ---------------------------------------------------------------------------
 
-class _Queue:
-    """Rows pushed at the back of named columns and popped from the front.
-
-    A row's number counts the rows pushed before it and never changes; the
-    row sits at index ``number - base``.  A push that does not fit first
-    moves the live rows to the front, into new columns of twice the rows
-    needed when those would fill more than half the old ones.  Each row is
-    then copied O(1) times on average, and the columns hold at most twice
-    the most rows ever needed at once."""
-
-    def __init__(self, columns: dict[str, tuple[tuple, np.dtype]]):
-        self.columns = {name: np.empty((0,) + shape, dtype)
-                        for name, (shape, dtype) in columns.items()}
-        self.base = self.first = self.end = 0
-
-    def __len__(self) -> int:
-        return self.end - self.first
-
-    def push(self, count: int, values: dict) -> int:
-        """Write ``count`` rows from ``values[name]`` into each column
-        ``name``; return the first one's number."""
-        room = len(next(iter(self.columns.values())))
-        if self.end - self.base + count > room:
-            need = len(self) + count
-            size = room if 2 * need <= room else 2 * need
-            live = slice(self.first - self.base, self.end - self.base)
-            for name, column in self.columns.items():
-                moved = (column if size == room else
-                         np.empty((size,) + column.shape[1:], column.dtype))
-                moved[:len(self)] = column[live]
-                self.columns[name] = moved
-            self.base = self.first
-        at = self.end - self.base
-        for name, column in self.columns.items():
-            column[at:at + count] = values[name]
-        self.end += count
-        return self.end - count
-
-    def oldest(self, name: str):
-        """Column ``name`` of the oldest live row."""
-        return self.columns[name][self.first - self.base]
-
-    def pop(self, count: int):
-        """Drop the ``count`` oldest rows."""
-        self.first += count
-
-    def take(self, numbers: np.ndarray) -> dict[str, np.ndarray]:
-        """Copies of the numbered rows, one take per column."""
-        return {name: column.take(numbers - self.base, axis=0)
-                for name, column in self.columns.items()}
-
-
 class ReplayBuffer:
     """Whole-episode store; uniform episode sampling without replacement.
 
-    Steps live in flat per-step columns, episode after episode and oldest
-    first: one per ``UNIT_FIELDS`` name and ``actions``, in the narrowest
-    int dtype that holds every value a battle under ``cfg`` takes (below
-    ``max(grid_size, max_health + 1, n_actions, n_allies)``: int8 on every
-    preset), and float64 ``rewards``.  Episodes live in per-episode
-    columns: ``start`` (the number of the first step), ``length``,
-    ``ally_rows`` and ``enemy_perm``.  Both are ``_Queue``s, so evicting
-    the oldest episode frees its steps for reuse and memory follows the
-    stored steps (29 bytes per 3v3 step, 67 per 8v9, before the queue's
-    slack).  ``capacity`` counts episodes.
+    A deque, oldest first, holds one read-only numpy structured array per
+    stored episode with one record per step: a field per ``UNIT_FIELDS``
+    name and ``actions``, in the narrowest int dtype that holds every value
+    a battle under ``cfg`` takes (below ``max(grid_size, max_health + 1,
+    n_actions, n_allies)``: int8 on every preset), and float64
+    ``rewards``.  Each episode's ``ally_rows`` and ``enemy_perm`` go, in
+    the same int dtype, into a ring of ``capacity`` rows at its add count
+    modulo ``capacity``.  ``capacity`` counts episodes.
 
-    ``sample`` draws episode indices, oldest first, with one
-    ``rng.choice`` call and returns ``Episode``s built from one take per
-    column: copies, so later adds and evictions leave them unchanged, and
-    read-only, so writing to one raises.
+    ``sample`` draws deque indices with one ``rng.choice`` call and returns
+    ``Episode``s whose step fields are views of the stored records and
+    whose presentation is a copy from the ring.  No add or eviction writes
+    a stored record, so they stay unchanged, and all are read-only, so
+    writing to one raises.
     """
 
     def __init__(self, capacity: int, cfg: BattleConfig):
@@ -285,44 +233,55 @@ class ReplayBuffer:
         # the narrowest signed int holding -bound holds 0 .. bound - 1
         narrow = np.min_scalar_type(-max(cfg.grid_size, cfg.max_health + 1,
                                          cfg.n_actions, n))
-        # both in ``Episode`` field order, which ``sample`` relies on
-        self._steps = _Queue(
-            {name: ((m if name.startswith("enemy") else n,), narrow)
-             for name in UNIT_FIELDS + ("actions",)}
-            | {"rewards": ((), np.float64)})
-        self._episodes = _Queue({
-            "start": ((), np.int64), "length": ((), np.int64),
-            "ally_rows": ((n, n - 1), narrow), "enemy_perm": ((m,), narrow)})
+        self._range = np.iinfo(narrow)
+        self._step_dtype = np.dtype(
+            [(name, narrow, (m if name.startswith("enemy") else n,))
+             for name in UNIT_FIELDS + ("actions",)]
+            + [("rewards", np.float64)])
+        self._records: deque[np.ndarray] = deque(maxlen=capacity)
+        self._presentations = np.zeros(capacity, [
+            ("ally_rows", narrow, (n, n - 1)), ("enemy_perm", narrow, (m,))])
+        self._added = 0
 
     def __len__(self) -> int:
-        return len(self._episodes)
+        return len(self._records)
+
+    def _holds(self, values: np.ndarray) -> bool:
+        return (self._range.min <= values.min()
+                and values.max() <= self._range.max)
 
     def add(self, episode: Episode):
-        """Store an episode of a battle under the buffer's config, whose
-        values fit its int dtype, after evicting the oldest at capacity."""
+        """Store an episode, evicting the oldest at capacity.  An empty
+        episode, or one with an int value outside the store's dtype,
+        raises ``ValueError`` and leaves the buffer as it was."""
         if not episode:
             raise ValueError("refusing to store an empty episode")
-        if len(self) == self.capacity:
-            self._steps.pop(int(self._episodes.oldest("length")))
-            self._episodes.pop(1)
-        start = self._steps.push(len(episode), vars(episode))
-        self._episodes.push(1, dict(vars(episode), start=start,
-                                    length=len(episode)))
+        names = UNIT_FIELDS + ("actions", "ally_rows", "enemy_perm")
+        ints = [getattr(episode, name) for name in names]
+        # one check over every int value; a second pass names the field
+        if not self._holds(np.concatenate(ints, axis=None)):
+            name = next(name for name, values in zip(names, ints)
+                        if not self._holds(values))
+            raise ValueError(f"episode {name} has values outside "
+                             f"{self._range.dtype}")
+        record = np.empty(len(episode), self._step_dtype)
+        for name in self._step_dtype.names:
+            record[name] = getattr(episode, name)
+        record.setflags(write=False)
+        self._presentations[self._added % self.capacity] = (
+            episode.ally_rows, episode.enemy_perm)
+        self._added += 1
+        self._records.append(record)
 
     def sample(self, rng: np.random.Generator, k: int) -> list:
-        count = min(k, len(self))
-        idx = rng.choice(len(self), size=count, replace=False)
-        meta = self._episodes.take(self._episodes.first + idx)
-        lengths = meta.pop("length")
-        ends = np.cumsum(lengths)
-        steps = self._steps.take(np.arange(lengths.sum()) + np.repeat(
-            meta.pop("start") - ends + lengths, lengths))
-        for column in (meta | steps).values():
-            column.flags.writeable = False
-        cuts = [0] + ends.tolist()
-        spans = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-        rows = [[column[span] for span in spans] for column in steps.values()]
-        return [Episode(*fields) for fields in zip(*rows, *meta.values())]
+        idx = rng.choice(len(self), size=min(k, len(self)), replace=False)
+        shown = self._presentations[
+            (self._added - len(self) + idx) % self.capacity]
+        shown.setflags(write=False)
+        return [Episode(**{name: self._records[i][name]
+                           for name in self._step_dtype.names},
+                        **{name: shown[name][j] for name in shown.dtype.names})
+                for j, i in enumerate(idx)]
 
 
 def relabel_episode(episode: Episode, ally_perm: np.ndarray,

@@ -10,8 +10,9 @@ module keeps both float paths as test oracles:
 * ``relabel_views`` is the float relabelling that ``relabel_episode``
   applied to those views, the oracle for the integer relabelling.
 
-``ListReplay`` is the list of ``Episode`` objects that the flat replay
-store replaced, the reference for which episodes it keeps and samples.
+``ListReplay`` is the list of ``Episode`` objects that the replay's
+record arrays replaced, the reference for which episodes it keeps and
+samples.
 """
 
 from __future__ import annotations

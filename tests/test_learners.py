@@ -321,7 +321,6 @@ def test_replay_buffer_eviction_and_sampling():
             assert len(got) == len(want) == min(i + 1, 4)
             for g, w in zip(got, want):
                 assert_same_values(g, w)
-    assert buf._steps.base > 0    # the live steps have moved to the front
     kept = buf.sample(np.random.default_rng(12), 10)
     assert len(kept) == 7
     order = np.random.default_rng(12).choice(7, size=7, replace=False)
@@ -374,6 +373,24 @@ def test_replay_widens_dtype_for_a_large_grid():
         assert got.enemy_x.dtype == got.actions.dtype == np.int16
 
 
+def test_replay_refuses_values_its_dtype_cannot_hold():
+    # a 130-cell grid's coordinates do not fit a 3v3 buffer's int8: add
+    # names the field and refuses before it evicts, so a full buffer keeps
+    # what it held
+    cfg = PRESETS["3v3"]
+    episodes = collect_episodes("3v3", True, 4)[:4]
+    buf = ReplayBuffer(4, cfg)
+    for episode in episodes:
+        buf.add(episode)
+    wide = rollout_episode(0, BattleConfig(grid_size=130, episode_limit=12))
+    with pytest.raises(ValueError, match=r"^episode (ally|enemy)_[xy] .*int8"):
+        buf.add(wide)
+    assert len(buf) == 4
+    for got, i in zip(buf.sample(np.random.default_rng(7), 4),
+                      np.random.default_rng(7).choice(4, 4, replace=False)):
+        assert_same_values(got, episodes[i])
+
+
 def test_sampled_episodes_are_read_only_and_stable():
     cfg = PRESETS["3v3"]
     episodes = collect_episodes("3v3", True, 30)
@@ -388,20 +405,21 @@ def test_sampled_episodes_are_read_only_and_stable():
                 column[...] = 0
             with pytest.raises(ValueError):
                 column.flags.writeable = True
-    for episode in episodes[4:]:   # evicts all four and compacts
+    for episode in episodes[4:]:   # evicts all four
         buf.add(episode)
-    assert buf._steps.base > 0
     for got, i in zip(held, order):
         assert_same_values(got, episodes[i])
 
 
-def test_replay_store_bytes_per_step():
-    # what the store keeps per stored 3v3 battle-step, by tracemalloc: a
-    # list of runner Episode objects (ten int64/float64 arrays each) kept
-    # 347 B here; the flat int8 columns, with their growth slack and the
-    # per-episode columns, keep 55 B.  The bound is under a third of 347.
-    cfg = PRESETS["3v3"]
-    episodes = collect_episodes("3v3", True, 240)
+@pytest.mark.parametrize("preset", ["3v3", "8v9"])
+def test_replay_store_bytes_per_step(preset):
+    # what the store keeps per stored battle-step, by tracemalloc: a list
+    # of runner Episode objects (ten int64/float64 arrays each) kept 347 B
+    # per 3v3 step here; one int8 record array per episode, plus the
+    # presentation ring, keeps 56 B per 3v3 step and 83 B per 8v9 step.
+    # The bound is under a third of 347.
+    cfg = PRESETS[preset]
+    episodes = collect_episodes(preset, True, 240)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
