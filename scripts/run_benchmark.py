@@ -9,6 +9,7 @@ import argparse
 import math
 import time
 
+from permnet import blas_setup
 from permnet.benchmark import (
     BENCHMARK_SEEDS,
     BENCHMARK_STEPS,
@@ -42,6 +43,9 @@ def main() -> int:
         parser.error(f"--eval-interval: must be in [1, --steps {args.steps}]"
                      f", got {args.eval_interval}")
 
+    # curve bytes hold per BLAS kernel and thread count (README)
+    threads, kernel = blas_setup()
+    print(f"BLAS: OpenBLAS kernel {kernel}, threads {threads}", flush=True)
     t0 = time.time()
 
     def progress(method, seed, path):

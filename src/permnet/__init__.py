@@ -19,6 +19,36 @@ if "numpy" in sys.modules and _blas_threads != "1":
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
+
+def blas_setup() -> tuple[int | None, str | None]:
+    """The BLAS thread count in force and the OpenBLAS kernel (such as
+    ``SkylakeX``) of numpy's bundled scipy-openblas, read through ctypes:
+    training bytes depend on both.  A part that cannot be read is None:
+    another BLAS, a library that fails to load, or a missing symbol."""
+    import ctypes
+    import glob
+
+    import numpy
+    found = sorted(glob.glob(os.path.join(
+        os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+        "*openblas*")))
+    try:
+        blas = ctypes.CDLL(found[0])
+    except (IndexError, OSError):
+        return None, None
+
+    def read(name, restype):
+        get = getattr(blas, name, None)
+        if get is None:
+            return None
+        get.argtypes, get.restype = (), restype
+        return get()
+
+    kernel = read("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return (read("scipy_openblas_get_num_threads64_", ctypes.c_int),
+            kernel.decode() if kernel else None)
+
+
 # glibc keeps this much freed heap above the break instead of trimming it:
 # a backward frees its gradients mid-pass, and a trimmed heap is
 # page-faulted back in on the next train step

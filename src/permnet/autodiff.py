@@ -409,17 +409,32 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._from_op(out_val, tuple(tensors), rule)
 
 
-def take_index(t: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather one entry per row along the last axis: out[...] = t[..., idx[...]]."""
+def take_index(t: Tensor, indices: np.ndarray,
+               rows: np.ndarray | None = None) -> Tensor:
+    """Gather one entry per row along the last axis: out[...] = t[..., idx[...]].
+
+    With ``rows``, ``t`` is (K, A) and out[...] = t[rows[...], idx[...]]:
+    rows may repeat.  The backward sums, in float64 rounded once to the
+    dtype, the gradients of every entry that reads one row of ``t``.
+    """
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.shape != t.shape[:-1]:
-        raise ShapeError(f"index shape {idx.shape} does not match {t.shape[:-1]}")
-    out_val = np.take_along_axis(t.data, idx[..., None], axis=-1)[..., 0]
+    width = t.shape[-1]
+    if rows is None:
+        if idx.shape != t.shape[:-1]:
+            raise ShapeError(
+                f"index shape {idx.shape} does not match {t.shape[:-1]}")
+        rows = np.arange(idx.size).reshape(idx.shape)
+    else:
+        rows = np.asarray(rows, dtype=np.intp)
+        if t.data.ndim != 2 or rows.shape != idx.shape:
+            raise ShapeError(f"rows {rows.shape} and indices {idx.shape} "
+                             f"do not gather from a 2-d {t.shape}")
+    out_val = t.data.reshape(-1, width)[rows, idx]
 
     def rule(g):
-        full = np.zeros_like(t.data)
-        np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
-        t._accumulate(full)
+        full = np.bincount((rows * width + idx).reshape(-1), g.reshape(-1),
+                           t.size)
+        t._accumulate(full.astype(t.data.dtype, copy=False).reshape(t.shape))
 
     return Tensor._from_op(out_val, (t,), rule)
 

@@ -6,7 +6,9 @@ state-conditioned monotonic mixing network (QMIX).  Targets are TD(lambda)
 returns computed backward over whole episodes with double-Q bootstrapping:
 the online network picks the argmax action, the hard-updated target copy
 evaluates it.  The recursion runs on float64 rewards; the targets are
-rounded once to the network's float32 where they enter the loss.  Replay
+rounded once to the network's float32 where they enter the loss.  A
+train step's forwards run on the live agent rows plus one all-zero row
+that stands for every dead agent, whose observation is all zero.  Replay
 stores whole episodes of battle states, which the env's ``BattleBatch``
 presents to the learner, and samples them uniformly.  It keeps each
 episode as one read-only record array in the narrowest int dtype the
@@ -360,17 +362,35 @@ def greedy_actions(q: np.ndarray, avail: np.ndarray) -> np.ndarray:
 
 
 def _agent_rows(observations) -> list[Tensor]:
-    """Batch observations as one row per agent: own, allies, enemies."""
-    return [Tensor(x.reshape((-1,) + x.shape[2:])) for x in observations]
+    """Observations as one row per agent: own, allies, enemies.  Every
+    axis of ``own`` but its last is a leading (agent) axis."""
+    lead = observations[0].ndim - 1
+    return [Tensor(x.reshape((-1,) + x.shape[lead:])) for x in observations]
 
 
 def greedy_q(net, observations) -> np.ndarray:
-    """(R, n, n_actions) Q-values of the (R, n, ...) own, allies and
-    enemies arrays that ``BattleBatch.views`` returns: one deterministic
-    forward over every agent's row, without a graph."""
+    """(..., n_actions) Q-values of the (..., own), (..., n - 1, k) and
+    (..., m, k) observations: the (R, n, ...) arrays that
+    ``BattleBatch.views`` returns, or the (K, ...) rows of a train step.
+    One deterministic forward over every agent's row, without a graph."""
     with no_grad():
         q = net.forward_batch(*_agent_rows(observations), deterministic=True)
-    return q.data.reshape(observations[0].shape[:2] + (-1,))
+    return q.data.reshape(observations[0].shape[:-1] + (-1,))
+
+
+def _kept_rows(dead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat agent rows a train step's forwards run on, and each agent's
+    place among them (``row_of``, shaped like ``dead``).  ``dead`` flags
+    dead agents, whose observations are all zero: the rows kept are every
+    live row and the first dead one, which gives every dead row's Q-values.
+    """
+    flat = dead.reshape(-1)
+    keep = ~flat
+    first = flat.argmax()    # row 0 when no agent is dead, kept already
+    keep[first] = True
+    row_of = np.cumsum(keep) - 1
+    row_of[flat] = row_of[first]
+    return keep, row_of.reshape(dead.shape)
 
 
 def _stack_episodes(episodes: list, cfg: BattleConfig
@@ -446,23 +466,31 @@ class Learner:
         """One gradient update on a batch of episodes; returns the loss.
 
         Every forward, the mixing and the backward run on the real steps
-        alone; only the TD(lambda) recursion sees the padded grid.
+        alone; only the TD(lambda) recursion sees the padded grid.  The
+        forwards run on the live agent rows plus one all-zero row that
+        stands for every dead agent (``_kept_rows``).  That is exact: a
+        dead agent's observation is all zero and its only available
+        action is noop, and under DPN's noisy forward its noop value does
+        not depend on the noise (M·0 = 0).  The chosen-value gather reads
+        each agent's kept row, so the backward sums the gradients of the
+        agents that share one.
         """
         if not episodes:
             raise ValueError("empty training batch")
         battles, data = _stack_episodes(episodes, self.env_cfg)
         avail, observations = battles.views()
         state = None if self.mixer is None else battles.state()
-        steps, n = data["actions"].shape
-        rows = steps * n
+        steps = len(data["actions"])
+        keep, row_of = _kept_rows(battles.ally_hp == 0)
+        kept = [x.reshape((-1,) + x.shape[2:])[keep] for x in observations]
 
-        q_target = greedy_q(self.target_net, observations)
-        q = self.net.forward_batch(*_agent_rows(observations),
-                                   rng=self.forward_rng, deterministic=False)
+        q_target = greedy_q(self.target_net, kept)[row_of]
+        q = self.net.forward_batch(*_agent_rows(kept), rng=self.forward_rng,
+                                   deterministic=False)
         # only a noisy grad forward differs from the greedy one
         best = greedy_actions(
-            greedy_q(self.net, observations) if self.net.noisy_grad_forward
-            else q.data.reshape(avail.shape), avail)
+            (greedy_q(self.net, kept) if self.net.noisy_grad_forward
+             else q.data)[row_of], avail)
         chosen_target = np.take_along_axis(
             q_target, best[..., None], axis=-1)[..., 0]
         with no_grad():
@@ -478,8 +506,7 @@ class Learner:
         targets = td_lambda_targets(data["rewards"], next_values,
                                     self.cfg.gamma, self.cfg.td_lambda)[mask]
 
-        chosen = reshape(take_index(q, data["actions"].reshape(rows)),
-                         (steps, n))
+        chosen = take_index(q, data["actions"], row_of)
         q_tot = self._mix(chosen, state, self.mixer)
         diff = add(q_tot, constant(-targets, q_tot))
         loss = mul(reduce_sum(mul(diff, diff)), constant(1.0 / steps, q_tot))

@@ -543,6 +543,34 @@ def test_take_index_forward_and_grad():
 def test_take_index_shape_mismatch():
     with pytest.raises(ShapeError):
         take_index(t(np.ones((2, 3))), np.array([0, 1, 2]))
+    with pytest.raises(ShapeError):         # rows need a 2-d table
+        take_index(t(np.ones((2, 2, 3))), np.array([0, 1]), np.array([0, 1]))
+    with pytest.raises(ShapeError):
+        take_index(t(np.ones((2, 3))), np.array([0, 1]), np.array([[0, 1]]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_take_index_rows_sum_the_gradients_of_shared_rows(dtype):
+    # entries (r, c) read q[rows[r, c], idx[r, c]]; row 1 is read by five
+    # entries, twice at the same column, and row 2 by none
+    rng = np.random.default_rng(3)
+    q = Tensor(rng.standard_normal((4, 3)).astype(dtype), requires_grad=True)
+    rows = np.array([[1, 0, 1], [3, 1, 1], [1, 3, 0]])
+    idx = np.array([[0, 2, 0], [1, 2, 1], [2, 0, 1]])
+    out = take_index(q, idx, rows)
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == q.data[rows, idx].tobytes()
+    g = rng.standard_normal(rows.shape).astype(dtype)
+    out.backward(g)
+    want = np.zeros((4, 3))
+    np.add.at(want, (rows, idx), g.astype(np.float64))
+    assert q.grad.dtype == dtype
+    assert q.grad.tobytes() == want.astype(dtype).tobytes()
+    assert not q.grad[2].any()
+    w = rng.standard_normal(rows.shape)
+    assert grad_check(lambda x: reduce_sum(mul(take_index(x, idx, rows),
+                                               Tensor(w))),
+                      [rng.standard_normal((4, 3))]) < 1e-6
 
 
 # ---------------------------------------------------------------------------

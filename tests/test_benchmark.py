@@ -252,6 +252,52 @@ def test_import_keeps_freed_heap_only_where_glibc_allows(library):
     assert json.loads(out.stdout) == want
 
 
+# numpy's bundled OpenBLAS as ``permnet.blas_setup`` finds and loads it:
+# absent (another BLAS), failing to load, without the two getters, with
+# only the thread getter, or reading both
+_BLAS_PROBE = """
+import ctypes, glob, json, sys, types
+import permnet
+case = sys.argv[1]
+getters = {"scipy_openblas_get_num_threads64_": lambda: 3,
+           "scipy_openblas_get_corename64_": lambda: b"Haswell"}
+if case == "threads":
+    del getters["scipy_openblas_get_corename64_"]
+
+def library(name):
+    if case == "fails":
+        raise OSError("cannot load")
+    return types.SimpleNamespace(**({} if case == "lacks" else getters))
+
+if case == "absent":
+    glob.glob = lambda pattern: []
+ctypes.CDLL = library
+print(json.dumps(permnet.blas_setup()))
+"""
+
+
+@pytest.mark.parametrize("case, want", [
+    ("absent", [None, None]), ("fails", [None, None]),
+    ("lacks", [None, None]), ("threads", [3, None]), ("reads", [3, "Haswell"]),
+])
+def test_blas_setup_reads_what_it_can(case, want):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-W", "error::UserWarning", "-c", _BLAS_PROBE, case],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stderr == ""
+    assert json.loads(out.stdout) == want
+
+
+def test_blas_setup_reads_the_suite_thread_count():
+    from permnet import blas_setup
+    threads, kernel = blas_setup()
+    # None only where numpy bundles no scipy-openblas
+    assert (threads, kernel) == (None, None) or (
+        threads == 1 and isinstance(kernel, str) and kernel)
+
+
 def test_suite_runs_on_one_blas_thread():
     """The suite's own process gives the 1-thread GEMM bytes, whatever
     thread count the host would default to."""

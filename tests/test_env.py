@@ -923,6 +923,34 @@ def test_battle_batch_matches_scalar_env_bitwise(preset, shuffle):
     assert seen["battle_steps"] >= 2000
 
 
+@pytest.mark.parametrize("shuffle", [False, True], ids=["plain", "shuffle"])
+@pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
+def test_dead_allies_view_all_zero_rows_and_noop_only(preset, shuffle):
+    # the learner runs every dead agent through one shared all-zero row
+    # (``learners._kept_rows``); that is exact only while these hold
+    cfg = PRESETS[preset]
+    rng = np.random.default_rng(47)
+    envs, _ = battles(cfg, shuffle, 4, stream=47)
+    batch = BattleBatch(cfg, 4)
+    for i, env in enumerate(envs):
+        env.reset_into(batch, i, int(rng.integers(2 ** 31)))
+    noop_only = np.arange(cfg.n_actions) == ACTION_NOOP
+    dead_rows = 0
+    for _ in range(150):
+        avail, (own, allies, enemies) = batch.views()
+        dead = batch.ally_hp == 0
+        dead_rows += int(dead.sum())
+        for view in (own, allies, enemies):
+            assert not view[dead].any()
+        assert (avail[dead] == noop_only).all()
+        assert own[~dead].any(axis=-1).all()    # no live row is all zero
+        actions = np.stack([attack_minded_actions(a, rng) for a in avail])
+        _, terminated, _ = batch.step(actions)
+        for i in np.flatnonzero(terminated):
+            envs[i].reset_into(batch, i, int(rng.integers(2 ** 31)))
+    assert dead_rows >= 100
+
+
 def test_battle_batch_step_names_the_offending_battle():
     # the batch checks no actions (MicroBattleEnv.step does, where they
     # enter), only that every row holds a running battle

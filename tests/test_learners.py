@@ -416,16 +416,18 @@ def test_replay_store_bytes_per_step(preset):
     # what the store keeps per stored battle-step, by tracemalloc: a list
     # of runner Episode objects (ten int64/float64 arrays each) kept 347 B
     # per 3v3 step here; one int8 record array per episode, plus the
-    # presentation ring, keeps 56 B per 3v3 step and 83 B per 8v9 step.
-    # The bound is under a third of 347.
+    # presentation ring, keeps 43 B per 3v3 step and 77 B per 8v9 step.
+    # The bound is under a third of 347.  The copies are made before
+    # tracing starts, so only the buffer's own work is traced: copying
+    # inside it left about 10 B per 3v3 step of ``copy.deepcopy`` leftovers.
     cfg = PRESETS[preset]
-    episodes = collect_episodes(preset, True, 240)
+    episodes = [copy.deepcopy(e) for e in collect_episodes(preset, True, 240)]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         buf = ReplayBuffer(200, cfg)
         for episode in episodes:
-            buf.add(copy.deepcopy(episode))
+            buf.add(episode)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -739,20 +741,32 @@ def test_replay_stores_battle_states_only():
     assert (per_step, derived) == (480, 2536)
 
 
+def kept_agent_rows(battles):
+    """The agent rows a train step keeps, as flat indices (every live row
+    and the first dead one), and each agent's (S, n) index into them."""
+    dead = battles.ally_hp.reshape(-1) == 0
+    stands_for = np.where(dead, dead.argmax(),
+                          np.arange(len(dead)))
+    kept = np.unique(stands_for)
+    return kept, np.searchsorted(kept, stands_for).reshape(
+        battles.ally_hp.shape)
+
+
 def three_forward_train_step(learner, episodes):
     """Reference VDN update with its own greedy online forward: online,
-    target and grad forwards, in that order, for any agent net."""
+    target and grad forwards, in that order, for any agent net, each on
+    the live agent rows plus the first dead one."""
     cfg = learner.cfg
     battles, data = learners._stack_episodes(episodes, learner.env_cfg)
     views = batch_views(battles)
     steps, n = data["actions"].shape
-    rows = steps * n
-    own = Tensor(views["own"].reshape(rows, -1))
-    allies = Tensor(views["allies"].reshape(rows, n - 1, K))
-    enemies = Tensor(views["enemies"].reshape(rows, -1, K))
+    kept, row_of = kept_agent_rows(battles)
+    own = Tensor(views["own"].reshape(steps * n, -1)[kept])
+    allies = Tensor(views["allies"].reshape(steps * n, n - 1, K)[kept])
+    enemies = Tensor(views["enemies"].reshape(steps * n, -1, K)[kept])
     with no_grad():
         q_online, q_target = [
-            net.forward_batch(own, allies, enemies).data.reshape(steps, n, -1)
+            net.forward_batch(own, allies, enemies).data[row_of]
             for net in (learner.net, learner.target_net)]
     best = np.where(views["avail"], q_online, NEG_MASK).argmax(axis=-1)
     values = np.take_along_axis(q_target, best[..., None], axis=-1)[..., 0]
@@ -765,7 +779,7 @@ def three_forward_train_step(learner, episodes):
     q = learner.net.forward_batch(own, allies, enemies,
                                   rng=learner.forward_rng,
                                   deterministic=False)
-    chosen = reshape(take_index(q, data["actions"].reshape(rows)), (steps, n))
+    chosen = take_index(q, data["actions"], row_of)
     # the constants in the float32 loss graph are float32 too
     diff = add(vdn_mix(chosen), Tensor(-targets.astype(np.float32)))
     loss = mul(reduce_sum(mul(diff, diff)), Tensor(np.float32(1.0 / steps)))
@@ -785,6 +799,8 @@ def test_train_step_reuses_grad_forward_bitwise(arch, forwards, monkeypatch):
     # only DPN's noisy grad forward needs a separate greedy online forward;
     # reusing the grad forward elsewhere must not move a single bit
     episodes = [rollout_episode(1000 + i) for i in range(2)]
+    battles = learners._stack_episodes(episodes, PRESETS["3v3"])[0]
+    assert (battles.ally_hp == 0).sum() > 1    # dead rows share a kept row
     factory = net_factory_for(arch, PRESETS["3v3"])
     learner = Learner(small_cfg(), factory, PRESETS["3v3"])
     reference = Learner(small_cfg(), factory, PRESETS["3v3"])
@@ -867,17 +883,24 @@ def padded_train_step(learner, episodes):
     return float(loss.data)
 
 
-@pytest.mark.parametrize("arch, mixer", [("hpn", "vdn"), ("concat", "qmix")])
-def test_train_step_matches_padded_reference(arch, mixer):
-    # dropping the padded rows changes summation order only: the loss and
-    # every post-Adam parameter agree with the padded update to float64
-    # rounding, on float64 copies of the nets
-    episodes = collect_episodes("3v3", False, 5)
+@pytest.mark.parametrize("arch, mixer, preset", [
+    ("hpn", "vdn", "3v3"), ("concat", "qmix", "3v3"), ("hpn", "vdn", "8v9"),
+    ("hpn_set", "vdn", "8v9"), ("deepset", "qmix", "8v9")],
+    ids=["hpn-vdn", "concat-qmix", "hpn-vdn-8v9", "hpn_set-vdn-8v9",
+         "deepset-qmix-8v9"])
+def test_train_step_matches_padded_reference(arch, mixer, preset):
+    # dropping the padded rows and running each dead agent through one
+    # shared zero row change summation order only: the loss and every
+    # post-Adam parameter agree with the padded update over every row to
+    # float64 rounding, on float64 copies of the nets
+    cfg = PRESETS[preset]
+    episodes = collect_episodes(preset, False, 5)
     assert len({len(e) for e in episodes}) > 1
-    factory = net_factory_for(arch, PRESETS["3v3"])
+    battles = learners._stack_episodes(episodes, cfg)[0]
+    assert (battles.ally_hp == 0).sum() > 1
+    factory = net_factory_for(arch, cfg)
     learner, reference = (
-        learner_in_float64(Learner(small_cfg(), factory, PRESETS["3v3"],
-                                   mixer))
+        learner_in_float64(Learner(small_cfg(), factory, cfg, mixer))
         for _ in range(2))
     for _ in range(6):  # crosses the target sync at step 5
         loss = learner.train_step(episodes)
@@ -909,7 +932,10 @@ def test_learner_forwards_see_only_real_steps(arch, mixer, augment,
     learner.train_step(episodes)
     real = sum(len(e) for e in episodes) * cfg.n_allies
     assert real < len(episodes) * max(len(e) for e in episodes) * cfg.n_allies
-    assert rows == [(real,) * 3] * (3 if arch == "dpn" else 2)
+    # the live agent rows plus one zero row for every dead agent
+    live = sum(int((e.ally_hp > 0).sum()) for e in episodes)
+    assert live + 1 < real
+    assert rows == [(live + 1,) * 3] * (3 if arch == "dpn" else 2)
 
 
 @pytest.mark.parametrize("arch, mixer, augment, preset", [
