@@ -23,6 +23,13 @@ def fmt_sustain(value: float) -> str:
     return "never" if math.isinf(value) else f"{int(value)}"
 
 
+def fmt_blas(threads: int | None, kernel: str | None) -> str:
+    """``blas_setup``'s reading, "unknown" for a part it could not read."""
+    named = "kernel unknown" if kernel is None else f"OpenBLAS kernel {kernel}"
+    count = "unknown" if threads is None else threads
+    return f"BLAS: {named}, threads {count}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/benchmark")
@@ -44,8 +51,7 @@ def main() -> int:
                      f", got {args.eval_interval}")
 
     # curve bytes hold per BLAS kernel and thread count (README)
-    threads, kernel = blas_setup()
-    print(f"BLAS: OpenBLAS kernel {kernel}, threads {threads}", flush=True)
+    print(fmt_blas(*blas_setup()), flush=True)
     t0 = time.time()
 
     def progress(method, seed, path):

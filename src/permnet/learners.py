@@ -10,11 +10,11 @@ rounded once to the network's float32 where they enter the loss.  A
 train step's forwards run on the live agent rows plus one all-zero row
 that stands for every dead agent, whose observation is all zero.  Replay
 stores whole episodes of battle states, which the env's ``BattleBatch``
-presents to the learner, and samples them uniformly.  It keeps each
-episode as one read-only record array in the narrowest int dtype the
-battle config allows (int8 on every preset); a sampled episode's fields
-are views of its record, widened to int64 only where the learner stacks
-its batch.
+presents to the learner, and samples them uniformly.  One record,
+``step_dtype`` (ints in the narrowest dtype the battle config allows,
+int8 on every preset), holds a step from the runner's log to the
+learner's batch: an episode is an array of them, and the learner joins a
+batch's records by their bytes and widens the ints to int64 only there.
 
 ``augment_experience`` is a pure data transform: it renames the units of
 stored episodes under random ally/enemy permutations (unit axes,
@@ -62,29 +62,38 @@ from .layers import NEG_MASK, Linear, Mlp, Module
 # data containers
 # ---------------------------------------------------------------------------
 
+def step_dtype(cfg: BattleConfig) -> np.dtype:
+    """One episode step's record: a field per ``UNIT_FIELDS`` name and
+    ``actions``, in the narrowest int holding every value a battle under
+    ``cfg`` takes (int8 on every preset), then float64 ``rewards``."""
+    n, m = cfg.n_allies, cfg.n_enemies
+    # the narrowest signed int holding -bound holds 0 .. bound - 1
+    narrow = np.min_scalar_type(-max(cfg.grid_size, cfg.max_health + 1,
+                                     cfg.n_actions, n))
+    return np.dtype([(name, narrow, (m if name.startswith("enemy") else n,))
+                     for name in UNIT_FIELDS + ("actions",)]
+                    + [("rewards", np.float64)])
+
+
 @dataclass
 class Episode:
-    """One finished battle as time-major int arrays; step T - 1 is terminal.
+    """One finished battle, a record per step; step T - 1 is terminal.
 
     Step t holds the units (true order), the presented actions and the
     reward that followed; ``ally_rows`` and ``enemy_perm`` are the
-    presentation of the battle's ``BattleBatch`` row.  The runner hands
-    out int64 episodes; ``ReplayBuffer.sample`` returns read-only ones in
-    the store's narrow int dtype, step fields viewing a stored record."""
+    presentation of the battle's ``BattleBatch`` row.  Runner episodes are
+    in ``step_dtype``, the presentation in its int."""
 
-    ally_x: np.ndarray      # (T, n)
-    ally_y: np.ndarray      # (T, n)
-    ally_hp: np.ndarray     # (T, n)
-    enemy_x: np.ndarray     # (T, m)
-    enemy_y: np.ndarray     # (T, m)
-    enemy_hp: np.ndarray    # (T, m)
-    actions: np.ndarray     # (T, n)
-    rewards: np.ndarray     # (T,) float
+    steps: np.ndarray       # (T,) records
     ally_rows: np.ndarray   # (n, n - 1)
     enemy_perm: np.ndarray  # (m,)
 
     def __len__(self) -> int:
-        return len(self.rewards)
+        return len(self.steps)
+
+    @property
+    def actions(self) -> np.ndarray:
+        return self.steps["actions"]
 
 
 @dataclass
@@ -199,8 +208,8 @@ def td_lambda_targets(rewards: np.ndarray, next_values: np.ndarray,
     return out
 
 
-def anneal_epsilon(step: int, start: float = 1.0, finish: float = 0.05,
-                   anneal_steps: int = 100_000) -> float:
+def anneal_epsilon(step: int, start: float, finish: float,
+                   anneal_steps: int) -> float:
     """Linear schedule from start to finish over anneal_steps, then held."""
     frac = min(1.0, max(0.0, step / anneal_steps))
     return start + (finish - start) * frac
@@ -213,33 +222,21 @@ def anneal_epsilon(step: int, start: float = 1.0, finish: float = 0.05,
 class ReplayBuffer:
     """Whole-episode store; uniform episode sampling without replacement.
 
-    A deque, oldest first, holds one read-only numpy structured array per
-    stored episode with one record per step: a field per ``UNIT_FIELDS``
-    name and ``actions``, in the narrowest int dtype that holds every value
-    a battle under ``cfg`` takes (below ``max(grid_size, max_health + 1,
-    n_actions, n_allies)``: int8 on every preset), and float64
-    ``rewards``.  Each episode's ``ally_rows`` and ``enemy_perm`` go, in
-    the same int dtype, into a ring of ``capacity`` rows at its add count
-    modulo ``capacity``.  ``capacity`` counts episodes.
-
-    ``sample`` draws deque indices with one ``rng.choice`` call and returns
-    ``Episode``s whose step fields are views of the stored records and
-    whose presentation is a copy from the ring.  No add or eviction writes
-    a stored record, so they stay unchanged, and all are read-only, so
-    writing to one raises.
+    A deque, oldest first, holds one ``step_dtype(cfg)`` array per stored
+    episode, over immutable bytes; its ``ally_rows`` and ``enemy_perm`` go,
+    in the records' int, into a ring of ``capacity`` (episodes) rows at its
+    add count modulo ``capacity``.  ``sample`` draws deque indices with one
+    ``rng.choice`` call and returns ``Episode``s of the stored records and
+    a read-only copy from the ring.  No add or eviction writes a stored
+    record, and no caller can, since none can be made writeable.
     """
 
     def __init__(self, capacity: int, cfg: BattleConfig):
         self.capacity = capacity
         n, m = cfg.n_allies, cfg.n_enemies
-        # the narrowest signed int holding -bound holds 0 .. bound - 1
-        narrow = np.min_scalar_type(-max(cfg.grid_size, cfg.max_health + 1,
-                                         cfg.n_actions, n))
+        self._step_dtype = step_dtype(cfg)
+        narrow = self._step_dtype["actions"].base
         self._range = np.iinfo(narrow)
-        self._step_dtype = np.dtype(
-            [(name, narrow, (m if name.startswith("enemy") else n,))
-             for name in UNIT_FIELDS + ("actions",)]
-            + [("rewards", np.float64)])
         self._records: deque[np.ndarray] = deque(maxlen=capacity)
         self._presentations = np.zeros(capacity, [
             ("ally_rows", narrow, (n, n - 1)), ("enemy_perm", narrow, (m,))])
@@ -253,23 +250,28 @@ class ReplayBuffer:
                 and values.max() <= self._range.max)
 
     def add(self, episode: Episode):
-        """Store an episode, evicting the oldest at capacity.  An empty
-        episode, or one with an int value outside the store's dtype,
-        raises ``ValueError`` and leaves the buffer as it was."""
+        """Store a copy of an episode, evicting the oldest at capacity.  An
+        empty episode, one with other step fields, or one with an int value
+        outside the store's dtype raises ``ValueError`` and leaves the
+        buffer as it was.  Only an episode not in the store's dtypes is
+        checked, since only its cast can wrap."""
         if not episode:
             raise ValueError("refusing to store an empty episode")
-        names = UNIT_FIELDS + ("actions", "ally_rows", "enemy_perm")
-        ints = [getattr(episode, name) for name in names]
-        # one check over every int value; a second pass names the field
-        if not self._holds(np.concatenate(ints, axis=None)):
-            name = next(name for name, values in zip(names, ints)
-                        if not self._holds(values))
-            raise ValueError(f"episode {name} has values outside "
-                             f"{self._range.dtype}")
-        record = np.empty(len(episode), self._step_dtype)
-        for name in self._step_dtype.names:
-            record[name] = getattr(episode, name)
-        record.setflags(write=False)
+        steps, narrow = episode.steps, self._range.dtype
+        if (steps.dtype, episode.ally_rows.dtype, episode.enemy_perm.dtype
+                ) != (self._step_dtype, narrow, narrow):
+            if steps.dtype.names != self._step_dtype.names:
+                raise ValueError(f"episode fields {steps.dtype.names}")
+            ints = {name: steps[name] for name in steps.dtype.names[:-1]}
+            ints.update(ally_rows=episode.ally_rows,
+                        enemy_perm=episode.enemy_perm)
+            # one check over every int value; a second pass names the field
+            if not self._holds(np.concatenate(list(ints.values()), axis=None)):
+                name = next(name for name, values in ints.items()
+                            if not self._holds(values))
+                raise ValueError(f"episode {name} has values outside {narrow}")
+        record = np.frombuffer(steps.astype(self._step_dtype, copy=False)
+                               .tobytes(), self._step_dtype)
         self._presentations[self._added % self.capacity] = (
             episode.ally_rows, episode.enemy_perm)
         self._added += 1
@@ -280,10 +282,8 @@ class ReplayBuffer:
         shown = self._presentations[
             (self._added - len(self) + idx) % self.capacity]
         shown.setflags(write=False)
-        return [Episode(**{name: self._records[i][name]
-                           for name in self._step_dtype.names},
-                        **{name: shown[name][j] for name in shown.dtype.names})
-                for j, i in enumerate(idx)]
+        return [Episode(self._records[i], rows, perm) for i, rows, perm
+                in zip(idx, shown["ally_rows"], shown["enemy_perm"])]
 
 
 def relabel_episode(episode: Episode, ally_perm: np.ndarray,
@@ -298,14 +298,15 @@ def relabel_episode(episode: Episode, ally_perm: np.ndarray,
     slots = np.argsort(ally_inv[np.sort(old_rows, axis=1)], axis=1)
     action_map = np.concatenate(
         [np.arange(N_MOVE_ACTIONS), N_MOVE_ACTIONS + enemy_inv])
-    units = {name: getattr(episode, name)[
-        :, ally_perm if name.startswith("ally") else enemy_perm]
-        for name in UNIT_FIELDS}
-    return Episode(
-        **units, actions=action_map[episode.actions[:, ally_perm]],
-        rewards=episode.rewards,
-        ally_rows=np.take_along_axis(ally_inv[old_rows], slots, axis=1),
-        enemy_perm=enemy_inv[episode.enemy_perm[enemy_perm]])
+    steps, record = episode.steps, np.empty_like(episode.steps)
+    for name in UNIT_FIELDS:
+        record[name] = steps[name].take(
+            ally_perm if name.startswith("ally") else enemy_perm, axis=1)
+    record["actions"] = action_map.take(steps["actions"].take(ally_perm, 1))
+    record["rewards"] = steps["rewards"]
+    return Episode(record,
+                   np.take_along_axis(ally_inv[old_rows], slots, axis=1),
+                   enemy_inv[episode.enemy_perm[enemy_perm]])
 
 
 def augment_experience(episodes: list, num_permutations: int,
@@ -395,29 +396,30 @@ def _kept_rows(dead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _stack_episodes(episodes: list, cfg: BattleConfig
                     ) -> tuple[BattleBatch, dict[str, np.ndarray]]:
-    """Join the episodes' steps along time: the S real steps, episode
-    after episode, become the rows of one ``BattleBatch`` under their
-    episodes' presentations (no padded step reaches a network), and
-    ``actions`` joins their actions.  Every int column is joined as int64,
-    whatever the episodes' dtype, since the batch's table rows outgrow
-    int8 (up to 1,854 at 8v9).  Only the TD(lambda) recursion runs
+    """Join the episodes' records along time, as bytes (so a batch of
+    more than one step dtype raises ``ValueError``): the S real steps
+    become the rows of one ``BattleBatch`` under their episodes'
+    presentations (no padded step reaches a network), and ``actions``
+    joins their actions, all widened to int64, since the batch's table rows
+    outgrow int8 (up to 1,854 at 8v9).  Only the TD(lambda) recursion runs
     on a (B, T_max) grid: ``rewards`` is zero-padded to it and the boolean
-    ``mask`` flags its real steps, in the same order as the rows.
-    """
-    lengths = np.array([len(e) for e in episodes])
-    battles = BattleBatch(cfg, int(lengths.sum()))
+    ``mask`` flags its real steps, in the same order as the rows."""
+    records = [e.steps for e in episodes]
+    if len({r.dtype for r in records}) > 1:
+        raise ValueError("episodes of more than one step dtype")
+    # numpy joins structured arrays field by field; their bytes join at once
+    steps = np.frombuffer(b"".join(records), records[0].dtype)
+    lengths = np.array([len(r) for r in records])
+    battles = BattleBatch(cfg, len(steps))
     for name in UNIT_FIELDS + ("ally_rows", "enemy_perm"):
-        columns = [getattr(e, name) for e in episodes]
-        setattr(battles, name,
-                np.concatenate(columns, dtype=np.int64) if name in UNIT_FIELDS
-                else np.repeat(np.stack(columns, dtype=np.int64), lengths,
-                               axis=0))
-    data = {"actions": np.concatenate([e.actions for e in episodes],
-                                      dtype=np.int64),
+        setattr(battles, name, steps[name].astype(np.int64)
+                if name in UNIT_FIELDS else np.repeat(np.stack(
+                    [getattr(e, name) for e in episodes], dtype=np.int64),
+                    lengths, axis=0))
+    data = {"actions": steps["actions"].astype(np.int64),
             "mask": np.arange(lengths.max()) < lengths[:, None]}
     data["rewards"] = np.zeros(data["mask"].shape)
-    data["rewards"][data["mask"]] = np.concatenate(
-        [e.rewards for e in episodes])
+    data["rewards"][data["mask"]] = steps["rewards"]
     return battles, data
 
 
@@ -543,10 +545,11 @@ class ParallelRunner:
     seeds come from one ``reset_rng``: one per row at construction, then
     one per finished row, each time in row order.
 
-    Running episodes are logged on the battle clock: step t of row i at
-    ``i * episode_limit + t`` of one array per ``Episode`` field, written
+    Running episodes are logged on the battle clock: step t of row i is
+    record ``i * episode_limit + t`` of one ``step_dtype`` array, written
     at ``batch.t``: the units straight from the batch and the actions
-    before the step, the rewards after it.
+    before the step, the rewards after it.  A finished row's episode is a
+    copy of its records and, in their int, of its presentation.
     """
 
     def __init__(self, cfg: TrainConfig, env_factory, net):
@@ -560,11 +563,8 @@ class ParallelRunner:
                                          cfg.parallel_runners)
         limit = batch.cfg.episode_limit
         self._starts = np.arange(cfg.parallel_runners) * limit
-        steps = cfg.parallel_runners * limit
-        self._log = {name: np.zeros((steps,) + getattr(batch, name).shape[1:],
-                                    np.int64) for name in UNIT_FIELDS}
-        self._log["actions"] = np.zeros_like(self._log["ally_x"])
-        self._log["rewards"] = np.zeros(steps)
+        self._log = np.zeros(cfg.parallel_runners * limit,
+                             step_dtype(batch.cfg))
         for i, env in enumerate(self.envs):
             env.reset_into(batch, i, int(self.reset_rng.integers(2 ** 31)))
 
@@ -593,11 +593,10 @@ class ParallelRunner:
         log["rewards"][at] = rewards
         completed = []
         for i in np.flatnonzero(terminated):
-            steps = slice(self._starts[i], at[i] + 1)
-            completed.append(Episode(ally_rows=batch.ally_rows[i].copy(),
-                                     enemy_perm=batch.enemy_perm[i].copy(),
-                                     **{name: column[steps].copy()
-                                        for name, column in log.items()}))
+            completed.append(Episode(
+                log[self._starts[i]:at[i] + 1].copy(),
+                *(shown[i].astype(log.dtype["actions"].base)
+                  for shown in (batch.ally_rows, batch.enemy_perm))))
             self.envs[i].reset_into(
                 batch, i, int(self.reset_rng.integers(2 ** 31)))
         return completed

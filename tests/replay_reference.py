@@ -12,7 +12,8 @@ module keeps both float paths as test oracles:
 
 ``ListReplay`` is the list of ``Episode`` objects that the replay's
 record arrays replaced, the reference for which episodes it keeps and
-samples.
+samples.  ``episode_of`` builds an ``Episode`` record from per-step
+dicts, in int64 unless given a ``step_dtype``.
 """
 
 from __future__ import annotations
@@ -27,13 +28,22 @@ from permnet.learners import Episode, _stack_episodes
 VIEW_FIELDS = ("own", "allies", "enemies", "state", "avail")
 
 
-def episode_of(steps: list, ally_rows, enemy_perm) -> Episode:
+def episode_of(steps: list, ally_rows, enemy_perm, dtype=None) -> Episode:
     """An episode from per-step dicts of the unit arrays, ``actions`` and
-    ``rewards``, under the given presentation."""
-    return Episode(**{name: np.stack([step[name] for step in steps])
-                      for name in steps[0]},
-                   ally_rows=np.array(ally_rows),
-                   enemy_perm=np.array(enemy_perm))
+    ``rewards``, under the given presentation.  Its record is in ``dtype``
+    (a ``step_dtype``) and its presentation in that dtype's int; without
+    one, every field keeps the dtype of its stacked steps (int64 ints)."""
+    columns = {name: np.stack([step[name] for step in steps])
+               for name in steps[0]}
+    if dtype is None:
+        dtype = np.dtype([(name, column.dtype, column.shape[1:])
+                          for name, column in columns.items()])
+    record = np.empty(len(steps), dtype)
+    for name, column in columns.items():
+        record[name] = column
+    ints = dtype["actions"].base
+    return Episode(record, np.array(ally_rows, ints),
+                   np.array(enemy_perm, ints))
 
 
 class ListReplay:
@@ -87,7 +97,7 @@ def episode_views(episode: Episode, cfg) -> dict:
     views = {name: [] for name in VIEW_FIELDS}
     for t in range(len(episode)):
         for name in UNIT_FIELDS:
-            getattr(env.batch, name)[0] = getattr(episode, name)[t]
+            getattr(env.batch, name)[0] = episode.steps[name][t]
         obs = env.observations()
         for name in ("own", "allies", "enemies"):
             views[name].append(np.stack([getattr(o, name) for o in obs]))

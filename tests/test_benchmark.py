@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -288,6 +289,18 @@ def test_blas_setup_reads_what_it_can(case, want):
         env=env, capture_output=True, text=True, check=True)
     assert out.stderr == ""
     assert json.loads(out.stdout) == want
+
+
+@pytest.mark.parametrize("setup, line", [
+    ((1, "SkylakeX"), "BLAS: OpenBLAS kernel SkylakeX, threads 1"),
+    ((3, None), "BLAS: kernel unknown, threads 3"),
+    ((None, None), "BLAS: kernel unknown, threads unknown"),
+])
+def test_benchmark_script_names_only_the_blas_it_read(setup, line):
+    # OpenBLAS is named only when its kernel was read
+    root = Path(__file__).resolve().parents[1]
+    script = runpy.run_path(str(root / "scripts" / "run_benchmark.py"))
+    assert script["fmt_blas"](*setup) == line
 
 
 def test_blas_setup_reads_the_suite_thread_count():

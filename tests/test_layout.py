@@ -7,7 +7,8 @@ Two AST checks over the package:
   own definition, so code that only tests reach lives under ``tests/``.
   An attribute of an imported outside module (``np.tanh``) names nothing
   of the package;
-* no module imports a name it never uses.
+* no module of the package, ``tests/`` or ``scripts/`` imports a name it
+  never uses.
 """
 
 import ast
@@ -114,7 +115,11 @@ def test_allowlist_names_real_test_only_definitions():
     assert TEST_ONLY_ALLOWED <= defined
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "module", MODULES + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda path: path.name if path.parent == PACKAGE
+    else str(path.relative_to(ROOT)))
 def test_no_unused_imports(module):
     tree = ast.parse(module.read_text(), str(module))
     imported = {}

@@ -286,23 +286,31 @@ def test_td_lambda_errors():
 
 
 def test_anneal_schedule():
-    assert anneal_epsilon(0) == 1.0
-    assert anneal_epsilon(50_000) == pytest.approx(0.525, abs=1e-12)
-    assert anneal_epsilon(100_000) == pytest.approx(0.05, abs=1e-12)
-    assert anneal_epsilon(250_000) == pytest.approx(0.05, abs=1e-12)
+    cfg = TrainConfig()
+    schedule = (cfg.epsilon_start, cfg.epsilon_finish,
+                cfg.epsilon_anneal_steps)
+    assert schedule == (1.0, 0.05, 100_000)
+    assert anneal_epsilon(0, *schedule) == 1.0
+    for step, eps in ((50_000, 0.525), (100_000, 0.05), (250_000, 0.05)):
+        assert anneal_epsilon(step, *schedule) == pytest.approx(eps,
+                                                                abs=1e-12)
 
 
 # -- replay ------------------------------------------------------------
 
 
 def assert_same_values(got, want):
-    """Every field of episode ``got`` holds ``want``'s values, in any int
-    dtype; rewards stay float64."""
-    assert vars(got).keys() == vars(want).keys()
-    for name, column in vars(want).items():
-        assert getattr(got, name).shape == column.shape, name
-        assert np.array_equal(getattr(got, name), column), name
-    assert got.rewards.dtype == np.float64
+    """Every step field and the presentation of episode ``got`` hold
+    ``want``'s values, in any int dtype; rewards stay float64."""
+    assert got.steps.dtype.names == want.steps.dtype.names
+    columns = {name: (got.steps[name], want.steps[name])
+               for name in want.steps.dtype.names}
+    columns.update({name: (getattr(got, name), getattr(want, name))
+                    for name in ("ally_rows", "enemy_perm")})
+    for name, (column, wanted) in columns.items():
+        assert column.shape == wanted.shape, name
+        assert np.array_equal(column, wanted), name
+    assert got.steps["rewards"].dtype == np.float64
 
 
 def test_replay_buffer_eviction_and_sampling():
@@ -327,14 +335,13 @@ def test_replay_buffer_eviction_and_sampling():
     for got, i in zip(kept, order):
         assert_same_values(got, episodes[33 + i])
     with pytest.raises(ValueError, match="empty"):
-        buf.add(dataclasses.replace(episodes[0], **{
-            name: getattr(episodes[0], name)[:0] for name in STEP_FIELDS}))
+        buf.add(dataclasses.replace(episodes[0], steps=episodes[0].steps[:0]))
 
 
 @pytest.mark.parametrize("preset", ["3v3", "5v6", "8v9"])
 def test_replay_round_trips_every_field(preset):
     # int8 holds every preset; the stacked batch widens to int64, so 8v9
-    # table rows (up to 1,854) come out as from the runner's int64 episodes
+    # table rows (up to 1,854) come out as from the runner's episodes
     cfg = PRESETS[preset]
     episodes = collect_episodes(preset, True, 8)
     buf = ReplayBuffer(len(episodes), cfg)
@@ -345,8 +352,9 @@ def test_replay_round_trips_every_field(preset):
                                             replace=False)
     for got, i in zip(stored, order):
         assert_same_values(got, episodes[i])
-        assert {getattr(got, name).dtype for name in vars(got)
-                if name != "rewards"} == {np.dtype(np.int8)}
+        assert got.steps.dtype == learners.step_dtype(cfg)
+        assert {got.steps[name].dtype for name in STEP_FIELDS[:-1]} | {
+            got.ally_rows.dtype, got.enemy_perm.dtype} == {np.dtype(np.int8)}
     battles, data = learners._stack_episodes(stored, cfg)
     want = [learner_views(episodes[i], cfg) for i in order]
     assert_same_arrays(batch_views(battles), {
@@ -362,7 +370,7 @@ def test_replay_widens_dtype_for_a_large_grid():
     # int16 from the config and keeps every value
     cfg = BattleConfig(grid_size=130, episode_limit=12)
     episodes = [rollout_episode(seed, cfg) for seed in (0, 1)]
-    assert max(getattr(e, name).max() for e in episodes
+    assert max(e.steps[name].max() for e in episodes
                for name in UNIT_FIELDS) > np.iinfo(np.int8).max
     buf = ReplayBuffer(2, cfg)
     for episode in episodes:
@@ -370,7 +378,8 @@ def test_replay_widens_dtype_for_a_large_grid():
     for got, i in zip(buf.sample(np.random.default_rng(0), 2),
                       np.random.default_rng(0).choice(2, 2, replace=False)):
         assert_same_values(got, episodes[i])
-        assert got.enemy_x.dtype == got.actions.dtype == np.int16
+        assert got.steps.dtype == learners.step_dtype(cfg)
+        assert got.steps["enemy_x"].dtype == got.actions.dtype == np.int16
 
 
 def test_replay_refuses_values_its_dtype_cannot_hold():
@@ -389,6 +398,71 @@ def test_replay_refuses_values_its_dtype_cannot_hold():
     for got, i in zip(buf.sample(np.random.default_rng(7), 4),
                       np.random.default_rng(7).choice(4, 4, replace=False)):
         assert_same_values(got, episodes[i])
+
+
+def test_runner_episodes_are_stored_without_a_range_check(monkeypatch):
+    # a runner episode is already in the store's dtypes, so no cast can
+    # wrap and ``add`` checks nothing; an int64 episode is still checked
+    cfg = PRESETS["3v3"]
+    episodes = collect_episodes("3v3", True, 4)[:4]
+    narrow = learners.step_dtype(cfg)["actions"].base
+    for episode in episodes:
+        assert episode.steps.dtype == learners.step_dtype(cfg)
+        assert episode.ally_rows.dtype == episode.enemy_perm.dtype == narrow
+
+    def refuse(self, values):
+        raise AssertionError("range check on a runner episode")
+
+    buf = ReplayBuffer(5, cfg)
+    monkeypatch.setattr(ReplayBuffer, "_holds", refuse)
+    for episode in episodes:
+        buf.add(episode)
+    monkeypatch.undo()
+    original, checked = ReplayBuffer._holds, []
+
+    def counting(self, values):
+        checked.append(values.dtype)
+        return original(self, values)
+
+    monkeypatch.setattr(ReplayBuffer, "_holds", counting)
+    wide = rollout_episode(7, cfg)
+    assert wide.steps["ally_x"].dtype == np.int64
+    buf.add(wide)
+    assert checked == [np.dtype(np.int64)]
+    episodes.append(wide)
+    for got, i in zip(buf.sample(np.random.default_rng(2), 5),
+                      np.random.default_rng(2).choice(5, 5, replace=False)):
+        assert_same_values(got, episodes[i])
+        assert got.steps.dtype == learners.step_dtype(cfg)
+
+
+def test_replay_refuses_other_step_fields():
+    # a record is cast to the store's by field position, so fields in
+    # another order are refused, not stored crosswise
+    cfg = PRESETS["3v3"]
+    episode = rollout_episode(8, cfg)
+    names = list(episode.steps.dtype.names)
+    names[0], names[1] = names[1], names[0]
+    buf = ReplayBuffer(2, cfg)
+    with pytest.raises(ValueError, match="^episode fields"):
+        buf.add(dataclasses.replace(episode, steps=episode.steps[names]))
+    assert len(buf) == 0
+
+
+@pytest.mark.parametrize("source", ["runner", "int64"])
+def test_replay_keeps_a_copy_of_each_added_episode(source):
+    # writing to the caller's episode after ``add`` changes nothing that
+    # ``sample`` returns, for an episode in the store's dtypes or not
+    cfg = PRESETS["3v3"]
+    episode = (collect_episodes("3v3", True, 1)[0] if source == "runner"
+               else rollout_episode(9, cfg))
+    kept = copy.deepcopy(episode)
+    buf = ReplayBuffer(1, cfg)
+    buf.add(episode)
+    episode.steps.view(np.uint8)[...] = 0xFF
+    episode.ally_rows[...] = -1
+    episode.enemy_perm[...] = -1
+    assert_same_values(buf.sample(np.random.default_rng(0), 1)[0], kept)
 
 
 def test_sampled_episodes_are_read_only_and_stable():
@@ -414,9 +488,9 @@ def test_sampled_episodes_are_read_only_and_stable():
 @pytest.mark.parametrize("preset", ["3v3", "8v9"])
 def test_replay_store_bytes_per_step(preset):
     # what the store keeps per stored battle-step, by tracemalloc: a list
-    # of runner Episode objects (ten int64/float64 arrays each) kept 347 B
-    # per 3v3 step here; one int8 record array per episode, plus the
-    # presentation ring, keeps 43 B per 3v3 step and 77 B per 8v9 step.
+    # of Episode objects of ten int64/float64 arrays each kept 347 B per
+    # 3v3 step here; one int8 record array per episode, plus the
+    # presentation ring, keeps 47 B per 3v3 step and 79 B per 8v9 step.
     # The bound is under a third of 347.  The copies are made before
     # tracing starts, so only the buffer's own work is traced: copying
     # inside it left about 10 B per 3v3 step of ``copy.deepcopy`` leftovers.
@@ -487,12 +561,15 @@ def assert_relabel_matches_float_oracle(cfg, episode, relabeled, ally_perm,
                                         enemy_perm):
     """The views the learner rebuilds for ``relabeled`` are the float
     relabelling of ``episode``'s views, bit for bit, and so are the
-    actions."""
+    actions, in ``episode``'s record dtype."""
     views, actions = relabel_views(learner_views(episode, cfg),
                                    episode.actions, ally_perm, enemy_perm)
     assert_same_arrays(learner_views(relabeled, cfg), views)
-    assert relabeled.actions.tobytes() == actions.tobytes()
-    assert relabeled.rewards is episode.rewards
+    assert relabeled.steps.dtype == episode.steps.dtype
+    assert relabeled.actions.tobytes() == \
+        actions.astype(episode.actions.dtype).tobytes()
+    assert relabeled.steps["rewards"].tobytes() == \
+        episode.steps["rewards"].tobytes()
 
 
 @pytest.mark.parametrize("preset", ["3v3", "5v6"])
@@ -533,8 +610,9 @@ def test_augmented_runner_episodes_match_float_oracle(preset, shuffle):
     copies = 2
     grown = augment_experience(episodes, copies, np.random.default_rng(8))
     # the replay holds integer battle states, originals and copies alike
-    assert all(getattr(e, name).dtype.kind == "i"
-               for e in grown for name in vars(e) if name != "rewards")
+    assert all(e.steps.dtype == learners.step_dtype(cfg)
+               and e.ally_rows.dtype.kind == e.enemy_perm.dtype.kind == "i"
+               for e in grown)
     draws = np.random.default_rng(8)
     for b, episode in enumerate(episodes):
         for c in range(copies):
@@ -611,8 +689,7 @@ def plain_env_factory(tag):
 def test_learner_overfits_single_transition():
     cfg = PRESETS["3v3"]
     played = rollout_episode(400, cfg, focus_fire_policy)
-    episode = dataclasses.replace(
-        played, **{name: getattr(played, name)[:1] for name in STEP_FIELDS})
+    episode = dataclasses.replace(played, steps=played.steps[:1])
     learner = Learner(small_cfg(target_update_interval=10**9),
                       concat_factory, cfg, mixer="vdn")
     loss = np.inf
@@ -699,8 +776,8 @@ def reference_stack(episodes, cfg):
         for t in range(len(episode)):
             for name in VIEW_FIELDS:
                 fields[name].append(views[name][t])
-            fields["actions"].append(episode.actions[t])
-            rewards[b, t] = episode.rewards[t]
+            fields["actions"].append(episode.actions[t].astype(np.int64))
+            rewards[b, t] = episode.steps["rewards"][t]
             mask[b, t] = True
     out = {name: np.stack(rows) for name, rows in fields.items()}
     out.update(rewards=rewards, mask=mask)
@@ -728,17 +805,33 @@ def test_stack_episodes_matches_per_step_reference_bitwise(preset, shuffle):
                        reference_stack(episodes, cfg))
 
 
+def test_stack_episodes_refuses_mixed_step_dtypes():
+    # the records join as bytes, so an int64 record beside the replay's
+    # int8 ones would be read as garbage
+    cfg = PRESETS["3v3"]
+    buf = ReplayBuffer(1, cfg)
+    buf.add(rollout_episode(10, cfg))
+    sampled = buf.sample(np.random.default_rng(0), 1)
+    wide = rollout_episode(11, cfg)
+    assert wide.steps.dtype != sampled[0].steps.dtype
+    for alone in (sampled, [wide]):
+        learners._stack_episodes(alone, cfg)
+    with pytest.raises(ValueError, match="more than one step dtype"):
+        learners._stack_episodes([wide] + sampled, cfg)
+
+
 def test_replay_stores_battle_states_only():
-    # the integer fields an 8v9 battle-step costs, against the 2536 bytes
-    # of float32 observations and state plus boolean masks that it derives
+    # the record an 8v9 battle-step costs, in int64 and in the runner's
+    # and the replay's int8, against the 2536 bytes of float32
+    # observations and state plus boolean masks that it derives
     cfg = PRESETS["8v9"]
     episode = rollout_episode(31, cfg)
-    assert all(column.dtype.kind == "i" for name, column in
-               vars(episode).items() if name != "rewards")
-    per_step = sum(getattr(episode, name)[0].nbytes for name in STEP_FIELDS)
+    assert all(episode.steps[name].dtype.kind == "i"
+               for name in STEP_FIELDS[:-1])
     derived = sum(column[0].nbytes
                   for column in episode_views(episode, cfg).values())
-    assert (per_step, derived) == (480, 2536)
+    assert (episode.steps.itemsize, learners.step_dtype(cfg).itemsize,
+            derived) == (480, 67, 2536)
 
 
 def kept_agent_rows(battles):
@@ -832,7 +925,7 @@ def padded_train_step(learner, episodes):
     cfg = learner.cfg
     batch, horizon = len(episodes), max(len(e) for e in episodes)
     columns = [dict(episode_views(e, learner.env_cfg), actions=e.actions,
-                    rewards=e.rewards) for e in episodes]
+                    rewards=e.steps["rewards"]) for e in episodes]
     data = {name: np.zeros((batch, horizon) + column.shape[1:], column.dtype)
             for name, column in columns[0].items()}
     data["avail"][..., 0] = True
@@ -933,7 +1026,7 @@ def test_learner_forwards_see_only_real_steps(arch, mixer, augment,
     real = sum(len(e) for e in episodes) * cfg.n_allies
     assert real < len(episodes) * max(len(e) for e in episodes) * cfg.n_allies
     # the live agent rows plus one zero row for every dead agent
-    live = sum(int((e.ally_hp > 0).sum()) for e in episodes)
+    live = sum(int((e.steps["ally_hp"] > 0).sum()) for e in episodes)
     assert live + 1 < real
     assert rows == [(live + 1,) * 3] * (3 if arch == "dpn" else 2)
 
@@ -1009,8 +1102,8 @@ def test_runner_counts_env_steps_and_is_deterministic():
         for _ in range(40):
             episodes.extend(runner.tick())
         assert runner.env_steps == 40 * 2
-        outs.append([(len(ep), ep.actions.tolist(), ep.rewards.tolist())
-                     for ep in episodes])
+        outs.append([(len(ep), ep.actions.tolist(),
+                      ep.steps["rewards"].tolist()) for ep in episodes])
     assert outs[0] == outs[1]
     assert len(outs[0]) > 0
 
@@ -1038,21 +1131,22 @@ def reference_views(obs, state, avail):
 
 def assert_replays(cfg, seed, episode):
     """Stepping a fresh frozen reference env with the recorded actions
-    reproduces every recorded unit array, and the views the learner
-    rebuilds from them, bitwise, and ends exactly at the last recorded
-    step."""
+    reproduces every recorded unit value (widened to the reference's
+    int64), and the views the learner rebuilds from them, bitwise, and
+    ends exactly at the last recorded step."""
     env = Float32ViewsEnv(cfg)
     obs, state = env.reset(seed)
     views = learner_views(episode, cfg)
     for t in range(len(episode)):
         assert_same_arrays(
-            {name: getattr(episode, name)[t] for name in UNIT_FIELDS},
+            {name: episode.steps[name][t].astype(np.int64)
+             for name in UNIT_FIELDS},
             {name: getattr(env, name) for name in UNIT_FIELDS})
         assert_same_arrays(
             {name: column[t] for name, column in views.items()},
             reference_views(obs, state, env.available_actions()))
         obs, state, reward, terminated, _ = env.step(episode.actions[t])
-        assert reward == episode.rewards[t]
+        assert reward == episode.steps["rewards"][t]
         assert terminated == (t == len(episode) - 1)
     assert env.t == len(episode) == len(episode.actions)
 
@@ -1252,8 +1346,9 @@ class PerBattleRunner:
     run it on ``reference_env_factory`` envs.  Each tick draws every
     agent's uniform, then every explorer's index into its available
     actions, in (runner, agent) order.  It records each episode's unit
-    arrays and presentation, and keeps the views it acted on in ``views``,
-    one dict per finished episode."""
+    arrays and presentation in ``step_dtype`` of the env's config, and
+    keeps the views it acted on in ``views``, one dict per finished
+    episode."""
 
     def __init__(self, cfg, env_factory, net):
         self.cfg = cfg
@@ -1319,7 +1414,8 @@ class PerBattleRunner:
                 enemy_perm = getattr(env, "enemy_perm",
                                      np.arange(env.cfg.n_enemies))
                 completed.append(episode_of(
-                    steps, other_ally_index(n)[:, ally_perm], enemy_perm))
+                    steps, other_ally_index(n)[:, ally_perm], enemy_perm,
+                    learners.step_dtype(env.cfg)))
                 self.views.append({name: np.stack([v[name] for v in views])
                                    for name in VIEW_FIELDS})
                 self._partial[i] = []
