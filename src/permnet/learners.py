@@ -9,12 +9,13 @@ evaluates it.  The recursion runs on float64 rewards; the targets are
 rounded once to the network's float32 where they enter the loss.  A
 train step's forwards run on the live agent rows plus one all-zero row
 that stands for every dead agent, whose observation is all zero.  Replay
-stores whole episodes of battle states, which the env's ``BattleBatch``
-presents to the learner, and samples them uniformly.  One record,
-``step_dtype`` (ints in the narrowest dtype the battle config allows,
-int8 on every preset), holds a step from the runner's log to the
-learner's batch: an episode is an array of them, and the learner joins a
-batch's records by their bytes and widens the ints to int64 only there.
+keeps each whole episode of battle states, which the env's
+``BattleBatch`` presents to the learner, as one immutable ``bytes``
+object, and samples them uniformly.  One record, ``step_dtype`` (ints in
+the narrowest dtype the battle config allows, int8 on every preset),
+holds a step from the runner's log to the learner's batch: an episode is
+an array of them, and the learner joins a batch's records by their bytes
+and widens the ints to int64 only there.
 
 ``augment_experience`` is a pure data transform: it renames the units of
 stored episodes under random ally/enemy permutations (unit axes,
@@ -81,8 +82,9 @@ class Episode:
 
     Step t holds the units (true order), the presented actions and the
     reward that followed; ``ally_rows`` and ``enemy_perm`` are the
-    presentation of the battle's ``BattleBatch`` row.  Runner episodes are
-    in ``step_dtype``, the presentation in its int."""
+    presentation of the battle's ``BattleBatch`` row.  Runner episodes,
+    their relabelled copies and replayed episodes are in ``step_dtype``,
+    the presentation in its int; the replay stores no other."""
 
     steps: np.ndarray       # (T,) records
     ally_rows: np.ndarray   # (n, n - 1)
@@ -222,68 +224,53 @@ def anneal_epsilon(step: int, start: float, finish: float,
 class ReplayBuffer:
     """Whole-episode store; uniform episode sampling without replacement.
 
-    A deque, oldest first, holds one ``step_dtype(cfg)`` array per stored
-    episode, over immutable bytes; its ``ally_rows`` and ``enemy_perm`` go,
-    in the records' int, into a ring of ``capacity`` (episodes) rows at its
-    add count modulo ``capacity``.  ``sample`` draws deque indices with one
-    ``rng.choice`` call and returns ``Episode``s of the stored records and
-    a read-only copy from the ring.  No add or eviction writes a stored
-    record, and no caller can, since none can be made writeable.
+    A deque of at most ``capacity`` immutable ``bytes``, oldest first, one
+    per stored episode: its presentation, ``ally_rows`` and ``enemy_perm``
+    as one structured value in the records' int, then its
+    ``step_dtype(cfg)`` records.  ``sample`` draws deque indices with one
+    ``rng.choice`` call and returns ``Episode``s of ``np.frombuffer``
+    views over the stored bytes, read-only because bytes are.
     """
 
     def __init__(self, capacity: int, cfg: BattleConfig):
-        self.capacity = capacity
         n, m = cfg.n_allies, cfg.n_enemies
         self._step_dtype = step_dtype(cfg)
         narrow = self._step_dtype["actions"].base
-        self._range = np.iinfo(narrow)
-        self._records: deque[np.ndarray] = deque(maxlen=capacity)
-        self._presentations = np.zeros(capacity, [
-            ("ally_rows", narrow, (n, n - 1)), ("enemy_perm", narrow, (m,))])
-        self._added = 0
+        self._shown_dtype = np.dtype([("ally_rows", narrow, (n, n - 1)),
+                                      ("enemy_perm", narrow, (m,))])
+        self._episodes: deque[bytes] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def _holds(self, values: np.ndarray) -> bool:
-        return (self._range.min <= values.min()
-                and values.max() <= self._range.max)
+        return len(self._episodes)
 
     def add(self, episode: Episode):
         """Store a copy of an episode, evicting the oldest at capacity.  An
-        empty episode, one with other step fields, or one with an int value
-        outside the store's dtype raises ``ValueError`` and leaves the
-        buffer as it was.  Only an episode not in the store's dtypes is
-        checked, since only its cast can wrap."""
+        empty episode, or one whose step, ``ally_rows`` or ``enemy_perm``
+        dtype is not the store's, raises ``ValueError`` and leaves the
+        buffer as it was."""
         if not episode:
             raise ValueError("refusing to store an empty episode")
-        steps, narrow = episode.steps, self._range.dtype
-        if (steps.dtype, episode.ally_rows.dtype, episode.enemy_perm.dtype
-                ) != (self._step_dtype, narrow, narrow):
-            if steps.dtype.names != self._step_dtype.names:
-                raise ValueError(f"episode fields {steps.dtype.names}")
-            ints = {name: steps[name] for name in steps.dtype.names[:-1]}
-            ints.update(ally_rows=episode.ally_rows,
-                        enemy_perm=episode.enemy_perm)
-            # one check over every int value; a second pass names the field
-            if not self._holds(np.concatenate(list(ints.values()), axis=None)):
-                name = next(name for name, values in ints.items()
-                            if not self._holds(values))
-                raise ValueError(f"episode {name} has values outside {narrow}")
-        record = np.frombuffer(steps.astype(self._step_dtype, copy=False)
-                               .tobytes(), self._step_dtype)
-        self._presentations[self._added % self.capacity] = (
-            episode.ally_rows, episode.enemy_perm)
-        self._added += 1
-        self._records.append(record)
+        narrow = self._shown_dtype["enemy_perm"].base
+        want = (self._step_dtype, narrow, narrow)
+        got = (episode.steps.dtype, episode.ally_rows.dtype,
+               episode.enemy_perm.dtype)
+        if got != want:
+            raise ValueError(f"episode dtypes {got} are not the store's {want}")
+        shown = np.array((episode.ally_rows, episode.enemy_perm),
+                         self._shown_dtype)
+        self._episodes.append(shown.tobytes() + episode.steps.tobytes())
 
     def sample(self, rng: np.random.Generator, k: int) -> list:
         idx = rng.choice(len(self), size=min(k, len(self)), replace=False)
-        shown = self._presentations[
-            (self._added - len(self) + idx) % self.capacity]
-        shown.setflags(write=False)
-        return [Episode(self._records[i], rows, perm) for i, rows, perm
-                in zip(idx, shown["ally_rows"], shown["enemy_perm"])]
+        episodes = []
+        for i in idx:
+            stored = self._episodes[i]
+            shown = np.ndarray((), self._shown_dtype, stored)
+            episodes.append(Episode(
+                np.frombuffer(stored, self._step_dtype,
+                              offset=self._shown_dtype.itemsize),
+                shown["ally_rows"], shown["enemy_perm"]))
+        return episodes
 
 
 def relabel_episode(episode: Episode, ally_perm: np.ndarray,
@@ -292,7 +279,8 @@ def relabel_episode(episode: Episode, ally_perm: np.ndarray,
     ally ally_perm[p]; new enemy j, true and presented, is old enemy
     enemy_perm[j].  New observer p's slot k holds old observer
     ally_perm[p]'s slot c, where c is the index-order place of p's k-th
-    ally (by new index): identity-presented rows stay in index order."""
+    ally (by new index): identity-presented rows stay in index order.  The
+    copy's presentation is in its record's int."""
     ally_inv, enemy_inv = np.argsort(ally_perm), np.argsort(enemy_perm)
     old_rows = episode.ally_rows[ally_perm]
     slots = np.argsort(ally_inv[np.sort(old_rows, axis=1)], axis=1)
@@ -304,9 +292,11 @@ def relabel_episode(episode: Episode, ally_perm: np.ndarray,
             ally_perm if name.startswith("ally") else enemy_perm, axis=1)
     record["actions"] = action_map.take(steps["actions"].take(ally_perm, 1))
     record["rewards"] = steps["rewards"]
+    ints = record.dtype["actions"].base
     return Episode(record,
-                   np.take_along_axis(ally_inv[old_rows], slots, axis=1),
-                   enemy_inv[episode.enemy_perm[enemy_perm]])
+                   np.take_along_axis(ally_inv[old_rows], slots,
+                                      axis=1).astype(ints),
+                   enemy_inv[episode.enemy_perm[enemy_perm]].astype(ints))
 
 
 def augment_experience(episodes: list, num_permutations: int,

@@ -65,9 +65,12 @@ class ListReplay:
         return [self.episodes[i] for i in idx]
 
 
-def rollout_episode(seed, cfg=PRESETS["3v3"], policy=None) -> Episode:
+def rollout_episode(seed, cfg=PRESETS["3v3"], policy=None,
+                    dtype=None) -> Episode:
     """One full episode on the battle env: uniform random available
-    actions from ``default_rng(seed + 1)``, or ``policy(env, avail)``."""
+    actions from ``default_rng(seed + 1)``, or ``policy(env, avail)``.
+    Its record is in ``dtype`` as ``episode_of`` makes it, int64 without
+    one."""
     env = MicroBattleEnv(cfg)
     env.reset(seed)
     rng = np.random.default_rng(seed + 1)
@@ -84,7 +87,8 @@ def rollout_episode(seed, cfg=PRESETS["3v3"], policy=None) -> Episode:
         _, _, reward, terminated, _ = env.step(actions)
         steps.append(dict(step, actions=np.asarray(actions, dtype=np.int64),
                           rewards=reward))
-    return episode_of(steps, env.batch.ally_rows[0], env.batch.enemy_perm[0])
+    return episode_of(steps, env.batch.ally_rows[0], env.batch.enemy_perm[0],
+                      dtype)
 
 
 def episode_views(episode: Episode, cfg) -> dict:

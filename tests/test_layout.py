@@ -2,7 +2,8 @@
 
 Two AST checks over the package:
 
-* every top-level function and class is named by the run code (``src/``,
+* every top-level function and class, and every method but a dunder
+  defined in a class body, is named by the run code (``src/``,
   ``scripts/`` and the non-test ``perfbench/`` files) somewhere outside its
   own definition, so code that only tests reach lives under ``tests/``.
   An attribute of an imported outside module (``np.tanh``) names nothing
@@ -21,7 +22,11 @@ PACKAGE = ROOT / "src" / "permnet"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 # reached only from tests/test_acceptance.py, which pins their names
-TEST_ONLY_ALLOWED = {"grad_check", "is_permutation_matrix", "matmul"}
+# (c01, c02 and c07 call ``AgentNet.forward``)
+TEST_ONLY_ALLOWED = {"grad_check", "is_permutation_matrix", "matmul",
+                     "AgentNet.forward"}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def run_code_files() -> list[Path]:
@@ -66,41 +71,48 @@ def names_in(node: ast.AST, foreign: set) -> set:
     return found
 
 
-def top_level_definitions(tree: ast.Module) -> list:
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))]
+def definitions(tree: ast.Module) -> list[str]:
+    """A module's top-level functions and classes, and each non-dunder
+    method of a top-level class as ``Class.method``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += (f"{node.name}.{sub.name}" for sub in node.body
+                      if isinstance(sub, DEFINITIONS[:2])
+                      and not (sub.name.startswith("__")
+                               and sub.name.endswith("__")))
+    return found
 
 
 def unreached_definitions() -> list[str]:
-    """Top-level package definitions that no run code names outside the
-    definition itself."""
+    """Package definitions that no run code names outside the definition
+    itself: a method counts as named by the rest of its class."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in run_code_files()}
-    # per file: names used at module level and in each top-level definition
+    # per file: the names each statement of the module or of a class body
+    # mentions, with the definitions that statement lies within
     usage = []
     for path, tree in trees.items():
         foreign = foreign_imports(tree)
-        outside = set()
-        inside = {}
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                inside[node.name] = names_in(node, foreign)
-            else:
-                outside |= names_in(node, foreign)
-        usage.append((path, outside, inside))
+            parts = (ast.iter_child_nodes(node)
+                     if isinstance(node, ast.ClassDef) else [None])
+            for sub in parts:
+                within = {getattr(node, "name", "")}
+                if sub is not None:
+                    within.add(f"{node.name}.{getattr(sub, 'name', '')}")
+                usage.append((path, within, names_in(sub or node, foreign)))
     missing = []
     for module in MODULES:
-        for node in top_level_definitions(trees[module]):
-            name = node.name
-            reached = any(
-                name in outside
-                or any(name in used for owner, used in inside.items()
-                       if not (path == module and owner == name))
-                for path, outside, inside in usage)
-            if not reached and name not in TEST_ONLY_ALLOWED:
-                missing.append(f"{module.name}: {name}")
+        for qualified in definitions(trees[module]):
+            name = qualified.rpartition(".")[2]
+            reached = any(name in used and not (
+                path == module and qualified in within)
+                for path, within, used in usage)
+            if not reached and qualified not in TEST_ONLY_ALLOWED:
+                missing.append(f"{module.name}: {qualified}")
     return missing
 
 
@@ -109,9 +121,8 @@ def test_run_code_reaches_every_package_definition():
 
 
 def test_allowlist_names_real_test_only_definitions():
-    defined = {node.name for module in MODULES
-               for node in top_level_definitions(
-                   ast.parse(module.read_text()))}
+    defined = {name for module in MODULES
+               for name in definitions(ast.parse(module.read_text()))}
     assert TEST_ONLY_ALLOWED <= defined
 
 

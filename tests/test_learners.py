@@ -299,20 +299,6 @@ def test_anneal_schedule():
 # -- replay ------------------------------------------------------------
 
 
-def assert_same_values(got, want):
-    """Every step field and the presentation of episode ``got`` hold
-    ``want``'s values, in any int dtype; rewards stay float64."""
-    assert got.steps.dtype.names == want.steps.dtype.names
-    columns = {name: (got.steps[name], want.steps[name])
-               for name in want.steps.dtype.names}
-    columns.update({name: (getattr(got, name), getattr(want, name))
-                    for name in ("ally_rows", "enemy_perm")})
-    for name, (column, wanted) in columns.items():
-        assert column.shape == wanted.shape, name
-        assert np.array_equal(column, wanted), name
-    assert got.steps["rewards"].dtype == np.float64
-
-
 def test_replay_buffer_eviction_and_sampling():
     # runner episodes past capacity: the oldest go, and every draw picks
     # the episodes the list-of-episodes buffer picks, in its order
@@ -328,12 +314,12 @@ def test_replay_buffer_eviction_and_sampling():
             want = reference.sample(np.random.default_rng(seed), 4)
             assert len(got) == len(want) == min(i + 1, 4)
             for g, w in zip(got, want):
-                assert_same_values(g, w)
+                assert_same_arrays(vars(g), vars(w))
     kept = buf.sample(np.random.default_rng(12), 10)
     assert len(kept) == 7
     order = np.random.default_rng(12).choice(7, size=7, replace=False)
     for got, i in zip(kept, order):
-        assert_same_values(got, episodes[33 + i])
+        assert_same_arrays(vars(got), vars(episodes[33 + i]))
     with pytest.raises(ValueError, match="empty"):
         buf.add(dataclasses.replace(episodes[0], steps=episodes[0].steps[:0]))
 
@@ -351,7 +337,7 @@ def test_replay_round_trips_every_field(preset):
     order = np.random.default_rng(3).choice(len(episodes), size=len(episodes),
                                             replace=False)
     for got, i in zip(stored, order):
-        assert_same_values(got, episodes[i])
+        assert_same_arrays(vars(got), vars(episodes[i]))
         assert got.steps.dtype == learners.step_dtype(cfg)
         assert {got.steps[name].dtype for name in STEP_FIELDS[:-1]} | {
             got.ally_rows.dtype, got.enemy_perm.dtype} == {np.dtype(np.int8)}
@@ -367,9 +353,10 @@ def test_replay_round_trips_every_field(preset):
 
 def test_replay_widens_dtype_for_a_large_grid():
     # x and y reach 129 on a 130-cell grid, past int8: the store derives
-    # int16 from the config and keeps every value
+    # int16 from the config and keeps every value of int16 episodes
     cfg = BattleConfig(grid_size=130, episode_limit=12)
-    episodes = [rollout_episode(seed, cfg) for seed in (0, 1)]
+    episodes = [rollout_episode(seed, cfg, dtype=learners.step_dtype(cfg))
+                for seed in (0, 1)]
     assert max(e.steps[name].max() for e in episodes
                for name in UNIT_FIELDS) > np.iinfo(np.int8).max
     buf = ReplayBuffer(2, cfg)
@@ -377,92 +364,61 @@ def test_replay_widens_dtype_for_a_large_grid():
         buf.add(episode)
     for got, i in zip(buf.sample(np.random.default_rng(0), 2),
                       np.random.default_rng(0).choice(2, 2, replace=False)):
-        assert_same_values(got, episodes[i])
+        assert_same_arrays(vars(got), vars(episodes[i]))
         assert got.steps.dtype == learners.step_dtype(cfg)
         assert got.steps["enemy_x"].dtype == got.actions.dtype == np.int16
 
 
 def test_replay_refuses_values_its_dtype_cannot_hold():
-    # a 130-cell grid's coordinates do not fit a 3v3 buffer's int8: add
-    # names the field and refuses before it evicts, so a full buffer keeps
-    # what it held
+    # a full 3v3 buffer casts nothing: it refuses, before it evicts, a
+    # 130-cell grid's int16 episode, whose coordinates its int8 cannot
+    # hold, and an int64 one, naming both sets of dtypes
     cfg = PRESETS["3v3"]
     episodes = collect_episodes("3v3", True, 4)[:4]
     buf = ReplayBuffer(4, cfg)
     for episode in episodes:
         buf.add(episode)
-    wide = rollout_episode(0, BattleConfig(grid_size=130, episode_limit=12))
-    with pytest.raises(ValueError, match=r"^episode (ally|enemy)_[xy] .*int8"):
-        buf.add(wide)
+    grid = BattleConfig(grid_size=130, episode_limit=12)
+    refused = {"int16": rollout_episode(0, grid,
+                                        dtype=learners.step_dtype(grid)),
+               "int64": rollout_episode(7, cfg)}
+    for ints, episode in refused.items():
+        assert episode.ally_rows.dtype == episode.enemy_perm.dtype == ints
+        with pytest.raises(ValueError, match=rf"^episode dtypes \(.*{ints}.*"
+                           r"\) are not the store's \(.*'int8'.*\)$"):
+            buf.add(episode)
     assert len(buf) == 4
     for got, i in zip(buf.sample(np.random.default_rng(7), 4),
                       np.random.default_rng(7).choice(4, 4, replace=False)):
-        assert_same_values(got, episodes[i])
-
-
-def test_runner_episodes_are_stored_without_a_range_check(monkeypatch):
-    # a runner episode is already in the store's dtypes, so no cast can
-    # wrap and ``add`` checks nothing; an int64 episode is still checked
-    cfg = PRESETS["3v3"]
-    episodes = collect_episodes("3v3", True, 4)[:4]
-    narrow = learners.step_dtype(cfg)["actions"].base
-    for episode in episodes:
-        assert episode.steps.dtype == learners.step_dtype(cfg)
-        assert episode.ally_rows.dtype == episode.enemy_perm.dtype == narrow
-
-    def refuse(self, values):
-        raise AssertionError("range check on a runner episode")
-
-    buf = ReplayBuffer(5, cfg)
-    monkeypatch.setattr(ReplayBuffer, "_holds", refuse)
-    for episode in episodes:
-        buf.add(episode)
-    monkeypatch.undo()
-    original, checked = ReplayBuffer._holds, []
-
-    def counting(self, values):
-        checked.append(values.dtype)
-        return original(self, values)
-
-    monkeypatch.setattr(ReplayBuffer, "_holds", counting)
-    wide = rollout_episode(7, cfg)
-    assert wide.steps["ally_x"].dtype == np.int64
-    buf.add(wide)
-    assert checked == [np.dtype(np.int64)]
-    episodes.append(wide)
-    for got, i in zip(buf.sample(np.random.default_rng(2), 5),
-                      np.random.default_rng(2).choice(5, 5, replace=False)):
-        assert_same_values(got, episodes[i])
-        assert got.steps.dtype == learners.step_dtype(cfg)
+        assert_same_arrays(vars(got), vars(episodes[i]))
 
 
 def test_replay_refuses_other_step_fields():
-    # a record is cast to the store's by field position, so fields in
-    # another order are refused, not stored crosswise
+    # a record is stored as its bytes, so fields in another order are
+    # refused, not stored crosswise
     cfg = PRESETS["3v3"]
-    episode = rollout_episode(8, cfg)
+    episode = rollout_episode(8, cfg, dtype=learners.step_dtype(cfg))
     names = list(episode.steps.dtype.names)
     names[0], names[1] = names[1], names[0]
     buf = ReplayBuffer(2, cfg)
-    with pytest.raises(ValueError, match="^episode fields"):
+    with pytest.raises(ValueError, match="^episode dtypes"):
         buf.add(dataclasses.replace(episode, steps=episode.steps[names]))
     assert len(buf) == 0
 
 
-@pytest.mark.parametrize("source", ["runner", "int64"])
-def test_replay_keeps_a_copy_of_each_added_episode(source):
+def test_replay_keeps_a_copy_of_each_added_episode():
     # writing to the caller's episode after ``add`` changes nothing that
-    # ``sample`` returns, for an episode in the store's dtypes or not
+    # ``sample`` returns
     cfg = PRESETS["3v3"]
-    episode = (collect_episodes("3v3", True, 1)[0] if source == "runner"
-               else rollout_episode(9, cfg))
+    episode = collect_episodes("3v3", True, 1)[0]
     kept = copy.deepcopy(episode)
     buf = ReplayBuffer(1, cfg)
     buf.add(episode)
     episode.steps.view(np.uint8)[...] = 0xFF
     episode.ally_rows[...] = -1
     episode.enemy_perm[...] = -1
-    assert_same_values(buf.sample(np.random.default_rng(0), 1)[0], kept)
+    assert_same_arrays(vars(buf.sample(np.random.default_rng(0), 1)[0]),
+                       vars(kept))
 
 
 def test_sampled_episodes_are_read_only_and_stable():
@@ -482,15 +438,15 @@ def test_sampled_episodes_are_read_only_and_stable():
     for episode in episodes[4:]:   # evicts all four
         buf.add(episode)
     for got, i in zip(held, order):
-        assert_same_values(got, episodes[i])
+        assert_same_arrays(vars(got), vars(episodes[i]))
 
 
 @pytest.mark.parametrize("preset", ["3v3", "8v9"])
 def test_replay_store_bytes_per_step(preset):
     # what the store keeps per stored battle-step, by tracemalloc: a list
     # of Episode objects of ten int64/float64 arrays each kept 347 B per
-    # 3v3 step here; one int8 record array per episode, plus the
-    # presentation ring, keeps 47 B per 3v3 step and 79 B per 8v9 step.
+    # 3v3 step here; one bytes object per episode, its int8 presentation
+    # then its records, keeps 36 B per 3v3 step and 73 B per 8v9 step.
     # The bound is under a third of 347.  The copies are made before
     # tracing starts, so only the buffer's own work is traced: copying
     # inside it left about 10 B per 3v3 step of ``copy.deepcopy`` leftovers.
@@ -609,10 +565,20 @@ def test_augmented_runner_episodes_match_float_oracle(preset, shuffle):
     assert (presented > 0) == shuffle
     copies = 2
     grown = augment_experience(episodes, copies, np.random.default_rng(8))
-    # the replay holds integer battle states, originals and copies alike
+    # the replay holds integer battle states, originals and copies alike,
+    # all in one int, so a copy is stored and sampled back bit for bit
+    narrow = learners.step_dtype(cfg)["actions"].base
     assert all(e.steps.dtype == learners.step_dtype(cfg)
-               and e.ally_rows.dtype.kind == e.enemy_perm.dtype.kind == "i"
+               and e.ally_rows.dtype == e.enemy_perm.dtype == narrow
                for e in grown)
+    buf = ReplayBuffer(len(grown), cfg)
+    for episode in grown:
+        buf.add(episode)
+    order = np.random.default_rng(9).choice(len(grown), len(grown),
+                                            replace=False)
+    for got, i in zip(buf.sample(np.random.default_rng(9), len(grown)),
+                      order):
+        assert_same_arrays(vars(got), vars(grown[i]))
     draws = np.random.default_rng(8)
     for b, episode in enumerate(episodes):
         for c in range(copies):
@@ -810,7 +776,7 @@ def test_stack_episodes_refuses_mixed_step_dtypes():
     # int8 ones would be read as garbage
     cfg = PRESETS["3v3"]
     buf = ReplayBuffer(1, cfg)
-    buf.add(rollout_episode(10, cfg))
+    buf.add(rollout_episode(10, cfg, dtype=learners.step_dtype(cfg)))
     sampled = buf.sample(np.random.default_rng(0), 1)
     wide = rollout_episode(11, cfg)
     assert wide.steps.dtype != sampled[0].steps.dtype
