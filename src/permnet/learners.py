@@ -255,7 +255,8 @@ class ReplayBuffer:
         got = (episode.steps.dtype, episode.ally_rows.dtype,
                episode.enemy_perm.dtype)
         if got != want:
-            raise ValueError(f"episode dtypes {got} are not the store's {want}")
+            raise ValueError(
+                f"episode dtypes {got} are not the store's {want}")
         shown = np.array((episode.ally_rows, episode.enemy_perm),
                          self._shown_dtype)
         self._episodes.append(shown.tobytes() + episode.steps.tobytes())

@@ -97,13 +97,13 @@ def unreached_definitions() -> list[str]:
     for path, tree in trees.items():
         foreign = foreign_imports(tree)
         for node in tree.body:
-            parts = (ast.iter_child_nodes(node)
-                     if isinstance(node, ast.ClassDef) else [None])
-            for sub in parts:
-                within = {getattr(node, "name", "")}
-                if sub is not None:
-                    within.add(f"{node.name}.{getattr(sub, 'name', '')}")
-                usage.append((path, within, names_in(sub or node, foreign)))
+            if not isinstance(node, ast.ClassDef):
+                usage.append((path, {getattr(node, "name", "")},
+                              names_in(node, foreign)))
+                continue
+            for sub in ast.iter_child_nodes(node):   # bases, body, ...
+                within = {node.name, f"{node.name}.{getattr(sub, 'name', '')}"}
+                usage.append((path, within, names_in(sub, foreign)))
     missing = []
     for module in MODULES:
         for qualified in definitions(trees[module]):
